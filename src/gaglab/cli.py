@@ -202,20 +202,24 @@ def _cmd_search(args) -> int:
         total = sum(1 for _ in enumerate_structures(spec))
         _emit({"command": "search", "count": total}, args.json, [str(total)])
         return 0
-    texts = []
-    for i, G in enumerate(enumerate_structures(spec)):
+    texts = []  # kept only for the --json payload without --emit
+    total = 0
+    for G in enumerate_structures(spec):
         text = serialize(G)
         if args.emit:
             out = Path(args.emit)
             out.mkdir(parents=True, exist_ok=True)
-            (out / f"structure_{i:05d}.gag").write_text(text, encoding="utf-8")
-        texts.append(text)
+            (out / f"structure_{total:05d}.gag").write_text(text, encoding="utf-8")
+        elif args.json:
+            texts.append(text)
+        else:
+            print(text)
+        total += 1
     if args.emit:
-        _emit({"command": "search", "count": len(texts), "dir": args.emit},
-              args.json, [f"wrote {len(texts)} structures to {args.emit}"])
-    else:
-        _emit({"command": "search", "count": len(texts), "structures": texts},
-              args.json, [t.rstrip("\n") + "\n" for t in texts])
+        _emit({"command": "search", "count": total, "dir": args.emit},
+              args.json, [f"wrote {total} structures to {args.emit}"])
+    elif args.json:
+        _emit({"command": "search", "count": total, "structures": texts}, True, [])
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Literal, Optional
 
 MAX_ORDER = 64  # one bit per element in a subset mask
@@ -20,23 +21,14 @@ class LimitExceededError(ValueError):
     """An exhaustive scan was refused because the input is too large."""
 
 
-class Law(Enum):
-    LEFT_INVERTIVE = "left-invertive"  # (a g b) d c == (c g b) d a
-    AG_STAR_STAR = "ag-star-star"      # a g (b d c) == b g (a d c)
-    MEDIAL = "medial"                  # (x a y) b (l g m) == (x a l) b (y g m)
-    PARAMEDIAL = "paramedial"          # (x a y) b (l g m) == (m a l) b (y g x)
-    ASSOCIATIVE = "associative"        # (a g b) d c == a g (b d c)
-    COMMUTATIVE = "commutative"        # a g b == b g a
-
-
 @dataclass(frozen=True)
 class LawVerdict:
     """Result of an exhaustive law check.
 
     ``witness`` is None when the law holds, otherwise the first violating
-    instance in scan order, as a tuple alternating elements and gamma
-    indices: (a, g, b) for the commutative law, (a, g, b, d, c) for the
-    three-variable laws, (x, a, y, b, l, g, m) for medial/paramedial.
+    instance in scan order: the law's variables in reading order of its
+    left-hand term, alternating elements and gamma indices, e.g. (a, g, b, d, c)
+    for (a g b) d c.
     """
     holds: bool
     witness: Optional[tuple] = None
@@ -187,75 +179,111 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# laws as terms
+#
+# A term is an element variable (a string) or a (left, gamma, right) triple
+# whose middle entry names a gamma variable; (("a", "g", "b"), "d", "c") reads
+# (a g b) d c.  Terms are compiled into nested Python loops on first use:
+# walking the term tree at every instance makes check_law several times
+# slower, and compiling at import would be a large share of the import time.
+
+def _variables(*terms) -> tuple[tuple[str, bool], ...]:
+    """Variables in order of first appearance, as (name, is_gamma) pairs."""
+    def reading(term, is_gamma=False):
+        if isinstance(term, str):
+            return [(term, is_gamma)]
+        return reading(term[0]) + reading(term[1], True) + reading(term[2])
+    return tuple(dict.fromkeys(v for term in terms for v in reading(term)))
+
+
+def _expr(term) -> str:
+    if isinstance(term, str):
+        return "v_" + term
+    left, g, right = term
+    return f"T[v_{g}][{_expr(left)}][{_expr(right)}]"
+
+
+def _define(lines: list[str]):
+    scope = {"members": members}
+    exec("\n".join(lines), scope)
+    return scope["f"]
+
+
+def compile_scan(terms, violated: str, over_s=()):
+    """Compile ``f(G, S=0)``, the first instance of the terms' variables at
+    which ``violated`` (a condition on the terms' values ``{0}``, ``{1}``, ...
+    and the subset mask ``S``) holds, or None.
+
+    Element variables are the outer loops and gamma variables the inner ones,
+    each in order of first appearance; element variables in ``over_s`` range
+    over the members of S, the others over the carrier.  The instance is the
+    variables in order of first appearance.
+    """
+    variables = _variables(*terms)
+    loops = [v for v in variables if not v[1]] + [v for v in variables if v[1]]
+    lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
+             "    M = range(G.gamma_count)", "    SE = members(S)"]
+    for depth, (name, is_gamma) in enumerate(loops, 1):
+        domain = "M" if is_gamma else "SE" if name in over_s else "E"
+        lines.append("    " * depth + f"for v_{name} in {domain}:")
+    pad = "    " * (len(loops) + 1)
+    lines.append(pad + "if " + violated.format(*map(_expr, terms)) + ":")
+    lines.append(pad + "    return (" + "".join(f"v_{v}, " for v, _ in variables) + ")")
+    return _define(lines)
+
+
+class Law(Enum):
+    """An identity lhs == rhs over all elements and gammas, given by its terms.
+
+    ``sides(T, values)`` evaluates both terms on the tables T at values of the
+    law's ``variables``; ``scan(G)`` is its ``compile_scan``.  Adding a law is
+    one line here.
+    """
+    LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
+    AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
+    MEDIAL = ("medial", (("x", "a", "y"), "b", ("l", "g", "m")),
+              (("x", "a", "l"), "b", ("y", "g", "m")))
+    PARAMEDIAL = ("paramedial", (("x", "a", "y"), "b", ("l", "g", "m")),
+                  (("m", "a", "l"), "b", ("y", "g", "x")))
+    ASSOCIATIVE = "associative", (("a", "g", "b"), "d", "c"), ("a", "g", ("b", "d", "c"))
+    COMMUTATIVE = "commutative", ("a", "g", "b"), ("b", "g", "a")
+
+    def __new__(cls, value, lhs, rhs):
+        law = object.__new__(cls)
+        law._value_ = value
+        law.terms = lhs, rhs
+        law.variables = _variables(lhs, rhs)
+        return law
+
+    @cached_property
+    def sides(self):
+        lhs, rhs = self.terms
+        unpack = "".join(f"v_{v}, " for v, _ in self.variables)
+        return _define(["def f(T, values):", f"    {unpack}= values",
+                        f"    return {_expr(lhs)}, {_expr(rhs)}"])
+
+    @cached_property
+    def scan(self):
+        return compile_scan(self.terms, "{0} != {1}")
+
+
+# ---------------------------------------------------------------------------
 # law checking
 
 def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     """Exhaustively check one law; report the first violation in scan order.
 
     Scan order is element variables outer, gamma variables inner, each in
-    ascending index order, so the reported witness is reproducible.
+    order of first appearance in the law's left-hand term and ascending, so
+    the reported witness is reproducible.
     """
-    n, m = G.order, G.gamma_count
-    T = G.tables
-    rng, grng = range(n), range(m)
-    if law in (Law.LEFT_INVERTIVE, Law.AG_STAR_STAR, Law.ASSOCIATIVE):
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for g in grng:
-                        for d in grng:
-                            if law is Law.LEFT_INVERTIVE:
-                                l, r = T[d][T[g][a][b]][c], T[d][T[g][c][b]][a]
-                            elif law is Law.AG_STAR_STAR:
-                                l, r = T[g][a][T[d][b][c]], T[g][b][T[d][a][c]]
-                            else:
-                                l, r = T[d][T[g][a][b]][c], T[g][a][T[d][b][c]]
-                            if l != r:
-                                return LawVerdict(False, (a, g, b, d, c))
-    elif law in (Law.MEDIAL, Law.PARAMEDIAL):
-        for x in rng:
-            for y in rng:
-                for l_ in rng:
-                    for m_ in rng:
-                        for ga in grng:
-                            for gb in grng:
-                                for gg in grng:
-                                    lhs = T[gb][T[ga][x][y]][T[gg][l_][m_]]
-                                    if law is Law.MEDIAL:
-                                        rhs = T[gb][T[ga][x][l_]][T[gg][y][m_]]
-                                    else:
-                                        rhs = T[gb][T[ga][m_][l_]][T[gg][y][x]]
-                                    if lhs != rhs:
-                                        return LawVerdict(False, (x, ga, y, gb, l_, gg, m_))
-    elif law is Law.COMMUTATIVE:
-        for a in rng:
-            for b in rng:
-                for g in grng:
-                    if T[g][a][b] != T[g][b][a]:
-                        return LawVerdict(False, (a, g, b))
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    return LawVerdict(True)
+    witness = law.scan(G)
+    return LawVerdict(witness is None, witness)
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:
     """Evaluate both sides of ``law`` at a witness-shaped tuple."""
-    T = G.tables
-    if law in (Law.LEFT_INVERTIVE, Law.AG_STAR_STAR, Law.ASSOCIATIVE):
-        a, g, b, d, c = witness
-        if law is Law.LEFT_INVERTIVE:
-            return T[d][T[g][a][b]][c], T[d][T[g][c][b]][a]
-        if law is Law.AG_STAR_STAR:
-            return T[g][a][T[d][b][c]], T[g][b][T[d][a][c]]
-        return T[d][T[g][a][b]][c], T[g][a][T[d][b][c]]
-    if law in (Law.MEDIAL, Law.PARAMEDIAL):
-        x, ga, y, gb, l_, gg, m_ = witness
-        lhs = T[gb][T[ga][x][y]][T[gg][l_][m_]]
-        if law is Law.MEDIAL:
-            return lhs, T[gb][T[ga][x][l_]][T[gg][y][m_]]
-        return lhs, T[gb][T[ga][m_][l_]][T[gg][y][x]]
-    a, g, b = witness
-    return T[g][a][b], T[g][b][a]
+    return law.sides(G.tables, witness)
 
 
 def identities(G: GammaGroupoid, side: Literal["left", "right"]) -> set[int]:

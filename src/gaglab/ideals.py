@@ -8,12 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 from .core import (
     GammaGroupoid,
     LimitExceededError,
     _check_width,
+    compile_scan,
     is_regular,
     members,
     subset_product,
@@ -57,59 +59,18 @@ class IdealVerdict:
     witness: Optional[tuple] = None
 
 
-def _bit(mask: int, i: int) -> bool:
-    return bool(mask >> i & 1)
+def _clause_scan(term, over_s):
+    """First instance of ``term``'s variables valued outside S; compiled on first use."""
+    scan = cache(lambda: compile_scan((term,), "not S >> {0} & 1", over_s))
+    return lambda G, S: scan()(G, S)
 
 
 # witness scans, run only after the cheap mask check failed
-
-def _sub_witness(G, S):
-    for a in members(S):
-        for b in members(S):
-            for g in range(G.gamma_count):
-                if not _bit(S, G.tables[g][a][b]):
-                    return (a, g, b)
-    return None
-
-
-def _left_witness(G, S):
-    for x in range(G.order):
-        for s in members(S):
-            for g in range(G.gamma_count):
-                if not _bit(S, G.tables[g][x][s]):
-                    return (x, g, s)
-    return None
-
-
-def _right_witness(G, S):
-    for s in members(S):
-        for x in range(G.order):
-            for g in range(G.gamma_count):
-                if not _bit(S, G.tables[g][s][x]):
-                    return (s, g, x)
-    return None
-
-
-def _bi_witness(G, S):
-    for s1 in members(S):
-        for x in range(G.order):
-            for s2 in members(S):
-                for g in range(G.gamma_count):
-                    for d in range(G.gamma_count):
-                        if not _bit(S, G.tables[d][G.tables[g][s1][x]][s2]):
-                            return (s1, g, x, d, s2)
-    return None
-
-
-def _interior_witness(G, S):
-    for x in range(G.order):
-        for s in members(S):
-            for y in range(G.order):
-                for g in range(G.gamma_count):
-                    for d in range(G.gamma_count):
-                        if not _bit(S, G.tables[d][G.tables[g][x][s]][y]):
-                            return (x, g, s, d, y)
-    return None
+_sub_witness = _clause_scan(("a", "g", "b"), "ab")
+_left_witness = _clause_scan(("x", "g", "s"), "s")
+_right_witness = _clause_scan(("s", "g", "x"), "s")
+_bi_witness = _clause_scan((("s", "g", "x"), "d", "t"), "st")
+_interior_witness = _clause_scan((("x", "g", "s"), "d", "y"), "s")
 
 
 def _clauses(G: GammaGroupoid, S: int, kind: IdealKind):

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import GammaGroupoid, default_labels
+from .core import MAX_ORDER, GammaGroupoid, default_labels
 
 
 class ParseError(Exception):
@@ -80,6 +80,8 @@ def parse(text: str) -> GammaGroupoid:
     cur = _Cursor(text)
     lineno, tokens = cur.take("'order <n>'")
     n = _int_field(lineno, tokens, "order")
+    if n > MAX_ORDER:
+        raise ParseError(lineno, f"carrier size {n} exceeds supported maximum {MAX_ORDER}")
     lineno, tokens = cur.take("'gammas <m>'")
     m = _int_field(lineno, tokens, "gammas")
 

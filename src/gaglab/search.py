@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Optional
 
 from .core import (
@@ -62,19 +62,6 @@ class SearchSpec:
             raise ValueError("limit must be non-negative")
 
 
-def _instances(n: int, m: int, laws: list[Law]):
-    """All (law, a, b, c, g, d) instance descriptors of the prunable laws."""
-    out = []
-    for law in laws:
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    for g in range(m):
-                        for d in range(m):
-                            out.append((law, a, b, c, g, d))
-    return out
-
-
 def _leaf_ok(G: GammaGroupoid, filters: frozenset[Filter]) -> bool:
     for f in filters:
         if f in _PRUNABLE:
@@ -107,36 +94,14 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
 
 def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     n, m = spec.order, spec.gammas
-    tables = [[[-1] * n for _ in range(n)] for _ in range(m)]
+    # An unassigned cell holds n, and a spare row and column of n make every
+    # lookup through n yield n, so a law side reads n until it is determined.
+    tables = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(m)]
     cells = [(g, r, c) for g in range(m) for r in range(n) for c in range(n)]
-    pending0 = _instances(n, m, [_PRUNABLE[f] for f in _PRUNABLE if f in spec.filters])
-
-    OK, BAD, UNKNOWN = 0, 1, 2
-
-    def status(inst):
-        law, a, b, c, g, d = inst
-        if law is Law.LEFT_INVERTIVE:
-            t = tables[g][a][b]
-            if t < 0:
-                return UNKNOWN
-            lhs = tables[d][t][c]
-            u = tables[g][c][b]
-            if lhs < 0 or u < 0:
-                return UNKNOWN
-            rhs = tables[d][u][a]
-        else:  # a g (b d c) == b g (a d c)
-            t = tables[d][b][c]
-            if t < 0:
-                return UNKNOWN
-            lhs = tables[g][a][t]
-            u = tables[d][a][c]
-            if lhs < 0 or u < 0:
-                return UNKNOWN
-            rhs = tables[g][b][u]
-        if rhs < 0:
-            return UNKNOWN
-        return OK if lhs == rhs else BAD
-
+    pending0 = [(law.sides, values)
+                for law in (_PRUNABLE[f] for f in _PRUNABLE if f in spec.filters)
+                for values in product(*(range(m) if is_gamma else range(n)
+                                        for _, is_gamma in law.variables))]
     emitted = 0
 
     def rec(pos, pending):
@@ -144,7 +109,7 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         if spec.limit is not None and emitted >= spec.limit:
             return
         if pos == len(cells):
-            G = GammaGroupoid.from_tables(tables)
+            G = GammaGroupoid.from_tables([[row[:n] for row in t[:n]] for t in tables])
             if not _leaf_ok(G, spec.filters):
                 return
             if spec.up_to_iso and \
@@ -158,19 +123,17 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         for v in range(n):
             row[c] = v
             keep = []
-            bad = False
             for inst in pending:
-                st = status(inst)
-                if st == BAD:
-                    bad = True
-                    break
-                if st == UNKNOWN:
+                lhs, rhs = inst[0](tables, inst[1])
+                if lhs == n or rhs == n:
                     keep.append(inst)
-            if not bad:
+                elif lhs != rhs:
+                    break
+            else:
                 yield from rec(pos + 1, keep)
             if spec.limit is not None and emitted >= spec.limit:
                 break
-        row[c] = -1
+        row[c] = n
 
     yield from rec(0, pending0)
 

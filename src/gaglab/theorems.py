@@ -170,11 +170,7 @@ def _verify_right_identity(G, limit):
     for e in sorted(rights):
         if e not in lefts:
             return _cx({"element": e, "side": "left"})
-    for law in (Law.COMMUTATIVE, Law.ASSOCIATIVE):
-        v = check_law(G, law)
-        if not v.holds:
-            return _cx({"law": law.value, "at": v.witness})
-    return _holds()
+    return _law_lemma(Law.COMMUTATIVE, Law.ASSOCIATIVE)(G, limit)
 
 
 def _verify_t1(G, limit):
@@ -192,11 +188,12 @@ def _verify_t1(G, limit):
     return _holds()
 
 
-def _law_lemma(law: Law):
+def _law_lemma(*laws: Law):
     def run(G, limit):
-        v = check_law(G, law)
-        if not v.holds:
-            return _cx({"law": law.value, "at": v.witness})
+        for law in laws:
+            v = check_law(G, law)
+            if not v.holds:
+                return _cx({"law": law.value, "at": v.witness})
         return _holds()
     return run
 
@@ -257,13 +254,16 @@ def _verify_idem_quasi_bi(G, limit):
     return _holds()
 
 
-def _verify_interior_iff_right(G, limit):
-    for S in range(1, 1 << G.order):
-        interior = is_ideal(G, S, IdealKind.INTERIOR).holds
-        right = is_ideal(G, S, IdealKind.RIGHT).holds
-        if interior != right:
-            return _cx({"subset": S, "interior": interior, "right": right})
-    return _holds()
+def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
+    """Every subset is a kind_a ideal exactly when it is a kind_b ideal."""
+    def run(G, limit):
+        a = set(enumerate_ideals(G, kind_a, limit))
+        b = set(enumerate_ideals(G, kind_b, limit))
+        if a == b:
+            return _holds()
+        S = min(a ^ b)
+        return _cx({"subset": S, kind_a.value: S in a, kind_b.value: S in b})
+    return run
 
 
 def _verify_absorption_regular(G, limit):
@@ -313,15 +313,6 @@ def _verify_gg_regular(G, limit):
     p = subset_product(G, G.carrier, G.carrier)
     if p != G.carrier:
         return _cx({"product": p})
-    return _holds()
-
-
-def _verify_left_iff_right_regular(G, limit):
-    for S in range(1, 1 << G.order):
-        left = is_ideal(G, S, IdealKind.LEFT).holds
-        right = is_ideal(G, S, IdealKind.RIGHT).holds
-        if left != right:
-            return _cx({"subset": S, "left": left, "right": right})
     return _holds()
 
 
@@ -397,13 +388,13 @@ _VERIFIERS = {
     LemmaId.L_BI_PRODUCT: _verify_bi_product,
     LemmaId.L_IDEM_QUASI_BI: _verify_idem_quasi_bi,
     LemmaId.L_IDEAL_INTERIOR: _every_ideal_is(IdealKind.TWO_SIDED, IdealKind.INTERIOR),
-    LemmaId.L_INTERIOR_IFF_RIGHT: _verify_interior_iff_right,
+    LemmaId.L_INTERIOR_IFF_RIGHT: _same_ideals(IdealKind.INTERIOR, IdealKind.RIGHT),
     LemmaId.L_ABSORPTION_REGULAR: _verify_absorption_regular,
     LemmaId.L_GG_BI: _verify_gg_bi,
     LemmaId.C_AG_BI_REGULAR: _verify_ag_bi_regular,
     LemmaId.L_BGB_REGULAR: _verify_bgb_regular,
     LemmaId.L_GG_REGULAR: _verify_gg_regular,
-    LemmaId.L_LEFT_IFF_RIGHT_REGULAR: _verify_left_iff_right_regular,
+    LemmaId.L_LEFT_IFF_RIGHT_REGULAR: _same_ideals(IdealKind.LEFT, IdealKind.RIGHT),
     LemmaId.T_REGULAR_IFF_IDEMPOTENT_LEFT: _verify_regular_iff_idempotent_left,
     LemmaId.L_SEMIPRIME_REGULAR: _verify_semiprime_regular,
     LemmaId.T_SEMILATTICE: _verify_semilattice,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import gaglab as gl
+from gaglab import cli
 from gaglab.cli import run
 
 
@@ -159,6 +160,30 @@ def test_search_emit_round_trips(tmp_path, capsys):
     for f in files:
         G = gl.parse_file(f)
         assert gl.check_law(G, gl.Law.LEFT_INVERTIVE).holds
+
+
+def test_search_streams_each_structure(tmp_path, monkeypatch, capsys):
+    spec = gl.SearchSpec(order=2, gammas=1, limit=3)
+    structs = list(gl.enumerate_structures(spec))
+    out_dir = tmp_path / "structures"
+
+    def stub(spec, written):
+        for i, G in enumerate(structs):
+            if i:
+                assert written(i - 1)  # the previous structure is out already
+            yield G
+
+    def to_file(i):
+        return (out_dir / f"structure_{i:05d}.gag").is_file()
+
+    def to_stdout(i):
+        return gl.serialize(structs[i]) in capsys.readouterr().out
+
+    for written, extra in ((to_file, ["--emit", str(out_dir)]), (to_stdout, [])):
+        monkeypatch.setattr(cli, "enumerate_structures",
+                            lambda spec, written=written: stub(spec, written))
+        assert run(["search", "--order", "2", "--gammas", "1", *extra]) == 0
+    assert len(list(out_dir.glob("*.gag"))) == 3
 
 
 def test_search_stdout_limit(capsys):

@@ -60,6 +60,7 @@ def test_serialize_is_canonical(singleton):
     ("size 2\ngammas 1\n", 1, "expected 'order <number>'"),
     ("order two\ngammas 1\n", 1, "integer"),
     ("order 0\ngammas 1\n", 1, "at least 1"),
+    ("order 2000000\ngammas 1\n", 1, "exceeds supported maximum 64"),
     ("order 2\ngammas 1\nlabels a\ngamma g\na a\na a\n", 3, "exactly 2 names"),
     ("order 2\ngammas 1\nlabels a a\ngamma g\na a\na a\n", 3, "duplicate element label"),
     ("order 2\ngammas 1\nlabels a b\nlabels a b\ngamma g\na a\na a\n", 4, "duplicate 'labels' line"),

@@ -205,3 +205,19 @@ def test_lemma_id_strings_are_stable():
 def test_verify_propagates_enumeration_limit(gamma5):
     with pytest.raises(gl.LimitExceededError):
         verify(gamma5, LemmaId.C_IDEAL_BI, limit=3)
+
+
+@pytest.mark.parametrize("lid,fixture", [
+    (LemmaId.L_INTERIOR_IFF_RIGHT, "interior_not_right3"),
+    (LemmaId.L_LEFT_IFF_RIGHT_REGULAR, "left_not_right_regular3"),
+])
+def test_ideal_comparing_lemmas_respect_limit(lid, fixture):
+    G = gl.load_fixture(fixture)  # order 3, passes the lemma's hypotheses
+    with pytest.raises(gl.LimitExceededError):
+        verify(G, lid, limit=2)
+
+
+def test_interior_iff_right_refuses_large_carrier():
+    G = GammaGroupoid.from_tables([[[0] * 26 for _ in range(26)]])
+    with pytest.raises(gl.LimitExceededError):
+        verify(G, LemmaId.L_INTERIOR_IFF_RIGHT)
