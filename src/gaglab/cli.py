@@ -9,25 +9,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
-from .core import GammaGroupoid, Law, LimitExceededError, check_law, law_sides, members
+from .core import GammaGroupoid, Law, LimitExceededError, check_law, law_sides
 from .ideals import DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_semilattice, \
     enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize
-from .search import Filter, SearchSpec, enumerate_structures
-from .theorems import HUNT_FILTERS, LemmaId, LemmaStatus, hunt, verify, verify_all
+from .search import Filter, SearchSpec, count, enumerate_structures
+from .theorems import LemmaId, LemmaStatus, hunt, verify, verify_all
 
 _MASK_KEYS = {"subset", "subset_b", "union", "product", "left_side", "right_side"}
 
 
 def _fmt_subset(G: GammaGroupoid, mask: int) -> str:
-    return "{" + ",".join(G.labels[i] for i in members(mask)) + "}"
-
-
-def _fmt_at(G: GammaGroupoid, at: tuple) -> str:
-    toks = [G.labels[v] if i % 2 == 0 else G.gamma_names[v] for i, v in enumerate(at)]
-    return "(" + " ".join(toks) + ")"
+    return "{" + ",".join(G.labels_of_subset(mask)) + "}"
 
 
 def _witness_json(G: GammaGroupoid, at) -> list | None:
@@ -36,20 +32,8 @@ def _witness_json(G: GammaGroupoid, at) -> list | None:
     return [G.labels[v] if i % 2 == 0 else G.gamma_names[v] for i, v in enumerate(at)]
 
 
-def _fmt_lemma_witness(G: GammaGroupoid, w: dict) -> str:
-    parts = []
-    for key, value in w.items():
-        if key in _MASK_KEYS:
-            parts.append(f"{key}={_fmt_subset(G, value)}")
-        elif key == "element":
-            parts.append(f"element={G.labels[value]}")
-        elif key in ("gamma", "gamma_b"):
-            parts.append(f"{key}={G.gamma_names[value]}")
-        elif key == "at" and value is not None:
-            parts.append(f"at={_fmt_at(G, value)}")
-        elif value is not None:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
+def _fmt_at(G: GammaGroupoid, at: tuple) -> str:
+    return "(" + " ".join(_witness_json(G, at)) + ")"
 
 
 def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
@@ -68,8 +52,17 @@ def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
     return out
 
 
-def _load(path: str) -> GammaGroupoid:
-    return parse_file(path)
+def _fmt_lemma_witness(G: GammaGroupoid, w: dict) -> str:
+    """The witness as key=value pairs, from its JSON form; None values are left out."""
+    parts = []
+    for key, value in _lemma_witness_json(G, w).items():
+        if key in _MASK_KEYS:
+            value = "{" + ",".join(value) + "}"
+        elif key == "at" and value is not None:
+            value = "(" + " ".join(value) + ")"
+        if value is not None:
+            parts.append(f"{key}={value}")
+    return " ".join(parts)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]):
@@ -81,7 +74,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]):
 
 
 def _cmd_check(args) -> int:
-    G = _load(args.file)
+    G = parse_file(args.file)
     lines = [f"{args.file}: order {G.order}, gammas {G.gamma_count}"]
     entries = []
     defining_ok = True
@@ -107,7 +100,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    G = _load(args.file)
+    G = parse_file(args.file)
     kind = IdealKind(args.kind)
     found = enumerate_ideals(G, kind, args.limit)
     lines = [f"{kind.value} ideals of {args.file} ({len(found)} found):"]
@@ -119,7 +112,7 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    G = _load(args.file)
+    G = parse_file(args.file)
     labels = [t for t in args.elements.split(",") if t]
     mask = G.subset_of_labels(labels)
     kind = IdealKind(args.kind)
@@ -133,7 +126,7 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    G = _load(args.file)
+    G = parse_file(args.file)
     if args.lemma:
         lids = [LemmaId(args.lemma)]
         verdicts = {lid: verify(G, lid, args.limit) for lid in lids}
@@ -165,7 +158,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_semilattice(args) -> int:
-    G = _load(args.file)
+    G = parse_file(args.file)
     rep = build_ideal_semilattice(G, args.limit)
     flags = {"closed": rep.closed, "commutative": rep.commutative,
              "associative": rep.associative, "idempotent": rep.idempotent}
@@ -199,7 +192,7 @@ def _spec_from_args(args) -> SearchSpec:
 def _cmd_search(args) -> int:
     spec = _spec_from_args(args)
     if args.count:
-        total = sum(1 for _ in enumerate_structures(spec))
+        total = count(spec)
         _emit({"command": "search", "count": total}, args.json, [str(total)])
         return 0
     texts = []  # kept only for the --json payload without --emit
@@ -225,11 +218,10 @@ def _cmd_search(args) -> int:
 
 def _cmd_hunt(args) -> int:
     lid = LemmaId(args.lemma)
-    filters = set(args.filter or [])
+    filters = {Filter(f) for f in args.filter or []}
     if args.hypotheses:
-        filters |= set(HUNT_FILTERS[lid])
-    spec = SearchSpec(order=args.order, gammas=args.gammas,
-                      filters=frozenset(Filter(f) for f in filters),
+        filters |= set(lid.hypotheses)
+    spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large)
     found = hunt(enumerate_structures(spec), lid, args.limit)
     if found is None:
@@ -250,6 +242,7 @@ def _cmd_hunt(args) -> int:
     return 1
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gaglab",
                                 description="finite-model laboratory for "

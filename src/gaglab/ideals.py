@@ -74,24 +74,23 @@ _interior_witness = _clause_scan((("x", "g", "s"), "d", "y"), "s")
 
 
 def _clauses(G: GammaGroupoid, S: int, kind: IdealKind):
-    """Yield (label, holds, witness_fn) per clause of the given kind, in report order."""
+    """Yield (label, outside, witness_fn) per clause of the given kind, in report
+    order; ``outside`` is the mask of elements the clause puts outside S."""
     full = G.carrier
     if kind in (IdealKind.SUB_GROUPOID, IdealKind.BI, IdealKind.QUASI, IdealKind.INTERIOR):
-        yield SUB_GROUPOID, subset_product(G, S, S) & ~S == 0, _sub_witness
+        yield SUB_GROUPOID, subset_product(G, S, S) & ~S, _sub_witness
     if kind in (IdealKind.LEFT, IdealKind.TWO_SIDED):
-        yield LEFT_ABSORB, subset_product(G, full, S) & ~S == 0, _left_witness
+        yield LEFT_ABSORB, subset_product(G, full, S) & ~S, _left_witness
     if kind in (IdealKind.RIGHT, IdealKind.TWO_SIDED):
-        yield RIGHT_ABSORB, subset_product(G, S, full) & ~S == 0, _right_witness
+        yield RIGHT_ABSORB, subset_product(G, S, full) & ~S, _right_witness
     if kind is IdealKind.BI:
-        prod = subset_product(G, subset_product(G, S, full), S)
-        yield BI_ABSORB, prod & ~S == 0, _bi_witness
+        yield BI_ABSORB, subset_product(G, subset_product(G, S, full), S) & ~S, _bi_witness
     if kind is IdealKind.QUASI:
-        inter = subset_product(G, full, S) & subset_product(G, S, full)
-        bad = inter & ~S
-        yield QUASI_INTERSECTION, bad == 0, lambda G, S, bad=bad: (members(bad)[0],)
+        bad = subset_product(G, full, S) & subset_product(G, S, full) & ~S
+        yield QUASI_INTERSECTION, bad, lambda G, S: (members(bad)[0],)
     if kind is IdealKind.INTERIOR:
-        prod = subset_product(G, subset_product(G, full, S), G.carrier)
-        yield INTERIOR_ABSORB, prod & ~S == 0, _interior_witness
+        prod = subset_product(G, subset_product(G, full, S), full)
+        yield INTERIOR_ABSORB, prod & ~S, _interior_witness
 
 
 def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
@@ -99,14 +98,14 @@ def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     _check_width(G, S)
     if S == 0:
         return IdealVerdict(False, NON_EMPTY)
-    for label, ok, witness_fn in _clauses(G, S, kind):
-        if not ok:
+    for label, outside, witness_fn in _clauses(G, S, kind):
+        if outside:
             return IdealVerdict(False, label, witness_fn(G, S))
     return IdealVerdict(True)
 
 
 def _holds(G: GammaGroupoid, S: int, kind: IdealKind) -> bool:
-    return S != 0 and all(ok for _, ok, _ in _clauses(G, S, kind))
+    return S != 0 and not any(outside for _, outside, _ in _clauses(G, S, kind))
 
 
 def enumerate_ideals(G: GammaGroupoid, kind: IdealKind,
@@ -129,16 +128,11 @@ def ideal_closure(G: GammaGroupoid, A: int, kind: IdealKind) -> int:
     _check_width(G, A)
     if A == 0:
         raise ValueError("closure of the empty subset is undefined")
-    full = G.carrier
     S = A
     while True:
         new = S
-        if kind is IdealKind.SUB_GROUPOID:
-            new |= subset_product(G, S, S)
-        if kind in (IdealKind.LEFT, IdealKind.TWO_SIDED):
-            new |= subset_product(G, full, S)
-        if kind in (IdealKind.RIGHT, IdealKind.TWO_SIDED):
-            new |= subset_product(G, S, full)
+        for _, outside, _ in _clauses(G, S, kind):
+            new |= outside
         if new == S:
             return S
         S = new

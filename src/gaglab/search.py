@@ -30,12 +30,24 @@ MAX_CANONICAL_ORDER = 8
 
 
 class Filter(Enum):
-    LEFT_INVERTIVE = "left-invertive"
-    AG_STAR_STAR = "ag-star-star"
-    REGULAR = "regular"
-    HAS_LEFT_IDENTITY = "has-left-identity"
-    NO_LEFT_IDENTITY = "no-left-identity"
-    NON_ASSOCIATIVE = "non-associative"
+    """A search restriction, carrying ``holds(G)``, the check that decides it.
+
+    The checks call ``check_law``, ``is_regular`` and ``identities`` through
+    this module's names at call time.  The same filters name the catalog's
+    hypotheses, so these are the only checks of them.
+    """
+    LEFT_INVERTIVE = "left-invertive", lambda G: check_law(G, Law.LEFT_INVERTIVE).holds
+    AG_STAR_STAR = "ag-star-star", lambda G: check_law(G, Law.AG_STAR_STAR).holds
+    REGULAR = "regular", lambda G: is_regular(G)
+    HAS_LEFT_IDENTITY = "has-left-identity", lambda G: bool(identities(G, "left"))
+    NO_LEFT_IDENTITY = "no-left-identity", lambda G: not identities(G, "left")
+    NON_ASSOCIATIVE = "non-associative", lambda G: not check_law(G, Law.ASSOCIATIVE).holds
+
+    def __new__(cls, value, holds):
+        f = object.__new__(cls)
+        f._value_ = value
+        f.holds = holds
+        return f
 
 
 _PRUNABLE = {Filter.LEFT_INVERTIVE: Law.LEFT_INVERTIVE,
@@ -60,26 +72,6 @@ class SearchSpec:
             raise ValueError("has-left-identity and no-left-identity are mutually exclusive")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be non-negative")
-
-
-def _leaf_ok(G: GammaGroupoid, filters: frozenset[Filter]) -> bool:
-    for f in filters:
-        if f in _PRUNABLE:
-            if not check_law(G, _PRUNABLE[f]).holds:
-                return False
-        elif f is Filter.REGULAR:
-            if not is_regular(G):
-                return False
-        elif f is Filter.HAS_LEFT_IDENTITY:
-            if not identities(G, "left"):
-                return False
-        elif f is Filter.NO_LEFT_IDENTITY:
-            if identities(G, "left"):
-                return False
-        elif f is Filter.NON_ASSOCIATIVE:
-            if check_law(G, Law.ASSOCIATIVE).holds:
-                return False
-    return True
 
 
 def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
@@ -110,7 +102,7 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             return
         if pos == len(cells):
             G = GammaGroupoid.from_tables([[row[:n] for row in t[:n]] for t in tables])
-            if not _leaf_ok(G, spec.filters):
+            if not all(f.holds(G) for f in spec.filters):
                 return
             if spec.up_to_iso and \
                     canonical_form(G, include_gamma=spec.iso_include_gamma).tables != G.tables:

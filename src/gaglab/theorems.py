@@ -1,6 +1,6 @@
-"""Executable catalog of the ideal-theoretic statements, one verifier per entry.
+"""Executable catalog of the ideal-theoretic statements, one ``LemmaId`` row per entry.
 
-Each verifier returns a LemmaVerdict: NOT_APPLICABLE when the structure fails
+``verify`` returns a LemmaVerdict: NOT_APPLICABLE when the structure fails
 the statement's hypotheses (with the failed hypothesis named), HOLDS when the
 exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
 witness otherwise.  ``hunt`` scans a stream of structures for the first
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Iterable, Optional
 
 from .core import (
@@ -38,6 +39,7 @@ from .ideals import (
     is_semiprime,
     principal_left,
 )
+from .search import Filter
 
 
 class LemmaStatus(Enum):
@@ -54,75 +56,8 @@ class LemmaVerdict:
     note: Optional[str] = None
 
 
-class LemmaId(Enum):
-    L1_LEFT_IDENTITY_COLLAPSE = "l1-left-identity-collapse"
-    L_RIGHT_IDENTITY = "l-right-identity"
-    T1_UNION_CONSTRUCTION = "t1-union-construction"
-    L_MEDIAL = "l-medial"
-    L_PARAMEDIAL = "l-paramedial"
-    L_ONE_SIDED_QUASI = "l-one-sided-quasi"
-    L_RLB_ONE_SIDED_BI = "l-rlb-one-sided-bi"
-    C_IDEAL_BI = "c-ideal-bi"
-    L_BI_PRODUCT = "l-bi-product"
-    L_IDEM_QUASI_BI = "l-idem-quasi-bi"
-    L_IDEAL_INTERIOR = "l-ideal-interior"
-    L_INTERIOR_IFF_RIGHT = "l-interior-iff-right"
-    L_ABSORPTION_REGULAR = "l-absorption-regular"
-    L_GG_BI = "l-gg-bi"
-    C_AG_BI_REGULAR = "c-ag-bi-regular"
-    L_BGB_REGULAR = "l-bgb-regular"
-    L_GG_REGULAR = "l-gg-regular"
-    L_LEFT_IFF_RIGHT_REGULAR = "l-left-iff-right-regular"
-    T_REGULAR_IFF_IDEMPOTENT_LEFT = "t-regular-iff-idempotent-left"
-    L_SEMIPRIME_REGULAR = "l-semiprime-regular"
-    T_SEMILATTICE = "t-semilattice"
-    L_COMM_IDEALS_REGULAR = "l-comm-ideals-regular"
-    L_IDEM_IDEALS_REGULAR = "l-idem-ideals-regular"
-    L_PRINCIPAL_LEFT_AGSS = "l-principal-left-agss"
-
-
-# hypothesis labels (also usable as search filter names where a filter exists)
-H_LEFT_INVERTIVE = "left-invertive"
-H_AG_STAR_STAR = "ag-star-star"
-H_REGULAR = "regular"
-H_LEFT_IDENTITY = "left-identity"
-H_RIGHT_IDENTITY = "right-identity"
-
-_NEEDS_AGSS = {
-    LemmaId.T1_UNION_CONSTRUCTION,
-    LemmaId.L_PARAMEDIAL,
-    LemmaId.L_BI_PRODUCT,
-    LemmaId.L_INTERIOR_IFF_RIGHT,
-    LemmaId.L_GG_BI,
-    LemmaId.C_AG_BI_REGULAR,
-    LemmaId.L_LEFT_IFF_RIGHT_REGULAR,
-    LemmaId.T_REGULAR_IFF_IDEMPOTENT_LEFT,
-    LemmaId.L_PRINCIPAL_LEFT_AGSS,
-}
-_NEEDS_REGULAR = {
-    LemmaId.L_ABSORPTION_REGULAR,
-    LemmaId.C_AG_BI_REGULAR,
-    LemmaId.L_BGB_REGULAR,
-    LemmaId.L_GG_REGULAR,
-    LemmaId.L_LEFT_IFF_RIGHT_REGULAR,
-    LemmaId.L_SEMIPRIME_REGULAR,
-    LemmaId.T_SEMILATTICE,
-    LemmaId.L_COMM_IDEALS_REGULAR,
-    LemmaId.L_IDEM_IDEALS_REGULAR,
-}
-
-# filters (by search-filter name) restricting a hunt stream to the hypotheses
-HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
-    lid: (H_LEFT_INVERTIVE,)
-    + ((H_AG_STAR_STAR,) if lid in _NEEDS_AGSS else ())
-    + ((H_REGULAR,) if lid in _NEEDS_REGULAR else ())
-    for lid in LemmaId
-}
-HUNT_FILTERS[LemmaId.L1_LEFT_IDENTITY_COLLAPSE] = (H_LEFT_INVERTIVE, "has-left-identity")
-
-
-def _holds():
-    return LemmaVerdict(LemmaStatus.HOLDS)
+def _holds(note: Optional[str] = None):
+    return LemmaVerdict(LemmaStatus.HOLDS, note=note)
 
 
 def _na(which: str):
@@ -133,31 +68,75 @@ def _cx(witness: dict, note: Optional[str] = None):
     return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE, witness=witness, note=note)
 
 
-def _gate(G: GammaGroupoid, lid: LemmaId) -> Optional[LemmaVerdict]:
-    if not check_law(G, Law.LEFT_INVERTIVE).holds:
-        return _na(H_LEFT_INVERTIVE)
-    if lid in _NEEDS_AGSS and not check_law(G, Law.AG_STAR_STAR).holds:
-        return _na(H_AG_STAR_STAR)
-    if lid in _NEEDS_REGULAR and not is_regular(G):
-        return _na(H_REGULAR)
-    return None
+def _all_ideals(kind: IdealKind, candidates):
+    """Verifier: every candidate is a ``kind`` ideal.
+
+    ``candidates(G, limit)`` yields (S, tested, extra); the first ``tested``
+    that fails is reported as subset S, the failed clause, its witness and
+    the extra witness keys.
+    """
+    def run(G, limit):
+        for S, tested, extra in candidates(G, limit):
+            v = is_ideal(G, tested, kind)
+            if not v.holds:
+                return _cx({"subset": S, "clause": v.failed_clause, "at": v.witness, **extra})
+        return _holds()
+    return run
 
 
-def _ideal_cx(S: int, verdict, **extra) -> LemmaVerdict:
-    w = {"subset": S, "clause": verdict.failed_clause, "at": verdict.witness}
-    w.update(extra)
-    return _cx(w)
+def _ideals_of(kind: IdealKind):
+    return lambda G, limit: ((S, S, {}) for S in enumerate_ideals(G, kind, limit))
+
+
+def _one_sided(G, limit):
+    seen = set()
+    for kind in (IdealKind.LEFT, IdealKind.RIGHT):
+        for S in enumerate_ideals(G, kind, limit):
+            if S not in seen:
+                seen.add(S)
+                yield S, S, {"side": kind.value}
+
+
+def _t1_unions(G, limit):
+    full = G.carrier
+    for L in enumerate_ideals(G, IdealKind.LEFT, limit):
+        union = L | subset_product(G, L, full)
+        yield L, union, {"union": union, "side": "left"}
+    for R in enumerate_ideals(G, IdealKind.RIGHT, limit):
+        union = R | subset_product(G, full, R)
+        yield R, union, {"union": union, "side": "right"}
+
+
+def _idempotent_quasi(G, limit):
+    return ((Q, Q, {}) for Q in enumerate_ideals(G, IdealKind.QUASI, limit)
+            if is_idempotent(G, Q))
+
+
+def _gG_and_Gg(G, limit):
+    full = G.carrier
+    for g in range(G.order):
+        for S, side in ((subset_product(G, 1 << g, full), "gG"),
+                        (subset_product(G, full, 1 << g), "Gg")):
+            yield S, S, {"element": g, "side": side}
+
+
+def _aG(G, limit):
+    for a in range(G.order):
+        S = subset_product(G, 1 << a, G.carrier)
+        yield S, S, {"element": a}
+
+
+def _principal_lefts(G, limit):
+    for a in range(G.order):
+        S = principal_left(G, a)
+        yield S, S, {"element": a}
 
 
 def _verify_l1(G, limit):
-    if not identities(G, "left"):
-        return _na(H_LEFT_IDENTITY)
     base = G.tables[0]
-    for g in range(1, G.gamma_count):
-        for a in range(G.order):
-            for b in range(G.order):
-                if G.tables[g][a][b] != base[a][b]:
-                    return _cx({"gamma": 0, "gamma_b": g, "at": (a, g, b)})
+    for g, a, b in product(range(1, G.gamma_count), range(G.order), range(G.order)):
+        if G.tables[g][a][b] != base[a][b]:
+            return _cx({"gamma": 0, "gamma_b": g, "at": (a, g, b)})
     # collapsed table is left invertive because the bundle already is
     return _holds()
 
@@ -165,27 +144,12 @@ def _verify_l1(G, limit):
 def _verify_right_identity(G, limit):
     rights = identities(G, "right")
     if not rights:
-        return _na(H_RIGHT_IDENTITY)
+        return _na("right-identity")
     lefts = identities(G, "left")
     for e in sorted(rights):
         if e not in lefts:
             return _cx({"element": e, "side": "left"})
     return _law_lemma(Law.COMMUTATIVE, Law.ASSOCIATIVE)(G, limit)
-
-
-def _verify_t1(G, limit):
-    full = G.carrier
-    for L in enumerate_ideals(G, IdealKind.LEFT, limit):
-        union = L | subset_product(G, L, full)
-        v = is_ideal(G, union, IdealKind.TWO_SIDED)
-        if not v.holds:
-            return _ideal_cx(L, v, union=union, side="left")
-    for R in enumerate_ideals(G, IdealKind.RIGHT, limit):
-        union = R | subset_product(G, full, R)
-        v = is_ideal(G, union, IdealKind.TWO_SIDED)
-        if not v.holds:
-            return _ideal_cx(R, v, union=union, side="right")
-    return _holds()
 
 
 def _law_lemma(*laws: Law):
@@ -194,31 +158,6 @@ def _law_lemma(*laws: Law):
             v = check_law(G, law)
             if not v.holds:
                 return _cx({"law": law.value, "at": v.witness})
-        return _holds()
-    return run
-
-
-def _every_ideal_is(source_kind: IdealKind, target_kind: IdealKind):
-    def run(G, limit):
-        for S in enumerate_ideals(G, source_kind, limit):
-            v = is_ideal(G, S, target_kind)
-            if not v.holds:
-                return _ideal_cx(S, v)
-        return _holds()
-    return run
-
-
-def _one_sided_into(target_kind: IdealKind):
-    def run(G, limit):
-        seen = set()
-        for kind in (IdealKind.LEFT, IdealKind.RIGHT):
-            for S in enumerate_ideals(G, kind, limit):
-                if S in seen:
-                    continue
-                seen.add(S)
-                v = is_ideal(G, S, target_kind)
-                if not v.holds:
-                    return _ideal_cx(S, v, side=kind.value)
         return _holds()
     return run
 
@@ -241,17 +180,7 @@ def _verify_bi_product(G, limit):
         note = (f"absorption held for all {len(bis) * len(bis)} products, but "
                 f"{len(non_sub)} of them are not sub-groupoids (first: "
                 f"{sorted(members(B1))} with {sorted(members(B2))}, 0-based)")
-    return LemmaVerdict(LemmaStatus.HOLDS, note=note)
-
-
-def _verify_idem_quasi_bi(G, limit):
-    for Q in enumerate_ideals(G, IdealKind.QUASI, limit):
-        if not is_idempotent(G, Q):
-            continue
-        v = is_ideal(G, Q, IdealKind.BI)
-        if not v.holds:
-            return _ideal_cx(Q, v)
-    return _holds()
+    return _holds(note)
 
 
 def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
@@ -276,27 +205,6 @@ def _verify_absorption_regular(G, limit):
         p = subset_product(G, full, B)
         if p != B:
             return _cx({"subset": B, "product": p, "side": "left"})
-    return _holds()
-
-
-def _verify_gg_bi(G, limit):
-    full = G.carrier
-    for g in range(G.order):
-        for S, side in ((subset_product(G, 1 << g, full), "gG"),
-                        (subset_product(G, full, 1 << g), "Gg")):
-            v = is_ideal(G, S, IdealKind.BI)
-            if not v.holds:
-                return _ideal_cx(S, v, element=g, side=side)
-    return _holds()
-
-
-def _verify_ag_bi_regular(G, limit):
-    full = G.carrier
-    for a in range(G.order):
-        S = subset_product(G, 1 << a, full)
-        v = is_ideal(G, S, IdealKind.BI)
-        if not v.holds:
-            return _ideal_cx(S, v, element=a)
     return _holds()
 
 
@@ -367,50 +275,76 @@ def _verify_idem_ideals_regular(G, limit):
     return _holds()
 
 
-def _verify_principal_left(G, limit):
-    for a in range(G.order):
-        S = principal_left(G, a)
-        v = is_ideal(G, S, IdealKind.LEFT)
-        if not v.holds:
-            return _ideal_cx(S, v, element=a)
-    return _holds()
+_LI = (Filter.LEFT_INVERTIVE,)
+_AGSS = _LI + (Filter.AG_STAR_STAR,)
+_REG = _LI + (Filter.REGULAR,)
+_AGSS_REG = _AGSS + (Filter.REGULAR,)
 
 
-_VERIFIERS = {
-    LemmaId.L1_LEFT_IDENTITY_COLLAPSE: _verify_l1,
-    LemmaId.L_RIGHT_IDENTITY: _verify_right_identity,
-    LemmaId.T1_UNION_CONSTRUCTION: _verify_t1,
-    LemmaId.L_MEDIAL: _law_lemma(Law.MEDIAL),
-    LemmaId.L_PARAMEDIAL: _law_lemma(Law.PARAMEDIAL),
-    LemmaId.L_ONE_SIDED_QUASI: _one_sided_into(IdealKind.QUASI),
-    LemmaId.L_RLB_ONE_SIDED_BI: _one_sided_into(IdealKind.BI),
-    LemmaId.C_IDEAL_BI: _every_ideal_is(IdealKind.TWO_SIDED, IdealKind.BI),
-    LemmaId.L_BI_PRODUCT: _verify_bi_product,
-    LemmaId.L_IDEM_QUASI_BI: _verify_idem_quasi_bi,
-    LemmaId.L_IDEAL_INTERIOR: _every_ideal_is(IdealKind.TWO_SIDED, IdealKind.INTERIOR),
-    LemmaId.L_INTERIOR_IFF_RIGHT: _same_ideals(IdealKind.INTERIOR, IdealKind.RIGHT),
-    LemmaId.L_ABSORPTION_REGULAR: _verify_absorption_regular,
-    LemmaId.L_GG_BI: _verify_gg_bi,
-    LemmaId.C_AG_BI_REGULAR: _verify_ag_bi_regular,
-    LemmaId.L_BGB_REGULAR: _verify_bgb_regular,
-    LemmaId.L_GG_REGULAR: _verify_gg_regular,
-    LemmaId.L_LEFT_IFF_RIGHT_REGULAR: _same_ideals(IdealKind.LEFT, IdealKind.RIGHT),
-    LemmaId.T_REGULAR_IFF_IDEMPOTENT_LEFT: _verify_regular_iff_idempotent_left,
-    LemmaId.L_SEMIPRIME_REGULAR: _verify_semiprime_regular,
-    LemmaId.T_SEMILATTICE: _verify_semilattice,
-    LemmaId.L_COMM_IDEALS_REGULAR: _verify_comm_ideals_regular,
-    LemmaId.L_IDEM_IDEALS_REGULAR: _verify_idem_ideals_regular,
-    LemmaId.L_PRINCIPAL_LEFT_AGSS: _verify_principal_left,
-}
+class LemmaId(Enum):
+    """The catalog, one row per entry: id, hypotheses, verifier.
+
+    The hypotheses are search filters in gate order: ``verify`` reports the
+    first that fails as not-applicable and otherwise runs the verifier,
+    ``HUNT_FILTERS`` restricts a hunt stream to them.  Adding a lemma is one
+    row here.
+    """
+    L1_LEFT_IDENTITY_COLLAPSE = ("l1-left-identity-collapse",
+                                 _LI + (Filter.HAS_LEFT_IDENTITY,), _verify_l1)
+    L_RIGHT_IDENTITY = "l-right-identity", _LI, _verify_right_identity
+    T1_UNION_CONSTRUCTION = ("t1-union-construction", _AGSS,
+                             _all_ideals(IdealKind.TWO_SIDED, _t1_unions))
+    L_MEDIAL = "l-medial", _LI, _law_lemma(Law.MEDIAL)
+    L_PARAMEDIAL = "l-paramedial", _AGSS, _law_lemma(Law.PARAMEDIAL)
+    L_ONE_SIDED_QUASI = "l-one-sided-quasi", _LI, _all_ideals(IdealKind.QUASI, _one_sided)
+    L_RLB_ONE_SIDED_BI = "l-rlb-one-sided-bi", _LI, _all_ideals(IdealKind.BI, _one_sided)
+    C_IDEAL_BI = ("c-ideal-bi", _LI,
+                  _all_ideals(IdealKind.BI, _ideals_of(IdealKind.TWO_SIDED)))
+    L_BI_PRODUCT = "l-bi-product", _AGSS, _verify_bi_product
+    L_IDEM_QUASI_BI = "l-idem-quasi-bi", _LI, _all_ideals(IdealKind.BI, _idempotent_quasi)
+    L_IDEAL_INTERIOR = ("l-ideal-interior", _LI,
+                        _all_ideals(IdealKind.INTERIOR, _ideals_of(IdealKind.TWO_SIDED)))
+    L_INTERIOR_IFF_RIGHT = ("l-interior-iff-right", _AGSS,
+                            _same_ideals(IdealKind.INTERIOR, IdealKind.RIGHT))
+    L_ABSORPTION_REGULAR = "l-absorption-regular", _REG, _verify_absorption_regular
+    L_GG_BI = "l-gg-bi", _AGSS, _all_ideals(IdealKind.BI, _gG_and_Gg)
+    C_AG_BI_REGULAR = "c-ag-bi-regular", _AGSS_REG, _all_ideals(IdealKind.BI, _aG)
+    L_BGB_REGULAR = "l-bgb-regular", _REG, _verify_bgb_regular
+    L_GG_REGULAR = "l-gg-regular", _REG, _verify_gg_regular
+    L_LEFT_IFF_RIGHT_REGULAR = ("l-left-iff-right-regular", _AGSS_REG,
+                                _same_ideals(IdealKind.LEFT, IdealKind.RIGHT))
+    T_REGULAR_IFF_IDEMPOTENT_LEFT = ("t-regular-iff-idempotent-left", _AGSS,
+                                     _verify_regular_iff_idempotent_left)
+    L_SEMIPRIME_REGULAR = "l-semiprime-regular", _REG, _verify_semiprime_regular
+    T_SEMILATTICE = "t-semilattice", _REG, _verify_semilattice
+    L_COMM_IDEALS_REGULAR = "l-comm-ideals-regular", _REG, _verify_comm_ideals_regular
+    L_IDEM_IDEALS_REGULAR = "l-idem-ideals-regular", _REG, _verify_idem_ideals_regular
+    L_PRINCIPAL_LEFT_AGSS = ("l-principal-left-agss", _AGSS,
+                             _all_ideals(IdealKind.LEFT, _principal_lefts))
+
+    def __new__(cls, value, hypotheses, verifier):
+        lid = object.__new__(cls)
+        lid._value_ = value
+        lid.hypotheses = hypotheses
+        lid.verifier = verifier
+        return lid
+
+
+# search filters restricting a hunt stream to each entry's hypotheses
+HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
+    lid: tuple(f.value for f in lid.hypotheses) for lid in LemmaId}
+
+# hypothesis names reported where they differ from the filter's name
+_HYPOTHESIS_LABELS = {Filter.HAS_LEFT_IDENTITY: "left-identity"}
 
 
 def verify(G: GammaGroupoid, lid: LemmaId,
            limit: int = DEFAULT_ENUM_LIMIT) -> LemmaVerdict:
     """Check one catalog entry on a structure."""
-    gated = _gate(G, lid)
-    if gated is not None:
-        return gated
-    return _VERIFIERS[lid](G, limit)
+    for f in lid.hypotheses:
+        if not f.holds(G):
+            return _na(_HYPOTHESIS_LABELS.get(f, f.value))
+    return lid.verifier(G, limit)
 
 
 def verify_all(G: GammaGroupoid,

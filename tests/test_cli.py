@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -253,3 +256,16 @@ def test_missing_file_exit(capsys):
 def test_search_guard_is_usage_error(capsys):
     assert run(["search", "--order", "9", "--gammas", "1", "--count"]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+def test_usage_error_leaves_the_parser_reusable(gamma5_path, capsys):
+    # the parser is built once per process; an earlier usage error must not
+    # change how a later request is parsed
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = subprocess.run([sys.executable, "-m", "gaglab", "check", gamma5_path],
+                           capture_output=True, text=True, env=env)
+    assert run(["check", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert run(["check", gamma5_path]) == fresh.returncode == 0
+    assert capsys.readouterr().out == fresh.stdout

@@ -150,6 +150,37 @@ def test_closure_properties(data):
         assert is_ideal(G, cl, kind).holds                    # actually closed
 
 
+def _oracle_closure(G, A, kind):
+    """Intersection of every superset of A that absorbs the kind's products,
+    found by trying all subsets of the carrier with set arithmetic."""
+    full = set(range(G.order))
+
+    def closed(T):
+        if kind is IdealKind.SUB_GROUPOID:
+            return oracle_product(G, T, T) <= T
+        left = oracle_product(G, full, T) <= T
+        right = oracle_product(G, T, full) <= T
+        return {IdealKind.LEFT: left, IdealKind.RIGHT: right,
+                IdealKind.TWO_SIDED: left and right}[kind]
+
+    least = set(full)
+    for T in map(oracle_members, range(1 << G.order)):
+        if A <= T and closed(T):
+            least &= T
+    return least
+
+
+@settings(max_examples=80, deadline=None)
+@given(structure_with_subsets(count=1, max_order=4, max_gammas=2))
+def test_closure_is_the_least_closed_superset(data):
+    G, A = data
+    A = A or 1
+    for kind in (IdealKind.SUB_GROUPOID, IdealKind.LEFT, IdealKind.RIGHT,
+                 IdealKind.TWO_SIDED):
+        expected = _oracle_closure(G, oracle_members(A), kind)
+        assert oracle_members(ideal_closure(G, A, kind)) == expected, kind
+
+
 # ---------------------------------------------------------------------------
 # idempotency, primeness, principal subsets
 

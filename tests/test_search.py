@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
+from gaglab import search
 from gaglab.core import GammaGroupoid, Law
 from gaglab.search import Filter, SearchSpec, canonical_form, count, enumerate_structures
 
@@ -113,6 +114,20 @@ def test_left_identity_free_bundles_exist_beyond_single_gamma():
                       filters=frozenset({Filter.LEFT_INVERTIVE,
                                          Filter.NO_LEFT_IDENTITY}))
     assert count(spec) >= 1
+
+
+def test_filter_checks_call_the_module_bindings(monkeypatch, gamma5):
+    # each filter's check looks up check_law, is_regular or identities in the
+    # search module at call time, so a patched binding sees every call
+    calls = []
+    for name in ("check_law", "is_regular", "identities"):
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name,
+                            lambda *a, real=real: calls.append(1) or real(*a))
+    for f in Filter:
+        calls.clear()
+        f.holds(gamma5)
+        assert len(calls) == 1, f
 
 
 def test_limit_short_circuits():

@@ -174,6 +174,19 @@ def test_left_not_right_regular_fixture_reverifies():
     assert oracle_product(G, S, S) != S           # not idempotent either
 
 
+def test_principal_left_not_left9_fixture_reverifies():
+    G = gl.load_fixture("principal_left_not_left9")
+    assert gl.check_law(G, gl.Law.LEFT_INVERTIVE).holds
+    assert gl.check_law(G, gl.Law.AG_STAR_STAR).holds
+    full = set(range(9))
+    Ga = oracle_product(G, full, {1})              # a = 2 (0-based 1)
+    assert Ga == {0, 3, 6, 8}                      # {1,4,7,9}
+    assert 5 in oracle_product(G, full, Ga)        # 6 in G(Ga): not a left ideal
+    v = verify(G, LemmaId.L_PRINCIPAL_LEFT_AGSS)
+    assert v.witness == {"subset": 0b101001001, "clause": "LeftAbsorb",
+                         "at": (1, 1, 8), "element": 1}
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -187,6 +200,18 @@ def test_hunt_filters_table():
         assert "left-invertive" in HUNT_FILTERS[lid]
         for name in HUNT_FILTERS[lid]:
             gl.Filter(name)  # every name is a real search filter
+
+
+@pytest.mark.parametrize("lid", list(LemmaId), ids=lambda lid: lid.value)
+def test_hunt_filters_pass_the_gate(lid):
+    # a stream restricted to a lemma's hypotheses never reaches a failed gate;
+    # l-right-identity checks its right identity inside the verifier
+    for G in _stream([(2, 2), (3, 1)], HUNT_FILTERS[lid]):
+        v = verify(G, lid)
+        if lid is LemmaId.L_RIGHT_IDENTITY and v.status is LemmaStatus.NOT_APPLICABLE:
+            assert v.hypothesis_failed == "right-identity"
+        else:
+            assert v.status is not LemmaStatus.NOT_APPLICABLE, v.hypothesis_failed
 
 
 def test_lemma_id_strings_are_stable():
