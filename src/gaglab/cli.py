@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 from .core import GammaGroupoid, Law, LimitExceededError, check_law, law_sides
-from .ideals import DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_semilattice, \
+from .ideals import _CLOSURE_KINDS, DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_semilattice, \
     enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize
 from .search import Filter, SearchSpec, count, enumerate_structures
@@ -267,10 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("closure", help="smallest ideal of a kind containing the elements")
     sp.add_argument("file")
     sp.add_argument("--elements", required=True, help="comma-separated element labels")
-    sp.add_argument("--kind", required=True,
-                    choices=[k.value for k in
-                             (IdealKind.SUB_GROUPOID, IdealKind.LEFT,
-                              IdealKind.RIGHT, IdealKind.TWO_SIDED)])
+    sp.add_argument("--kind", required=True, choices=[k.value for k in _CLOSURE_KINDS])
     common(sp)
     sp.set_defaults(func=_cmd_closure)
 

@@ -232,12 +232,58 @@ def compile_scan(terms, violated: str, over_s=()):
     return _define(lines)
 
 
+def compile_probe(terms):
+    """Compile ``f(T, values, n)``, both terms evaluated on partial tables.
+
+    T holds ``n`` in every unassigned cell and in a spare row and column, and
+    ``values`` are values of the terms' variables.  The result is
+    ``(lhs, rhs, cell)``.  Cell is None when both sides are known, and is
+    otherwise a ``(g, r, c)`` cell that the instance reads and that is still
+    unassigned.  When one side is known and the other is unknown only at its
+    outermost lookup, that lookup is the cell, which is forced to the known
+    side's value; otherwise a non-None cell comes with n on both sides.
+    """
+    lines = ["def f(T, values, n):",
+             "    " + "".join(f"v_{v}, " for v, _ in _variables(*terms)) + "= values"]
+
+    def cell(term):
+        left, g, right = term
+        return "v_" + g, value(left), value(right)
+
+    def value(term):
+        """Emit the lookups of a term, each returning at once when unassigned."""
+        if isinstance(term, str):
+            return "v_" + term
+        at = cell(term)
+        var = f"x{len(lines)}"
+        lines.append(f"    {var} = T[{at[0]}][{at[1]}][{at[2]}]")
+        lines.append(f"    if {var} == n: return n, n, ({', '.join(at)})")
+        return var
+
+    # the outermost lookups come last, so that a known side can force the other's
+    sides, roots = [], []
+    for i, term in enumerate(terms):
+        if isinstance(term, str):
+            sides.append("v_" + term)
+            continue
+        at = cell(term)
+        lines.append(f"    s{i} = T[{at[0]}][{at[1]}][{at[2]}]")
+        sides.append(f"s{i}")
+        roots.append((i, at))
+    lhs, rhs = sides
+    for i, at in roots:
+        lines.append(f"    if s{i} == n: return {lhs}, {rhs}, ({', '.join(at)})")
+    lines.append(f"    return {lhs}, {rhs}, None")
+    return _define(lines)
+
+
 class Law(Enum):
     """An identity lhs == rhs over all elements and gammas, given by its terms.
 
     ``sides(T, values)`` evaluates both terms on the tables T at values of the
-    law's ``variables``; ``scan(G)`` is its ``compile_scan``.  Adding a law is
-    one line here.
+    law's ``variables``; ``scan(G)`` is its ``compile_scan`` and ``probe`` its
+    ``compile_probe``, the search's check of one instance on partial tables.
+    Adding a law is one line here.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -261,6 +307,10 @@ class Law(Enum):
         unpack = "".join(f"v_{v}, " for v, _ in self.variables)
         return _define(["def f(T, values):", f"    {unpack}= values",
                         f"    return {_expr(lhs)}, {_expr(rhs)}"])
+
+    @cached_property
+    def probe(self):
+        return compile_probe(self.terms)
 
     @cached_property
     def scan(self):

@@ -1,12 +1,23 @@
 """Backtracking enumeration of all table bundles of a given shape.
 
 Cells are assigned depth-first in gamma-major, row-major order, so structures
-come out in lexicographic order of their flattened cell sequence.  While
-assigning, every law instance of the requested identity filters whose lookup
-chain is fully determined gets checked, and the branch is pruned on a
-violation; instances verified once stay verified because assigned cells never
-change along a branch.  Emitted structures are re-checked from scratch at the
-leaf, so pruning is an optimization, never trusted.
+come out in lexicographic order of their flattened cell sequence.  Each law
+instance of the requested identity filters waits on one unassigned cell that
+it reads (a watch list, as with the watched literals of Chaff), and assigning
+a cell re-probes only the instances waiting on it: an instance with both
+sides known and unequal prunes the branch, one with a known side and the
+other blocked only at its outermost lookup forces that cell to the known
+value (unit propagation, as in SEM), and any other is moved to the cell it
+now waits on.  Forced cells are propagated at once and skipped by the
+backtracking; a trail of moved instances and forced cells is rolled back on
+the way up.  A cell is only forced to the one value every completion must
+give it, so the stream is the same as with pruning alone.  Emitted
+structures are re-checked in full at the leaf, so pruning is an
+optimization, never trusted.
+
+Canonical forms are the least relabelling over all permutations, each
+relabelling compared cell by cell with the least so far and dropped at its
+first larger cell.
 """
 from __future__ import annotations
 
@@ -89,20 +100,57 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     # An unassigned cell holds n, and a spare row and column of n make every
     # lookup through n yield n, so a law side reads n until it is determined.
     tables = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(m)]
-    cells = [(g, r, c) for g in range(m) for r in range(n) for c in range(n)]
-    pending0 = [(law.sides, values)
-                for law in (_PRUNABLE[f] for f in _PRUNABLE if f in spec.filters)
-                for values in product(*(range(m) if is_gamma else range(n)
-                                        for _, is_gamma in law.variables))]
+    # waiting[g][r][c]: the law instances blocked on that unassigned cell
+    waiting = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
+    cells = [(tables[g][r], c, waiting[g][r][c])
+             for g in range(m) for r in range(n) for c in range(n)]
+    moved = []   # the bucket each re-queued instance went to, in order
+    forced = []  # the cells assigned by propagation, in order
+    prunable = [f for f in _PRUNABLE if f in spec.filters]
+    # The leaf-only filters, which can reject a leaf, are checked before the
+    # prunable ones, which re-check the pruning; each group in declaration order.
+    leaf_filters = [f for f in Filter if f in spec.filters and f not in _PRUNABLE] + prunable
     emitted = 0
 
-    def rec(pos, pending):
+    def propagate(instances) -> bool:
+        """Re-probe ``instances`` and, in turn, the instances waiting on each
+        cell forced on the way; False on a violated instance."""
+        todo = [instances]
+        for batch in todo:
+            for inst in batch:
+                lhs, rhs, cell = inst[0](tables, inst[1], n)
+                if cell is None:
+                    if lhs != rhs:
+                        return False
+                    continue
+                g, r, c = cell
+                if lhs == rhs:
+                    bucket = waiting[g][r][c]
+                    bucket.append(inst)
+                    moved.append(bucket)
+                else:
+                    tables[g][r][c] = rhs if lhs == n else lhs
+                    forced.append(cell)
+                    todo.append(waiting[g][r][c])
+        return True
+
+    def undo(n_moved, n_forced):
+        for bucket in moved[n_moved:]:
+            bucket.pop()
+        del moved[n_moved:]
+        for g, r, c in forced[n_forced:]:
+            tables[g][r][c] = n
+        del forced[n_forced:]
+
+    def rec(pos):
         nonlocal emitted
         if spec.limit is not None and emitted >= spec.limit:
             return
+        while pos < len(cells) and cells[pos][0][cells[pos][1]] != n:
+            pos += 1  # assigned by propagation
         if pos == len(cells):
             G = GammaGroupoid.from_tables([[row[:n] for row in t[:n]] for t in tables])
-            if not all(f.holds(G) for f in spec.filters):
+            if not all(f.holds(G) for f in leaf_filters):
                 return
             if spec.up_to_iso and \
                     canonical_form(G, include_gamma=spec.iso_include_gamma).tables != G.tables:
@@ -110,35 +158,49 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             emitted += 1
             yield G
             return
-        g, r, c = cells[pos]
-        row = tables[g][r]
+        row, c, bucket = cells[pos]
+        marks = len(moved), len(forced)
         for v in range(n):
             row[c] = v
-            keep = []
-            for inst in pending:
-                lhs, rhs = inst[0](tables, inst[1])
-                if lhs == n or rhs == n:
-                    keep.append(inst)
-                elif lhs != rhs:
-                    break
-            else:
-                yield from rec(pos + 1, keep)
+            if propagate(bucket):
+                yield from rec(pos + 1)
+            undo(*marks)
             if spec.limit is not None and emitted >= spec.limit:
                 break
         row[c] = n
 
-    yield from rec(0, pending0)
+    instances = [(law.probe, values)
+                 for law in (_PRUNABLE[f] for f in prunable)
+                 for values in product(*(range(m) if is_gamma else range(n)
+                                         for _, is_gamma in law.variables))]
+    if propagate(instances):
+        yield from rec(0)
 
 
 def count(spec: SearchSpec) -> int:
     return sum(1 for _ in enumerate_structures(spec))
 
 
-def _relabel_key(tables, n, m, sigma, tau):
-    return tuple(sigma[tables[g][a][b]]
-                 for g in _inverse(tau)
-                 for a in _inverse(sigma)
-                 for b in _inverse(sigma))
+def _relabelled(T, gammas, elements, sigma):
+    """The relabelled tables' cells in order, read through the inverse
+    permutations ``gammas`` and ``elements`` and mapped by ``sigma``."""
+    return tuple(sigma[T[g][a][b]] for g in gammas for a in elements for b in elements)
+
+
+def _relabelled_if_smaller(T, gammas, elements, sigma, best):
+    """``_relabelled`` when it is below ``best``, else None; reads cells only
+    up to the first that differs from ``best``."""
+    i = 0
+    for g in gammas:
+        table = T[g]
+        for a in elements:
+            row = table[a]
+            for b in elements:
+                v = sigma[row[b]]
+                if v != best[i]:
+                    return _relabelled(T, gammas, elements, sigma) if v < best[i] else None
+                i += 1
+    return None
 
 
 def _inverse(perm):
@@ -153,18 +215,21 @@ def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoi
 
     Two structures are isomorphic under the chosen permutation group exactly
     when their canonical forms have equal tables.  The result carries default
-    labels and gamma names.
+    labels and gamma names.  Each relabelling is compared with the least so
+    far cell by cell and dropped at the first larger cell.
     """
     n, m = G.order, G.gamma_count
     if n > MAX_CANONICAL_ORDER:
         raise LimitExceededError(
             f"canonical form over {n}! relabelings refused beyond order {MAX_CANONICAL_ORDER}")
     gamma_perms = permutations(range(m)) if include_gamma else [tuple(range(m))]
-    best = None
+    T = G.tables
+    best = tuple(v for t in T for row in t for v in row)
     for tau in gamma_perms:
+        gammas = _inverse(tau)
         for sigma in permutations(range(n)):
-            key = _relabel_key(G.tables, n, m, sigma, tau)
-            if best is None or key < best:
+            key = _relabelled_if_smaller(T, gammas, _inverse(sigma), sigma, best)
+            if key is not None:
                 best = key
     tables = tuple(tuple(tuple(best[g * n * n + a * n + b] for b in range(n))
                          for a in range(n)) for g in range(m))

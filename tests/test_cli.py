@@ -8,6 +8,7 @@ import pytest
 import gaglab as gl
 from gaglab import cli
 from gaglab.cli import run
+from gaglab.ideals import _CLOSURE_KINDS, IdealKind
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +86,17 @@ def test_closure(gamma5_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "{1,2,3,5}" in out
+
+
+@pytest.mark.parametrize("kind", list(IdealKind), ids=lambda k: k.value)
+def test_closure_kind_choices_are_the_closure_kinds(gamma5_path, capsys, kind):
+    # closure --kind accepts exactly the kinds ideal_closure computes
+    code = run(["closure", gamma5_path, "--elements", "5", "--kind", kind.value])
+    if kind in _CLOSURE_KINDS:
+        assert code == 0
+    else:
+        assert code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_closure_unknown_label_is_usage_error(gamma5_path, capsys):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import GammaGroupoid, Law, members, subset_of
+from gaglab.core import GammaGroupoid, Law, _variables, compile_probe, members, subset_of
 
 from conftest import oracle_product, oracle_members, structures, structure_with_subsets
 
@@ -133,6 +134,52 @@ def test_law_witnesses_reverify(G):
         if not v.holds:
             lhs, rhs = gl.law_sides(G, law, v.witness)
             assert lhs != rhs
+
+
+def _walk(term, T, env, n):
+    """A term on partial tables, by recursion: its value (None while unknown),
+    the unassigned cells it reaches, and its outermost cell when both
+    arguments of that lookup are known."""
+    if isinstance(term, str):
+        return env[term], [], None
+    left, g, right = term
+    a, reach_a, _ = _walk(left, T, env, n)
+    b, reach_b, _ = _walk(right, T, env, n)
+    if a is None or b is None:
+        return None, reach_a + reach_b, None
+    v = T[env[g]][a][b]
+    return (None, [(env[g], a, b)], (env[g], a, b)) if v == n else (v, [], (env[g], a, b))
+
+
+# every law, plus a side that is a bare variable on either side
+_PROBE_TERMS = [law.terms for law in Law] + [("a", ("a", "g", "a")), (("a", "g", "b"), "b")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_probe_meets_its_contract(data):
+    terms = data.draw(st.sampled_from(_PROBE_TERMS))
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    T = [[[data.draw(st.integers(0, n)) for _ in range(n)] + [n] for _ in range(n)]
+         + [[n] * (n + 1)] for _ in range(m)]
+    variables = _variables(*terms)
+    values = tuple(data.draw(st.integers(0, (m if is_gamma else n) - 1))
+                   for _, is_gamma in variables)
+    env = dict(zip((v for v, _ in variables), values))
+    sides = [_walk(t, T, env, n) for t in terms]
+    (lv, l_reach, _), (rv, r_reach, _) = sides
+    lhs, rhs, cell = compile_probe(terms)(T, values, n)
+    if cell is None:
+        assert (lhs, rhs) == (lv, rv) and None not in (lv, rv)
+        return
+    assert cell in l_reach + r_reach
+    forceable = [root for (v, _, root), (w, _, _) in (sides, sides[::-1])
+                 if v is None and w is not None and root is not None]
+    if forceable:
+        assert cell == forceable[0]
+        assert (lhs, rhs) == ((n, rv) if lv is None else (lv, n))
+    else:
+        assert lhs == rhs == n
 
 
 # ---------------------------------------------------------------------------

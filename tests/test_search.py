@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -31,9 +32,10 @@ def _naive_law(T, n, m, law):
                for a in R for b in R for c in R for g in M for d in M)
 
 
-def _naive_count(n, m, laws):
-    return sum(1 for T in _naive_bundles(n, m)
-               if all(_naive_law(T, n, m, law) for law in laws))
+@cache
+def _naive_stream(n, m, laws):
+    """Every bundle passing the laws, in lexicographic order of its cells."""
+    return [T for T in _naive_bundles(n, m) if all(_naive_law(T, n, m, law) for law in laws)]
 
 
 # pinned after running the naive oracle; the oracle still runs live below
@@ -50,13 +52,61 @@ PINNED = {
 _FILTER_OF = {"li": Filter.LEFT_INVERTIVE, "ss": Filter.AG_STAR_STAR}
 
 
+def _spec(n, m, laws, **kw):
+    return SearchSpec(order=n, gammas=m, filters=frozenset(_FILTER_OF[l] for l in laws), **kw)
+
+
 @pytest.mark.parametrize("n,m,laws", sorted(PINNED))
 def test_pruned_counts_equal_naive_full_scan(n, m, laws):
-    spec = SearchSpec(order=n, gammas=m,
-                      filters=frozenset(_FILTER_OF[l] for l in laws))
-    got = count(spec)
-    assert got == PINNED[(n, m, laws)]
-    assert got == _naive_count(n, m, laws)
+    got = [G.tables for G in enumerate_structures(_spec(n, m, laws))]
+    assert len(got) == PINNED[(n, m, laws)]
+    assert got == _naive_stream(n, m, laws)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 5])
+@pytest.mark.parametrize("n,m,laws", sorted(PINNED))
+def test_limit_cuts_the_naive_stream(n, m, laws, limit):
+    got = [G.tables for G in enumerate_structures(_spec(n, m, laws, limit=limit))]
+    assert got == _naive_stream(n, m, laws)[:limit]
+
+
+@pytest.mark.parametrize("n,m,laws", [(3, 2, ("li",)), (3, 2, ("li", "ss")), (3, 1, ("ss",))])
+def test_leaf_recheck_never_rejects_a_prunable_law(monkeypatch, n, m, laws):
+    # every instance was checked on the way down, so the leaf re-check of the
+    # pruned laws always holds
+    verdicts = []
+    real = search.check_law
+
+    def recording(G, law):
+        verdict = real(G, law)
+        verdicts.append(verdict.holds)
+        return verdict
+    monkeypatch.setattr(search, "check_law", recording)
+    assert count(_spec(n, m, laws)) * len(laws) == len(verdicts)
+    assert all(verdicts)
+
+
+def test_order_4_left_invertive_counts():
+    assert count(_spec(4, 1, ("li",))) == 7336
+    assert count(_spec(4, 1, ("li",), up_to_iso=True)) == 331
+
+
+def test_large_shape_starts_with_the_zero_bundle():
+    spec = _spec(10, 3, ("li",), allow_large=True, limit=1)
+    (G,) = enumerate_structures(spec)
+    assert G.tables == ((((0,) * 10,) * 10,) * 3)
+
+
+def test_leaf_checks_run_in_a_fixed_order(monkeypatch):
+    # leaf-only filters first, then the prunable ones, each in declaration
+    # order, whatever the hash seed makes of the frozenset's order
+    calls = []
+    for f in Filter:
+        monkeypatch.setattr(f, "holds", lambda G, f=f: calls.append(f) or True)
+    filters = frozenset(Filter) - {Filter.HAS_LEFT_IDENTITY}
+    assert count(SearchSpec(order=1, gammas=1, filters=filters)) == 1
+    assert calls == [Filter.REGULAR, Filter.NO_LEFT_IDENTITY, Filter.NON_ASSOCIATIVE,
+                     Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR]
 
 
 def test_emission_is_lexicographic_and_starts_at_zero_tables():
@@ -160,6 +210,35 @@ def test_search_guard_refuses_large_shapes():
 
 # ---------------------------------------------------------------------------
 # canonical forms
+
+def _brute_force_canonical(G, include_gamma):
+    """The least relabelled cell sequence, with every relabelling built in full."""
+    def inverse(perm):
+        return [perm.index(i) for i in range(len(perm))]
+    T, n, m = G.tables, G.order, G.gamma_count
+    return min(tuple(sigma[T[g][a][b]]
+                     for g in inverse(tau) for a in inverse(sigma) for b in inverse(sigma))
+               for tau in (permutations(range(m)) if include_gamma else [tuple(range(m))])
+               for sigma in permutations(range(n)))
+
+
+def _cells(G):
+    return tuple(v for t in G.tables for row in t for v in row)
+
+
+@pytest.mark.parametrize("include_gamma", [True, False])
+def test_canonical_form_equals_brute_force_on_a_search_stream(include_gamma):
+    spec = SearchSpec(order=3, gammas=2, filters=frozenset({Filter.LEFT_INVERTIVE}))
+    for G in enumerate_structures(spec):
+        assert _cells(canonical_form(G, include_gamma)) == \
+            _brute_force_canonical(G, include_gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures(max_order=4, max_gammas=3), st.booleans())
+def test_canonical_form_equals_brute_force(G, include_gamma):
+    assert _cells(canonical_form(G, include_gamma)) == _brute_force_canonical(G, include_gamma)
+
 
 def test_canonical_form_fixes_singleton(singleton):
     assert canonical_form(singleton).tables == singleton.tables
