@@ -180,17 +180,12 @@ def _cmd_semilattice(args) -> int:
     return code
 
 
-def _spec_from_args(args) -> SearchSpec:
-    filters = frozenset(Filter(f) for f in args.filter or [])
-    return SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
-                      up_to_iso=getattr(args, "canonical", False),
-                      limit=getattr(args, "limit", None),
-                      allow_large=args.allow_large,
-                      iso_include_gamma=not getattr(args, "iso_carrier_only", False))
-
-
 def _cmd_search(args) -> int:
-    spec = _spec_from_args(args)
+    spec = SearchSpec(order=args.order, gammas=args.gammas,
+                      filters=frozenset(Filter(f) for f in args.filter or []),
+                      up_to_iso=args.canonical, limit=args.limit,
+                      allow_large=args.allow_large,
+                      iso_include_gamma=not args.iso_carrier_only)
     if args.count:
         total = count(spec)
         _emit({"command": "search", "count": total}, args.json, [str(total)])

@@ -138,6 +138,17 @@ def default_gamma_names(m: int) -> tuple[str, ...]:
     return tuple(f"g{i + 1}" for i in range(m))
 
 
+def _fact(G: GammaGroupoid, key, compute):
+    """The fact ``key`` of G's immutable tables, from ``compute()`` on first use and
+    then kept in a dict on G, made lazily so that building G costs nothing more."""
+    facts = G.__dict__.get("_facts")
+    if facts is None:
+        facts = G.__dict__["_facts"] = {}
+    if key not in facts:
+        facts[key] = compute()
+    return facts[key]
+
+
 # ---------------------------------------------------------------------------
 # subsets as bitmasks
 
@@ -280,10 +291,10 @@ def compile_probe(terms):
 class Law(Enum):
     """An identity lhs == rhs over all elements and gammas, given by its terms.
 
-    ``sides(T, values)`` evaluates both terms on the tables T at values of the
-    law's ``variables``; ``scan(G)`` is its ``compile_scan`` and ``probe`` its
-    ``compile_probe``, the search's check of one instance on partial tables.
-    Adding a law is one line here.
+    ``scan(G)`` (its ``compile_scan``) finds the first violated instance and
+    ``probe`` (its ``compile_probe``) checks one instance at values of the law's
+    ``variables``: on partial tables in the search, on complete ones in
+    ``law_sides``.  Both compile on first use.  Adding a law is one line here.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -300,13 +311,6 @@ class Law(Enum):
         law.terms = lhs, rhs
         law.variables = _variables(lhs, rhs)
         return law
-
-    @cached_property
-    def sides(self):
-        lhs, rhs = self.terms
-        unpack = "".join(f"v_{v}, " for v, _ in self.variables)
-        return _define(["def f(T, values):", f"    {unpack}= values",
-                        f"    return {_expr(lhs)}, {_expr(rhs)}"])
 
     @cached_property
     def probe(self):
@@ -327,13 +331,14 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     order of first appearance in the law's left-hand term and ascending, so
     the reported witness is reproducible.
     """
-    witness = law.scan(G)
+    witness = _fact(G, law, lambda: law.scan(G))
     return LawVerdict(witness is None, witness)
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:
-    """Evaluate both sides of ``law`` at a witness-shaped tuple."""
-    return law.sides(G.tables, witness)
+    """Evaluate both sides of ``law`` at a witness-shaped tuple, by its probe,
+    which is exact on complete tables: no lookup reads n."""
+    return law.probe(G.tables, witness, G.order)[:2]
 
 
 def identities(G: GammaGroupoid, side: Literal["left", "right"]) -> set[int]:
@@ -341,15 +346,9 @@ def identities(G: GammaGroupoid, side: Literal["left", "right"]) -> set[int]:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = G.order
-    out = set()
-    for e in range(n):
-        if side == "left":
-            ok = all(t[e][a] == a for t in G.tables for a in range(n))
-        else:
-            ok = all(t[a][e] == a for t in G.tables for a in range(n))
-        if ok:
-            out.add(e)
-    return out
+    if side == "left":
+        return {e for e in range(n) if all(t[e][a] == a for t in G.tables for a in range(n))}
+    return {e for e in range(n) if all(t[a][e] == a for t in G.tables for a in range(n))}
 
 
 def regular_witness(G: GammaGroupoid, a: int) -> Optional[RegularityWitness]:
@@ -368,4 +367,5 @@ def regular_witness(G: GammaGroupoid, a: int) -> Optional[RegularityWitness]:
 
 
 def is_regular(G: GammaGroupoid) -> bool:
-    return all(regular_witness(G, a) is not None for a in range(G.order))
+    return _fact(G, "regular",
+                 lambda: all(regular_witness(G, a) is not None for a in range(G.order)))

@@ -15,6 +15,7 @@ from .core import (
     GammaGroupoid,
     LimitExceededError,
     _check_width,
+    _fact,
     compile_scan,
     is_regular,
     members,
@@ -110,12 +111,14 @@ def _holds(G: GammaGroupoid, S: int, kind: IdealKind) -> bool:
 
 def enumerate_ideals(G: GammaGroupoid, kind: IdealKind,
                      limit: int = DEFAULT_ENUM_LIMIT) -> list[int]:
-    """All subsets passing ``kind``, ascending by bitmask value."""
+    """All subsets passing ``kind``, ascending by bitmask value; found once per
+    structure and kind, with the limit checked and a new list on every call."""
     if G.order > limit:
         raise LimitExceededError(
             f"subset enumeration over {G.order} elements exceeds the limit of {limit}; "
             "pass a larger limit explicitly to override")
-    return [S for S in range(1, 1 << G.order) if _holds(G, S, kind)]
+    return list(_fact(G, kind, lambda: tuple(
+        S for S in range(1, 1 << G.order) if _holds(G, S, kind))))
 
 
 _CLOSURE_KINDS = (IdealKind.SUB_GROUPOID, IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)

@@ -19,6 +19,11 @@ def singleton():
     return gl.GammaGroupoid.from_tables([[[0]]])
 
 
+def fresh(G):
+    """A copy of G that shares none of the facts kept on G."""
+    return gl.GammaGroupoid(G.tables, G.labels, G.gamma_names)
+
+
 @st.composite
 def structures(draw, max_order=4, max_gammas=3):
     """Arbitrary table bundles, no laws imposed."""

@@ -182,6 +182,19 @@ def test_probe_meets_its_contract(data):
         assert lhs == rhs == n
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_law_sides_evaluate_both_terms(data):
+    # law_sides reads the probe, which is exact on complete tables
+    G = data.draw(structures(max_order=3, max_gammas=2))
+    law = data.draw(st.sampled_from(list(Law)))
+    values = tuple(data.draw(st.integers(0, (G.gamma_count if is_gamma else G.order) - 1))
+                   for _, is_gamma in law.variables)
+    env = dict(zip((v for v, _ in law.variables), values))
+    assert gl.law_sides(G, law, values) == \
+        tuple(_walk(t, G.tables, env, G.order)[0] for t in law.terms)
+
+
 # ---------------------------------------------------------------------------
 # identities
 

@@ -18,7 +18,7 @@ from gaglab.ideals import (
     principal_left,
 )
 
-from conftest import oracle_members, oracle_product, structures, \
+from conftest import fresh, oracle_members, oracle_product, structures, \
     structure_with_subsets
 
 
@@ -112,6 +112,17 @@ def test_enumeration_limit(gamma5):
     with pytest.raises(gl.LimitExceededError):
         enumerate_ideals(gamma5, IdealKind.LEFT, limit=4)
     assert enumerate_ideals(gamma5, IdealKind.LEFT, limit=5)  # explicit override
+
+
+def test_enumerate_ideals_returns_a_new_list_each_call(gamma5):
+    G = fresh(gamma5)
+    first = enumerate_ideals(G, IdealKind.RIGHT)
+    want = list(first)
+    first.append(0)
+    first.reverse()
+    assert enumerate_ideals(G, IdealKind.RIGHT) == want
+    with pytest.raises(gl.LimitExceededError):  # the kept ideals do not skip the limit
+        enumerate_ideals(G, IdealKind.RIGHT, limit=4)
 
 
 # ---------------------------------------------------------------------------

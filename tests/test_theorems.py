@@ -1,7 +1,12 @@
+from collections import Counter
+from itertools import islice
+from pathlib import Path
+
 import pytest
 
 import gaglab as gl
-from gaglab.core import GammaGroupoid
+from gaglab import ideals
+from gaglab.core import GammaGroupoid, Law
 from gaglab.theorems import (
     HUNT_FILTERS,
     LemmaId,
@@ -11,7 +16,7 @@ from gaglab.theorems import (
     verify_all,
 )
 
-from conftest import oracle_product
+from conftest import fresh, oracle_product
 
 
 REGULAR_ONLY = {
@@ -240,9 +245,59 @@ def test_ideal_comparing_lemmas_respect_limit(lid, fixture):
     G = gl.load_fixture(fixture)  # order 3, passes the lemma's hypotheses
     with pytest.raises(gl.LimitExceededError):
         verify(G, lid, limit=2)
+    verify_all(G)  # keeps the structure's ideals on it
+    with pytest.raises(gl.LimitExceededError):
+        verify(G, lid, limit=2)
 
 
 def test_interior_iff_right_refuses_large_carrier():
     G = GammaGroupoid.from_tables([[[0] * 26 for _ in range(26)]])
     with pytest.raises(gl.LimitExceededError):
         verify(G, LemmaId.L_INTERIOR_IFF_RIGHT)
+
+
+# ---------------------------------------------------------------------------
+# facts kept on a structure
+
+def _catalog_inputs():
+    fixtures = sorted(Path(gl.fixture_path("gamma5")).parent.glob("*.gag"))
+    yield from (gl.parse_file(p) for p in fixtures)
+    yield GammaGroupoid.from_tables([[[0]]])
+    yield from islice(_stream([(3, 2)], ("left-invertive",)), 300)
+
+
+def test_verify_all_equals_verify_on_fresh_copies():
+    # the slow oracle for the kept facts: each lemma on its own copy
+    for G in _catalog_inputs():
+        assert verify_all(G) == {lid: verify(fresh(G), lid) for lid in LemmaId}
+
+
+@pytest.mark.parametrize("lid", list(LemmaId), ids=lambda lid: lid.value)
+def test_hunt_equals_hunt_over_fresh_copies(lid):
+    # stream structures carry the leaf re-check's verdicts into the hunt
+    found = hunt(_stream([(3, 1)], HUNT_FILTERS[lid]), lid)
+    assert found == hunt((fresh(G) for G in _stream([(3, 1)], HUNT_FILTERS[lid])), lid)
+
+
+def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
+    # counted below the kept facts: law scans and ideal enumerations
+    scans, enumerations = Counter(), Counter()
+    for law in Law:
+        def scan(G, law=law, compiled=law.scan):
+            scans[law] += 1
+            return compiled(G)
+        monkeypatch.setattr(law, "scan", scan)
+    holds = ideals._holds
+
+    def counting_holds(G, S, kind):
+        enumerations[kind] += S == 1  # the first subset of every enumeration
+        return holds(G, S, kind)
+    monkeypatch.setattr(ideals, "_holds", counting_holds)
+    # the session fixtures may already carry facts, so count on fresh copies;
+    # the singleton has a right identity, so l-right-identity scans two more laws
+    for G, most_scans in ((fresh(gamma5), 4), (fresh(singleton), 6)):
+        scans.clear()
+        enumerations.clear()
+        verify_all(G)
+        assert max(scans.values()) == 1 and sum(scans.values()) <= most_scans
+        assert max(enumerations.values()) == 1
