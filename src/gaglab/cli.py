@@ -17,9 +17,7 @@ from .ideals import _CLOSURE_KINDS, DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_s
     enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize
 from .search import Filter, SearchSpec, count, enumerate_structures
-from .theorems import LemmaId, LemmaStatus, hunt, verify, verify_all
-
-_MASK_KEYS = {"subset", "subset_b", "union", "product", "left_side", "right_side"}
+from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify, verify_all
 
 
 def _fmt_subset(G: GammaGroupoid, mask: int) -> str:
@@ -39,7 +37,7 @@ def _fmt_at(G: GammaGroupoid, at: tuple) -> str:
 def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
     out = {}
     for key, value in w.items():
-        if key in _MASK_KEYS:
+        if key in MASK_KEYS:
             out[key] = list(G.labels_of_subset(value))
         elif key == "element":
             out[key] = G.labels[value]
@@ -56,7 +54,7 @@ def _fmt_lemma_witness(G: GammaGroupoid, w: dict) -> str:
     """The witness as key=value pairs, from its JSON form; None values are left out."""
     parts = []
     for key, value in _lemma_witness_json(G, w).items():
-        if key in _MASK_KEYS:
+        if key in MASK_KEYS:
             value = "{" + ",".join(value) + "}"
         elif key == "at" and value is not None:
             value = "(" + " ".join(value) + ")"
@@ -227,12 +225,10 @@ def _cmd_hunt(args) -> int:
     lines = [f"counterexample to {lid.value}:",
              serialize(G).rstrip("\n"),
              f"witness: {_fmt_lemma_witness(G, v.witness)}"]
-    if v.note:
-        lines.append(f"note: {v.note}")
     _emit({"command": "hunt", "lemma": lid.value,
            "counterexample": {"structure": serialize(G),
                               "witness": _lemma_witness_json(G, v.witness),
-                              "note": v.note}},
+                              "note": None}},
           args.json, lines)
     return 1
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import prod
 from typing import Iterable, Literal, Optional
 
 MAX_ORDER = 64  # one bit per element in a subset mask
+MAX_LAW_INSTANCES = MAX_ORDER ** 4  # every single-gamma law scan of a valid carrier
 
 
 class LimitExceededError(ValueError):
@@ -78,15 +80,10 @@ class GammaGroupoid:
                 raise ValueError(f"bad display token {tok!r}: whitespace and '#' are reserved")
 
     @classmethod
-    def from_tables(cls, tables, labels=None, gamma_names=None) -> "GammaGroupoid":
-        """Build from nested sequences, defaulting labels to 1..n and gamma names to g1..gm."""
+    def from_tables(cls, tables) -> "GammaGroupoid":
+        """Build from nested sequences, with labels 1..n and gamma names g1..gm."""
         tt = tuple(tuple(tuple(int(v) for v in row) for row in t) for t in tables)
-        n = len(tt[0]) if tt else 0
-        if labels is None:
-            labels = default_labels(n)
-        if gamma_names is None:
-            gamma_names = default_gamma_names(len(tt))
-        return cls(tt, tuple(labels), tuple(gamma_names))
+        return cls(tt, default_labels(len(tt[0]) if tt else 0), default_gamma_names(len(tt)))
 
     @property
     def order(self) -> int:
@@ -329,9 +326,16 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
 
     Scan order is element variables outer, gamma variables inner, each in
     order of first appearance in the law's left-hand term and ascending, so
-    the reported witness is reproducible.
+    the reported witness is reproducible.  A scan over more than
+    ``MAX_LAW_INSTANCES`` instances is refused before it starts.
     """
-    witness = _fact(G, law, lambda: law.scan(G))
+    def scan():
+        instances = prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables)
+        if instances > MAX_LAW_INSTANCES:
+            raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
+                                     f"beyond {MAX_LAW_INSTANCES}")
+        return law.scan(G)
+    witness = _fact(G, law, scan)
     return LawVerdict(witness is None, witness)
 
 

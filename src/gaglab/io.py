@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .core import MAX_ORDER, GammaGroupoid, default_labels
 
@@ -24,12 +23,9 @@ from .core import MAX_ORDER, GammaGroupoid, default_labels
 class ParseError(Exception):
     """Rejected document; ``line`` is the 1-based offending physical line."""
 
-    def __init__(self, line: int, message: str,
-                 expected: Optional[str] = None, found: Optional[str] = None):
+    def __init__(self, line: int, message: str):
         self.line = line
         self.message = message
-        self.expected = expected
-        self.found = found
         super().__init__(f"line {line}: {message}")
 
 
@@ -55,21 +51,18 @@ class _Cursor:
     def take(self, what: str):
         item = self.peek()
         if item is None:
-            raise ParseError(self.eof_line, f"unexpected end of document, expected {what}",
-                             expected=what)
+            raise ParseError(self.eof_line, f"unexpected end of document, expected {what}")
         self.pos += 1
         return item
 
 
 def _int_field(lineno, tokens, keyword) -> int:
     if tokens[0] != keyword or len(tokens) != 2:
-        raise ParseError(lineno, f"expected '{keyword} <number>'",
-                         expected=keyword, found=" ".join(tokens))
+        raise ParseError(lineno, f"expected '{keyword} <number>'")
     try:
         value = int(tokens[1])
     except ValueError:
-        raise ParseError(lineno, f"'{keyword}' needs an integer, got {tokens[1]!r}",
-                         expected="integer", found=tokens[1]) from None
+        raise ParseError(lineno, f"'{keyword}' needs an integer, got {tokens[1]!r}") from None
     if value < 1:
         raise ParseError(lineno, f"'{keyword}' must be at least 1, got {value}")
     return value
@@ -105,8 +98,7 @@ def parse(text: str) -> GammaGroupoid:
         if tokens[0] == "labels":
             raise ParseError(lineno, "duplicate 'labels' line")
         if tokens[0] != "gamma" or len(tokens) != 2:
-            raise ParseError(lineno, "expected 'gamma <name>'",
-                             expected="gamma", found=" ".join(tokens))
+            raise ParseError(lineno, "expected 'gamma <name>'")
         name = tokens[1]
         if name in gamma_names:
             raise ParseError(lineno, f"duplicate gamma name {name!r}")
@@ -119,16 +111,14 @@ def parse(text: str) -> GammaGroupoid:
             row = []
             for t in tokens:
                 if t not in index:
-                    raise ParseError(lineno, f"unknown label {t!r}",
-                                     expected="one of " + " ".join(labels), found=t)
+                    raise ParseError(lineno, f"unknown label {t!r}")
                 row.append(index[t])
             rows.append(tuple(row))
         tables.append(tuple(rows))
 
     extra = cur.peek()
     if extra is not None:
-        raise ParseError(extra[0], "expected end of document",
-                         found=" ".join(extra[1]))
+        raise ParseError(extra[0], "expected end of document")
     try:
         return GammaGroupoid(tuple(tables), labels, tuple(gamma_names))
     except ValueError as exc:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterator, Optional
 
 from .core import (
@@ -92,7 +92,7 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         raise LimitExceededError(
             f"search over order {spec.order} with {spec.gammas} gammas refused; "
             "set allow_large to override")
-    return _generate(spec)
+    return islice(_generate(spec), spec.limit)
 
 
 def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
@@ -110,7 +110,6 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     # The leaf-only filters, which can reject a leaf, are checked before the
     # prunable ones, which re-check the pruning; each group in declaration order.
     leaf_filters = [f for f in Filter if f in spec.filters and f not in _PRUNABLE] + prunable
-    emitted = 0
 
     def propagate(instances) -> bool:
         """Re-probe ``instances`` and, in turn, the instances waiting on each
@@ -143,20 +142,14 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         del forced[n_forced:]
 
     def rec(pos):
-        nonlocal emitted
-        if spec.limit is not None and emitted >= spec.limit:
-            return
         while pos < len(cells) and cells[pos][0][cells[pos][1]] != n:
             pos += 1  # assigned by propagation
         if pos == len(cells):
             G = GammaGroupoid.from_tables([[row[:n] for row in t[:n]] for t in tables])
-            if not all(f.holds(G) for f in leaf_filters):
-                return
-            if spec.up_to_iso and \
-                    canonical_form(G, include_gamma=spec.iso_include_gamma).tables != G.tables:
-                return
-            emitted += 1
-            yield G
+            if all(f.holds(G) for f in leaf_filters) and (
+                    not spec.up_to_iso
+                    or canonical_form(G, include_gamma=spec.iso_include_gamma).tables == G.tables):
+                yield G
             return
         row, c, bucket = cells[pos]
         marks = len(moved), len(forced)
@@ -165,8 +158,6 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             if propagate(bucket):
                 yield from rec(pos + 1)
             undo(*marks)
-            if spec.limit is not None and emitted >= spec.limit:
-                break
         row[c] = n
 
     instances = [(law.probe, values)
@@ -182,8 +173,9 @@ def count(spec: SearchSpec) -> int:
 
 
 def _relabelled(T, gammas, elements, sigma):
-    """The relabelled tables' cells in order, read through the inverse
-    permutations ``gammas`` and ``elements`` and mapped by ``sigma``."""
+    """The relabelled tables' cells in order: tables in the order ``gammas``,
+    rows and columns in the order ``elements`` (the inverse of ``sigma``),
+    values mapped by ``sigma``."""
     return tuple(sigma[T[g][a][b]] for g in gammas for a in elements for b in elements)
 
 
@@ -222,11 +214,10 @@ def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoi
     if n > MAX_CANONICAL_ORDER:
         raise LimitExceededError(
             f"canonical form over {n}! relabelings refused beyond order {MAX_CANONICAL_ORDER}")
-    gamma_perms = permutations(range(m)) if include_gamma else [tuple(range(m))]
     T = G.tables
     best = tuple(v for t in T for row in t for v in row)
-    for tau in gamma_perms:
-        gammas = _inverse(tau)
+    # reading the tables in every order covers every gamma relabelling
+    for gammas in permutations(range(m)) if include_gamma else [range(m)]:
         for sigma in permutations(range(n)):
             key = _relabelled_if_smaller(T, gammas, _inverse(sigma), sigma, best)
             if key is not None:

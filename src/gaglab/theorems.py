@@ -6,11 +6,11 @@ exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
 witness otherwise.  ``hunt`` scans a stream of structures for the first
 counterexample to a given entry.
 
-Witnesses are dicts whose values follow a small vocabulary: subset-valued
-keys (subset, subset_b, union, product, left_side, right_side) hold bitmasks,
-"element" holds an element index, "at" holds an alternating element/gamma
-tuple as produced by the law and clause checkers, "clause"/"law"/"side" hold
-strings, and remaining keys hold booleans.
+Witnesses are dicts whose values follow a small vocabulary: the keys in
+``MASK_KEYS`` hold subset bitmasks, "element" holds an element index,
+"gamma"/"gamma_b" hold gamma indices, "at" holds an alternating
+element/gamma tuple as produced by the law and clause checkers,
+"clause"/"law"/"side" hold strings, and remaining keys hold booleans.
 """
 from __future__ import annotations
 
@@ -42,6 +42,9 @@ from .ideals import (
 from .search import Filter
 
 
+MASK_KEYS = frozenset({"subset", "subset_b", "union", "product", "left_side", "right_side"})
+
+
 class LemmaStatus(Enum):
     HOLDS = "holds"
     COUNTEREXAMPLE = "counterexample"
@@ -64,8 +67,8 @@ def _na(which: str):
     return LemmaVerdict(LemmaStatus.NOT_APPLICABLE, hypothesis_failed=which)
 
 
-def _cx(witness: dict, note: Optional[str] = None):
-    return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE, witness=witness, note=note)
+def _cx(witness: dict):
+    return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE, witness=witness)
 
 
 def _all_ideals(kind: IdealKind, candidates):
@@ -195,26 +198,18 @@ def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
     return run
 
 
-def _verify_absorption_regular(G, limit):
-    full = G.carrier
-    for A in enumerate_ideals(G, IdealKind.RIGHT, limit):
-        p = subset_product(G, A, full)
-        if p != A:
-            return _cx({"subset": A, "product": p, "side": "right"})
-    for B in enumerate_ideals(G, IdealKind.LEFT, limit):
-        p = subset_product(G, full, B)
-        if p != B:
-            return _cx({"subset": B, "product": p, "side": "left"})
-    return _holds()
-
-
-def _verify_bgb_regular(G, limit):
-    full = G.carrier
-    for B in enumerate_ideals(G, IdealKind.BI, limit):
-        p = subset_product(G, subset_product(G, B, full), B)
-        if p != B:
-            return _cx({"subset": B, "product": p})
-    return _holds()
+def _equal_products(*checks):
+    """Verifier: for each (kind, product, extra) in turn, every ``kind`` ideal S
+    equals ``product(G, S)``; the first that does not is reported with its
+    product and the extra witness keys."""
+    def run(G, limit):
+        for kind, product_of, extra in checks:
+            for S in enumerate_ideals(G, kind, limit):
+                p = product_of(G, S)
+                if p != S:
+                    return _cx({"subset": S, "product": p, **extra})
+        return _holds()
+    return run
 
 
 def _verify_gg_regular(G, limit):
@@ -268,13 +263,6 @@ def _verify_comm_ideals_regular(G, limit):
     return _holds()
 
 
-def _verify_idem_ideals_regular(G, limit):
-    for A in enumerate_ideals(G, IdealKind.TWO_SIDED, limit):
-        if not is_idempotent(G, A):
-            return _cx({"subset": A, "product": subset_product(G, A, A)})
-    return _holds()
-
-
 _LI = (Filter.LEFT_INVERTIVE,)
 _AGSS = _LI + (Filter.AG_STAR_STAR,)
 _REG = _LI + (Filter.REGULAR,)
@@ -306,10 +294,13 @@ class LemmaId(Enum):
                         _all_ideals(IdealKind.INTERIOR, _ideals_of(IdealKind.TWO_SIDED)))
     L_INTERIOR_IFF_RIGHT = ("l-interior-iff-right", _AGSS,
                             _same_ideals(IdealKind.INTERIOR, IdealKind.RIGHT))
-    L_ABSORPTION_REGULAR = "l-absorption-regular", _REG, _verify_absorption_regular
+    L_ABSORPTION_REGULAR = ("l-absorption-regular", _REG, _equal_products(
+        (IdealKind.RIGHT, lambda G, S: subset_product(G, S, G.carrier), {"side": "right"}),
+        (IdealKind.LEFT, lambda G, S: subset_product(G, G.carrier, S), {"side": "left"})))
     L_GG_BI = "l-gg-bi", _AGSS, _all_ideals(IdealKind.BI, _gG_and_Gg)
     C_AG_BI_REGULAR = "c-ag-bi-regular", _AGSS_REG, _all_ideals(IdealKind.BI, _aG)
-    L_BGB_REGULAR = "l-bgb-regular", _REG, _verify_bgb_regular
+    L_BGB_REGULAR = ("l-bgb-regular", _REG, _equal_products(
+        (IdealKind.BI, lambda G, S: subset_product(G, subset_product(G, S, G.carrier), S), {})))
     L_GG_REGULAR = "l-gg-regular", _REG, _verify_gg_regular
     L_LEFT_IFF_RIGHT_REGULAR = ("l-left-iff-right-regular", _AGSS_REG,
                                 _same_ideals(IdealKind.LEFT, IdealKind.RIGHT))
@@ -318,7 +309,8 @@ class LemmaId(Enum):
     L_SEMIPRIME_REGULAR = "l-semiprime-regular", _REG, _verify_semiprime_regular
     T_SEMILATTICE = "t-semilattice", _REG, _verify_semilattice
     L_COMM_IDEALS_REGULAR = "l-comm-ideals-regular", _REG, _verify_comm_ideals_regular
-    L_IDEM_IDEALS_REGULAR = "l-idem-ideals-regular", _REG, _verify_idem_ideals_regular
+    L_IDEM_IDEALS_REGULAR = ("l-idem-ideals-regular", _REG, _equal_products(
+        (IdealKind.TWO_SIDED, lambda G, S: subset_product(G, S, S), {})))
     L_PRINCIPAL_LEFT_AGSS = ("l-principal-left-agss", _AGSS,
                              _all_ideals(IdealKind.LEFT, _principal_lefts))
 

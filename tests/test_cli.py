@@ -145,6 +145,44 @@ def test_verify_json_agreement(capsys):
     assert cx == {"l-left-iff-right-regular", "t-regular-iff-idempotent-left"}
 
 
+def test_verify_decodes_element_and_at_witness_keys(capsys):
+    path = str(gl.fixture_path("principal_left_not_left9"))
+    argv = ["verify", path, "--lemma", "l-principal-left-agss"]
+    assert run(argv) == 1
+    assert capsys.readouterr().out == ("l-principal-left-agss: counterexample "
+                                       "subset={1,4,7,9} clause=LeftAbsorb at=(2 g2 9) "
+                                       "element=2\n")
+    assert run(argv + ["--json"]) == 1
+    assert _json_out(capsys)["lemmas"][0]["witness"] == {
+        "subset": ["1", "4", "7", "9"], "clause": "LeftAbsorb", "at": ["2", "g2", "9"],
+        "element": "2"}
+
+
+def test_gamma_witness_keys_decode_to_gamma_names():
+    G = gl.GammaGroupoid((((0, 0), (0, 0)), ((0, 0), (0, 1))), ("a", "b"), ("α", "β"))
+    w = {"gamma": 0, "gamma_b": 1, "at": (1, 1, 1)}
+    assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G, 20).witness == w
+    assert cli._lemma_witness_json(G, w) == {"gamma": "α", "gamma_b": "β",
+                                             "at": ["b", "β", "b"]}
+    assert cli._fmt_lemma_witness(G, w) == "gamma=α gamma_b=β at=(b β b)"
+
+
+def test_verify_reports_a_verdict_note(tmp_path, monkeypatch, capsys):
+    # no AG**-groupoid up to (3,2) or (4,1) passes l-bi-product's hypotheses
+    # with a note, so the gate is skipped to reach the note's output
+    path = tmp_path / "note.gag"
+    path.write_text("order 3\ngammas 1\ngamma g1\n1 1 1\n1 1 3\n1 1 2\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "verify", lambda G, lid, limit: lid.verifier(G, limit))
+    note = ("absorption held for all 9 products, but 1 of them are not sub-groupoids "
+            "(first: [0, 1] with [0, 1, 2], 0-based)")
+    argv = ["verify", str(path), "--lemma", "l-bi-product"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"l-bi-product: holds [note: {note}]\n"
+    assert run(argv + ["--json"]) == 0
+    assert _json_out(capsys)["lemmas"] == [
+        {"lemma": "l-bi-product", "status": "holds", "note": note}]
+
+
 def test_semilattice_exit_codes(gamma5_path, dot5_path, capsys):
     assert run(["semilattice", dot5_path]) == 0
     out = capsys.readouterr().out
@@ -208,6 +246,18 @@ def test_search_stdout_limit(capsys):
     assert out.count("order 2") == 2
 
 
+def test_search_json_lists_the_stream(capsys):
+    for limit in (None, 2):
+        extra = [] if limit is None else ["--limit", str(limit)]
+        assert run(["search", "--order", "2", "--gammas", "1", "--filter", "left-invertive",
+                    "--json", *extra]) == 0
+        spec = gl.SearchSpec(2, 1, filters={gl.Filter.LEFT_INVERTIVE}, limit=limit)
+        texts = [gl.serialize(G) for G in gl.enumerate_structures(spec)]
+        assert len(texts) == (6 if limit is None else limit)
+        assert _json_out(capsys) == {"command": "search", "count": len(texts),
+                                     "structures": texts}
+
+
 def test_search_canonical_flag(capsys):
     code = run(["search", "--order", "2", "--gammas", "2",
                 "--filter", "left-invertive", "--canonical", "--count"])
@@ -258,6 +308,16 @@ def test_parse_error_exit(tmp_path, capsys):
     broken.write_text("order 2\ngammas 1\ngamma g\n1 9\n1 1\n", encoding="utf-8")
     assert run(["check", str(broken)]) == 2
     assert "parse error: line 4" in capsys.readouterr().err
+
+
+def test_check_refuses_an_oversized_law_scan(tmp_path, capsys):
+    doc = tmp_path / "wide.gag"
+    doc.write_text("order 1\ngammas 300\n" + "".join(f"gamma g{i}\n1\n" for i in range(300)),
+                   encoding="utf-8")
+    assert run(["check", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: medial scan over 27000000 instances refused beyond 16777216\n"
 
 
 def test_missing_file_exit(capsys):

@@ -94,6 +94,17 @@ def test_singleton_satisfies_everything(singleton):
         assert gl.check_law(singleton, law).holds
 
 
+def test_law_scan_bound():
+    # 257 one-element gammas: 257**3 medial and paramedial instances, just
+    # over the bound of 64**4 = 256**3
+    G = GammaGroupoid.from_tables([[[0]]] * 257)
+    assert gl.check_law(G, Law.LEFT_INVERTIVE).holds  # 257**2 instances
+    for law in (Law.MEDIAL, Law.PARAMEDIAL):
+        with pytest.raises(gl.LimitExceededError,
+                           match=f"^{law.value} scan over 16974593 instances refused"):
+            gl.check_law(G, law)
+
+
 def _oracle_law_holds(G, law):
     """Naive re-implementation used as an independent oracle."""
     n, m = G.order, G.gamma_count

@@ -16,7 +16,7 @@ from gaglab.theorems import (
     verify_all,
 )
 
-from conftest import fresh, oracle_product
+from conftest import fresh, oracle_members, oracle_product
 
 
 REGULAR_ONLY = {
@@ -301,3 +301,103 @@ def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
         verify_all(G)
         assert max(scans.values()) == 1 and sum(scans.values()) <= most_scans
         assert max(enumerations.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# every verifier's counterexample path, driven with the hypotheses skipped
+
+CX_SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1))
+
+# entries that hold in every groupoid, whatever its laws
+ALWAYS_HOLD = {LemmaId.L_ONE_SIDED_QUASI, LemmaId.L_RLB_ONE_SIDED_BI,
+               LemmaId.C_IDEAL_BI, LemmaId.L_IDEAL_INTERIOR}
+
+# first counterexample of each other verifier over the CX_SHAPES streams:
+# (shape, index in that shape's stream, witness)
+FIRST_CX = {
+    LemmaId.L1_LEFT_IDENTITY_COLLAPSE: ((2, 2), 1, {"gamma": 0, "gamma_b": 1, "at": (1, 1, 1)}),
+    LemmaId.L_RIGHT_IDENTITY: ((2, 1), 2, {"element": 0, "side": "left"}),
+    LemmaId.T1_UNION_CONSTRUCTION: ((3, 1), 15, {"subset": 1, "clause": "LeftAbsorb",
+                                                 "at": (2, 0, 1), "union": 3,
+                                                 "side": "right"}),
+    LemmaId.L_MEDIAL: ((2, 1), 2, {"law": "medial", "at": (1, 0, 0, 0, 1, 0, 1)}),
+    LemmaId.L_PARAMEDIAL: ((2, 1), 2, {"law": "paramedial", "at": (0, 0, 0, 0, 0, 0, 1)}),
+    LemmaId.L_BI_PRODUCT: ((3, 1), 7, {"subset": 7, "subset_b": 3, "product": 5}),
+    LemmaId.L_IDEM_QUASI_BI: ((3, 1), 14, {"subset": 4, "clause": "BiAbsorb",
+                                           "at": (2, 0, 0, 0, 2)}),
+    LemmaId.L_INTERIOR_IFF_RIGHT: ((2, 1), 2, {"subset": 1, "interior": False, "right": True}),
+    LemmaId.L_ABSORPTION_REGULAR: ((2, 1), 0, {"subset": 3, "product": 1, "side": "right"}),
+    LemmaId.L_GG_BI: ((2, 1), 8, {"subset": 1, "clause": "SubGroupoid", "at": (0, 0, 0),
+                                  "element": 1, "side": "gG"}),
+    LemmaId.C_AG_BI_REGULAR: ((2, 1), 8, {"subset": 1, "clause": "SubGroupoid",
+                                          "at": (0, 0, 0), "element": 1}),
+    LemmaId.L_BGB_REGULAR: ((2, 1), 0, {"subset": 3, "product": 1}),
+    LemmaId.L_GG_REGULAR: ((2, 1), 0, {"product": 1}),
+    LemmaId.L_LEFT_IFF_RIGHT_REGULAR: ((2, 1), 2, {"subset": 1, "left": False, "right": True}),
+    LemmaId.T_REGULAR_IFF_IDEMPOTENT_LEFT: ((2, 1), 2, {"regular": False, "element": 1}),
+    LemmaId.L_SEMIPRIME_REGULAR: ((2, 1), 0, {"subset": 1, "subset_b": 3}),
+    LemmaId.T_SEMILATTICE: ((2, 1), 0, {"closed": True, "commutative": True,
+                                        "associative": True, "idempotent": False}),
+    LemmaId.L_COMM_IDEALS_REGULAR: ((3, 1), 3, {"subset": 3, "subset_b": 7,
+                                                "left_side": 1, "right_side": 3}),
+    LemmaId.L_IDEM_IDEALS_REGULAR: ((2, 1), 0, {"subset": 3, "product": 1}),
+    LemmaId.L_PRINCIPAL_LEFT_AGSS: ((2, 1), 2, {"subset": 1, "clause": "LeftAbsorb",
+                                                "at": (1, 0, 0), "element": 1}),
+}
+
+
+def _claimed_products(G, lid, w):
+    """Each product-valued key of a witness, recomputed by the set-based oracle."""
+    full = set(range(G.order))
+    S = oracle_members(w.get("subset", 0))
+    T = oracle_members(w.get("subset_b", 0))
+    if lid is LemmaId.L_ABSORPTION_REGULAR:
+        right = w["side"] == "right"
+        return {"product": oracle_product(G, S, full) if right else oracle_product(G, full, S)}
+    if lid is LemmaId.T1_UNION_CONSTRUCTION:
+        right = w["side"] == "right"
+        return {"union": S | (oracle_product(G, full, S) if right
+                              else oracle_product(G, S, full))}
+    if lid is LemmaId.L_BGB_REGULAR:
+        return {"product": oracle_product(G, oracle_product(G, S, full), S)}
+    if lid is LemmaId.L_GG_REGULAR:
+        return {"product": oracle_product(G, full, full)}
+    if lid is LemmaId.L_BI_PRODUCT:
+        return {"product": oracle_product(G, S, T)}
+    if lid is LemmaId.L_COMM_IDEALS_REGULAR:
+        return {"left_side": oracle_product(G, S, T), "right_side": oracle_product(G, T, S)}
+    if lid in (LemmaId.L_IDEM_IDEALS_REGULAR, LemmaId.T_REGULAR_IFF_IDEMPOTENT_LEFT):
+        return {"product": oracle_product(G, S, S)} if "product" in w else {}
+    return {}
+
+
+@pytest.fixture(scope="module")
+def cx_streams():
+    return {shape: list(gl.enumerate_structures(gl.SearchSpec(*shape)))
+            for shape in CX_SHAPES}
+
+
+def test_every_fallible_verifier_is_pinned():
+    assert set(FIRST_CX) == set(LemmaId) - ALWAYS_HOLD
+
+
+@pytest.mark.parametrize("lid", list(FIRST_CX), ids=lambda lid: lid.value)
+def test_first_counterexample_of_each_verifier(cx_streams, lid):
+    found = next((shape, i, v.witness)
+                 for shape in CX_SHAPES for i, G in enumerate(cx_streams[shape])
+                 for v in (lid.verifier(G, 20),)
+                 if v.status is LemmaStatus.COUNTEREXAMPLE)
+    assert found == FIRST_CX[lid]
+    shape, i, w = found
+    G = cx_streams[shape][i]
+    claimed = _claimed_products(G, lid, w)
+    assert set(claimed) == {"product", "union", "left_side", "right_side"} & set(w)
+    for key, expected in claimed.items():
+        assert oracle_members(w[key]) == expected, key
+
+
+def test_always_holding_entries_hold_on_every_bundle(cx_streams):
+    for shape, stream in cx_streams.items():
+        for G in stream:
+            for lid in ALWAYS_HOLD:
+                assert lid.verifier(G, 20).status is LemmaStatus.HOLDS, (lid, shape, G.tables)
