@@ -17,7 +17,7 @@ from .ideals import _CLOSURE_KINDS, DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_s
     enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize
 from .search import Filter, SearchSpec, count, enumerate_structures
-from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify, verify_all
+from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify
 
 
 def _fmt_subset(G: GammaGroupoid, mask: int) -> str:
@@ -125,11 +125,8 @@ def _cmd_closure(args) -> int:
 
 def _cmd_verify(args) -> int:
     G = parse_file(args.file)
-    if args.lemma:
-        lids = [LemmaId(args.lemma)]
-        verdicts = {lid: verify(G, lid, args.limit) for lid in lids}
-    else:
-        verdicts = verify_all(G, args.limit)
+    lids = [LemmaId(args.lemma)] if args.lemma else LemmaId
+    verdicts = {lid: verify(G, lid, args.limit) for lid in lids}
     lines = []
     entries = []
     bad = 0
@@ -144,9 +141,6 @@ def _cmd_verify(args) -> int:
             bad += 1
             line = f"{lid.value}: counterexample {_fmt_lemma_witness(G, v.witness)}"
             entry["witness"] = _lemma_witness_json(G, v.witness)
-        if v.note:
-            line += f" [note: {v.note}]"
-            entry["note"] = v.note
         lines.append(line)
         entries.append(entry)
     code = 1 if bad else 0

@@ -330,13 +330,19 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     ``MAX_LAW_INSTANCES`` instances is refused before it starts.
     """
     def scan():
-        instances = prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables)
-        if instances > MAX_LAW_INSTANCES:
-            raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
-                                     f"beyond {MAX_LAW_INSTANCES}")
+        refuse_oversized_law(law, G.order, G.gamma_count)
         return law.scan(G)
     witness = _fact(G, law, scan)
     return LawVerdict(witness is None, witness)
+
+
+def refuse_oversized_law(law: Law, order: int, gammas: int) -> None:
+    """Raise LimitExceededError when ``law`` has more than ``MAX_LAW_INSTANCES``
+    instances (n^e·m^g) over ``order`` elements and ``gammas`` gammas."""
+    instances = prod(gammas if is_gamma else order for _, is_gamma in law.variables)
+    if instances > MAX_LAW_INSTANCES:
+        raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
+                                 f"beyond {MAX_LAW_INSTANCES}")
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:

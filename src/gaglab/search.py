@@ -33,6 +33,7 @@ from .core import (
     check_law,
     identities,
     is_regular,
+    refuse_oversized_law,
 )
 
 MAX_SEARCH_ORDER = 4
@@ -86,12 +87,18 @@ class SearchSpec:
 
 
 def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
-    """Stream every structure matching the search spec, in lexicographic table order."""
+    """Stream every structure matching the search spec, in lexicographic table
+    order; every limit is checked here, before the search starts."""
     if (spec.order > MAX_SEARCH_ORDER or spec.gammas > MAX_SEARCH_GAMMAS) \
             and not spec.allow_large:
         raise LimitExceededError(
             f"search over order {spec.order} with {spec.gammas} gammas refused; "
             "set allow_large to override")
+    if spec.up_to_iso:
+        _refuse_canonical(spec.order)
+    for f, law in _PRUNABLE.items():
+        if f in spec.filters:
+            refuse_oversized_law(law, spec.order, spec.gammas)
     return islice(_generate(spec), spec.limit)
 
 
@@ -202,6 +209,12 @@ def _inverse(perm):
     return inv
 
 
+def _refuse_canonical(n):
+    if n > MAX_CANONICAL_ORDER:
+        raise LimitExceededError(
+            f"canonical form over {n}! relabelings refused beyond order {MAX_CANONICAL_ORDER}")
+
+
 def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoid:
     """Lexicographically least relabeling over carrier (and optionally gamma) permutations.
 
@@ -211,9 +224,7 @@ def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoi
     far cell by cell and dropped at the first larger cell.
     """
     n, m = G.order, G.gamma_count
-    if n > MAX_CANONICAL_ORDER:
-        raise LimitExceededError(
-            f"canonical form over {n}! relabelings refused beyond order {MAX_CANONICAL_ORDER}")
+    _refuse_canonical(n)
     T = G.tables
     best = tuple(v for t in T for row in t for v in row)
     # reading the tables in every order covers every gamma relabelling

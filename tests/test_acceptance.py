@@ -17,7 +17,7 @@ import gaglab as gl
 from gaglab.core import Law
 from gaglab.ideals import IdealKind, build_ideal_semilattice, enumerate_ideals
 from gaglab.search import Filter, SearchSpec, enumerate_structures
-from gaglab.theorems import HUNT_FILTERS, LemmaId, hunt, verify
+from gaglab.theorems import HUNT_FILTERS, LemmaId, LemmaStatus, hunt, verify
 
 SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
 
@@ -108,8 +108,12 @@ def test_criterion_3_lemma_catalog_hunt():
 
     # open-question report 2: sub-groupoid status of products of bi-ideals
     key = ("left-invertive", "ag-star-star")
-    noted = sum(1 for G in streams[key]
-                if verify(G, LemmaId.L_BI_PRODUCT).note is not None)
+    noted = 0
+    for G in streams[key]:
+        bis = enumerate_ideals(G, IdealKind.BI)
+        noted += verify(G, LemmaId.L_BI_PRODUCT).status is LemmaStatus.HOLDS and any(
+            gl.subset_product(G, P, P) & ~P
+            for P in (gl.subset_product(G, B1, B2) for B1 in bis for B2 in bis))
     print(f"criterion 3 note: bi-ideal products failing the sub-groupoid clause "
           f"while absorbing: {noted}/{len(streams[key])} structures")
 

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -167,22 +169,6 @@ def test_gamma_witness_keys_decode_to_gamma_names():
     assert cli._fmt_lemma_witness(G, w) == "gamma=α gamma_b=β at=(b β b)"
 
 
-def test_verify_reports_a_verdict_note(tmp_path, monkeypatch, capsys):
-    # no AG**-groupoid up to (3,2) or (4,1) passes l-bi-product's hypotheses
-    # with a note, so the gate is skipped to reach the note's output
-    path = tmp_path / "note.gag"
-    path.write_text("order 3\ngammas 1\ngamma g1\n1 1 1\n1 1 3\n1 1 2\n", encoding="utf-8")
-    monkeypatch.setattr(cli, "verify", lambda G, lid, limit: lid.verifier(G, limit))
-    note = ("absorption held for all 9 products, but 1 of them are not sub-groupoids "
-            "(first: [0, 1] with [0, 1, 2], 0-based)")
-    argv = ["verify", str(path), "--lemma", "l-bi-product"]
-    assert run(argv) == 0
-    assert capsys.readouterr().out == f"l-bi-product: holds [note: {note}]\n"
-    assert run(argv + ["--json"]) == 0
-    assert _json_out(capsys)["lemmas"] == [
-        {"lemma": "l-bi-product", "status": "holds", "note": note}]
-
-
 def test_semilattice_exit_codes(gamma5_path, dot5_path, capsys):
     assert run(["semilattice", dot5_path]) == 0
     out = capsys.readouterr().out
@@ -293,6 +279,19 @@ def test_hunt_json_agreement(capsys):
     assert payload["counterexample"]["witness"]["subset"] == ["1", "2"]
 
 
+@pytest.mark.parametrize("lemma", ["l-interior-iff-right", "l-left-iff-right-regular",
+                                   "t-regular-iff-idempotent-left"])
+def test_hunt_json_matches_the_benchmark_pin(lemma, capsys):
+    pins = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pins.json"
+    pin = json.loads(pins.read_text(encoding="utf-8"))["hunt"]["refuted"][lemma]
+    n, m = pin["size"]
+    assert run(["hunt", "--order", str(n), "--gammas", str(m), "--lemma", lemma,
+                "--hypotheses", "--json"]) == 1
+    payload = _json_out(capsys)
+    assert payload == pin["output"]
+    assert payload["counterexample"]["note"] is None
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -318,6 +317,17 @@ def test_check_refuses_an_oversized_law_scan(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: medial scan over 27000000 instances refused beyond 16777216\n"
+
+
+def test_search_refuses_an_oversized_canonical_order_at_once(capsys):
+    t0 = time.perf_counter()
+    code = run(["search", "--order", "9", "--gammas", "1", "--filter", "regular",
+                "--canonical", "--count", "--allow-large"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: canonical form over 9! relabelings refused beyond order 8\n"
 
 
 def test_missing_file_exit(capsys):

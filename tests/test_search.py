@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab import search
+from gaglab import core, search
 from gaglab.core import GammaGroupoid, Law
 from gaglab.search import Filter, SearchSpec, canonical_form, count, enumerate_structures
 
@@ -206,6 +206,33 @@ def test_search_guard_refuses_large_shapes():
     spec = SearchSpec(order=5, gammas=1, filters=frozenset({Filter.LEFT_INVERTIVE}),
                       limit=1, allow_large=True)
     assert len(list(enumerate_structures(spec))) == 1
+
+
+def test_search_refuses_a_canonical_order_before_it_starts():
+    spec = SearchSpec(order=9, gammas=1, up_to_iso=True, limit=0, allow_large=True)
+    with pytest.raises(gl.LimitExceededError, match="beyond order 8$"):
+        enumerate_structures(spec)
+    # the raw search of the same shape, and order 8 up to isomorphism, are admitted
+    for spec in (SearchSpec(order=9, gammas=1, limit=0, allow_large=True),
+                 SearchSpec(order=8, gammas=1, up_to_iso=True, limit=0, allow_large=True)):
+        assert list(enumerate_structures(spec)) == []
+
+
+def test_search_refuses_an_oversized_law_scan_before_it_starts(monkeypatch):
+    monkeypatch.setattr(core, "MAX_LAW_INSTANCES", 100)
+    # (3,2) has 3**3 * 2**2 = 108 instances of either pruned law; the refusal
+    # comes from the call itself, before the lazy search builds any instance
+    for f in (Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR):
+        with pytest.raises(gl.LimitExceededError,
+                           match=f"^{f.value} scan over 108 instances refused beyond 100$"):
+            enumerate_structures(SearchSpec(order=3, gammas=2, filters=frozenset({f})))
+    # check_law shares the bound; (3,1) has 27 instances and still runs
+    G = GammaGroupoid.from_tables([[[0] * 3] * 3] * 2)
+    with pytest.raises(gl.LimitExceededError, match="^left-invertive scan over 108"):
+        gl.check_law(G, Law.LEFT_INVERTIVE)
+    assert count(_spec(3, 1, ("li",))) == PINNED[(3, 1, ("li",))]
+    assert count(SearchSpec(order=3, gammas=2, filters=frozenset({Filter.REGULAR}),
+                            limit=1)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,30 @@ def test_right_identity_lemma_applies_somewhere():
     assert applied > 0
 
 
+def _oracle_bi_ideals(G):
+    """Non-empty S with S.S and (S.G).S inside S, by set arithmetic alone."""
+    full = set(range(G.order))
+    for mask in range(1, 1 << G.order):
+        S = oracle_members(mask)
+        if oracle_product(G, S, S) <= S and oracle_product(G, oracle_product(G, S, full), S) <= S:
+            yield S
+
+
+def test_products_of_bi_ideals_are_sub_groupoids():
+    # the medial law of every left-invertive structure turns a product of two
+    # elements of P = B1.B2 into an element of P, so l-bi-product needs only
+    # its absorption check
+    products = 0
+    for G in _stream([(2, 2), (3, 1), (3, 2)], ("left-invertive",)):
+        bis = list(_oracle_bi_ideals(G))
+        for B1 in bis:
+            for B2 in bis:
+                P = oracle_product(G, B1, B2)
+                assert oracle_product(G, P, P) <= P, (G.tables, B1, B2)
+                products += 1
+    assert products == 8546
+
+
 # ---------------------------------------------------------------------------
 # hunts
 
