@@ -7,7 +7,8 @@ Reads pytest's JUnit XML report.  Exits 1 when any other test fails or
 errors, and also when the red test passes: it states the catalog's claims as
 written, three of which are refuted, so it must stay red until they change.
 The red test must fail on its own assertion, with exactly those three
-catalog ids refuted; a crash or a fourth refuted id also exits 1.
+catalog ids refuted; a crash or a fourth refuted id also exits 1.  A skipped
+or xfailed test also exits 1, since a test turned into a skip checks nothing.
 """
 import re
 import sys
@@ -29,7 +30,11 @@ def main(path: str) -> int:
              for case in ET.parse(path).getroot().iter("testcase")}
     failed = sorted(name for name, case in cases.items()
                     if case.find("failure") is not None or case.find("error") is not None)
+    skipped = sorted(name for name, case in cases.items() if case.find("skipped") is not None)
     print(f"{len(cases)} tests, failed: {', '.join(failed) or 'none'}")
+    if skipped:
+        print(f"expected no skipped test: {', '.join(skipped)}")
+        return 1
     if failed != [RED]:
         print(f"expected exactly one failure: {RED}")
         return 1

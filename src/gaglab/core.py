@@ -138,12 +138,11 @@ def default_gamma_names(m: int) -> tuple[str, ...]:
 def _fact(G: GammaGroupoid, key, compute):
     """The fact ``key`` of G's immutable tables, from ``compute()`` on first use and
     then kept in a dict on G, made lazily so that building G costs nothing more."""
-    facts = G.__dict__.get("_facts")
-    if facts is None:
-        facts = G.__dict__["_facts"] = {}
-    if key not in facts:
-        facts[key] = compute()
-    return facts[key]
+    try:
+        return G.__dict__["_facts"][key]
+    except KeyError:
+        value = G.__dict__.setdefault("_facts", {})[key] = compute()
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +157,10 @@ def subset_of(indices: Iterable[int]) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -172,17 +169,44 @@ def _check_width(G: GammaGroupoid, mask: int, what: str = "subset"):
         raise ValueError(f"{what} {mask:#x} does not fit carrier of size {G.order}")
 
 
+def _product_kernel(G: GammaGroupoid):
+    """``(full, cell, row, col)``: the carrier mask, ``cell[a][b]`` the mask of
+    a g b over every gamma g, ``row[a]`` the mask of aΓG, ``col[b]`` of GΓb."""
+    n = G.order
+    cell = [[0] * n for _ in range(n)]
+    for table in G.tables:
+        for masks, values in zip(cell, table):
+            for b, v in enumerate(values):
+                masks[b] |= 1 << v
+    row = [0] * n
+    col = [0] * n
+    for a, masks in enumerate(cell):
+        for b, mask in enumerate(masks):
+            row[a] |= mask
+            col[b] |= mask
+    return G.carrier, cell, row, col
+
+
 def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
-    """All products a g b with a in A, g ranging over every gamma, b in B."""
-    _check_width(G, A, "left operand")
-    _check_width(G, B, "right operand")
+    """All products a g b with a in A, g ranging over every gamma, b in B,
+    read from G's product kernel."""
+    full, cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
+    if (A | B) & ~full:  # either mask is negative or wider than the carrier
+        _check_width(G, A, "left operand")
+        _check_width(G, B, "right operand")
     result = 0
-    bs = members(B)
-    for a in members(A):
-        for table in G.tables:
-            row = table[a]
+    if B == full:
+        for a in members(A):
+            result |= row[a]
+    elif A == full:
+        for b in members(B):
+            result |= col[b]
+    else:
+        bs = members(B)
+        for a in members(A):
+            masks = cell[a]
             for b in bs:
-                result |= 1 << row[b]
+                result |= masks[b]
     return result
 
 

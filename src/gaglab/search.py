@@ -27,6 +27,7 @@ from itertools import islice, permutations, product
 from typing import Iterator, Optional
 
 from .core import (
+    MAX_ORDER,
     GammaGroupoid,
     Law,
     LimitExceededError,
@@ -39,6 +40,9 @@ from .core import (
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
 MAX_CANONICAL_ORDER = 8
+# The backtracking takes one generator frame per cell, so a shape must stay
+# well below the default recursion limit of 1,000 frames.
+MAX_SEARCH_CELLS = 900
 
 
 class Filter(Enum):
@@ -99,6 +103,13 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     for f, law in _PRUNABLE.items():
         if f in spec.filters:
             refuse_oversized_law(law, spec.order, spec.gammas)
+    if spec.order > MAX_ORDER:
+        raise LimitExceededError(
+            f"search over order {spec.order} refused beyond order {MAX_ORDER}")
+    cells = spec.order * spec.order * spec.gammas
+    if cells > MAX_SEARCH_CELLS:
+        raise LimitExceededError(
+            f"search over {cells} table cells refused beyond {MAX_SEARCH_CELLS}")
     return islice(_generate(spec), spec.limit)
 
 

@@ -330,6 +330,21 @@ def test_search_refuses_an_oversized_canonical_order_at_once(capsys):
     assert err == "error: canonical form over 9! relabelings refused beyond order 8\n"
 
 
+@pytest.mark.parametrize("order,limit,message", [
+    ("65", "0", "search over order 65 refused beyond order 64"),
+    ("32", "1", "search over 1024 table cells refused beyond 900"),
+])
+def test_search_refuses_an_oversized_shape_at_once(capsys, order, limit, message):
+    t0 = time.perf_counter()
+    code = run(["search", "--order", order, "--gammas", "1", "--count", "--allow-large",
+                "--limit", limit])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_exit(capsys):
     assert run(["check", "no-such-file.gag"]) == 2
     capsys.readouterr()

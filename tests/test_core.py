@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
 from gaglab.core import GammaGroupoid, Law, _variables, compile_probe, members, subset_of
+from gaglab.search import SearchSpec, enumerate_structures
 
-from conftest import oracle_product, oracle_members, structures, structure_with_subsets
+from conftest import fresh, oracle_product, oracle_members, structures, structure_with_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +234,38 @@ def test_subset_product_fixture_values(gamma5):
 
 
 def test_subset_product_width_check(gamma5):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^left operand 0x20 does not fit carrier of size 5$"):
         gl.subset_product(gamma5, 1 << 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^right operand -0x1 does not fit carrier of size 5$"):
         gl.subset_product(gamma5, 1, -1)
+    # with both operands bad, the left one is named first
+    for A, B in ((1 << 5, -1), (-1, 1 << 5), (-1, -1)):
+        with pytest.raises(ValueError, match="^left operand"):
+            gl.subset_product(gamma5, A, B)
+
+
+def _assert_every_product_matches_the_oracle(G):
+    subsets = [oracle_members(S) for S in range(G.carrier + 1)]
+    for A, As in enumerate(subsets):
+        for B, Bs in enumerate(subsets):
+            assert oracle_members(gl.subset_product(G, A, B)) == oracle_product(G, As, Bs), \
+                (G.tables, A, B)
+
+
+_SMALL_FIXTURES = [p.stem for p in sorted(Path(gl.fixture_path("gamma5")).parent.glob("*.gag"))
+                   if gl.parse_file(p).order <= 5]
+
+
+@pytest.mark.parametrize("name", _SMALL_FIXTURES)
+def test_subset_product_matches_the_oracle_on_every_pair_of_a_fixture(name):
+    _assert_every_product_matches_the_oracle(gl.load_fixture(name))
+
+
+@pytest.mark.parametrize("order,gammas", [(2, 2), (3, 1)])
+def test_subset_product_matches_the_oracle_on_every_pair_of_a_stream(order, gammas):
+    # a fresh copy of each structure builds its own product kernel
+    for G in enumerate_structures(SearchSpec(order, gammas)):
+        _assert_every_product_matches_the_oracle(fresh(G))
 
 
 @settings(max_examples=80, deadline=None)
@@ -317,3 +348,14 @@ def test_mask_helpers():
     assert subset_of([0, 2, 3]) == 0b1101
     assert members(0b1101) == (0, 2, 3)
     assert members(0) == ()
+
+
+def test_members_matches_the_oracle_below_2_to_the_12():
+    for mask in range(1 << 12):
+        assert list(members(mask)) == sorted(oracle_members(mask))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << 64) - 1))
+def test_members_matches_the_oracle_up_to_64_bits(mask):
+    assert list(members(mask)) == sorted(oracle_members(mask))

@@ -235,6 +235,25 @@ def test_search_refuses_an_oversized_law_scan_before_it_starts(monkeypatch):
                             limit=1)) == 1
 
 
+def test_search_refuses_an_order_beyond_the_carrier_bound():
+    spec = SearchSpec(order=65, gammas=1, limit=0, allow_large=True)
+    with pytest.raises(gl.LimitExceededError,
+                       match="^search over order 65 refused beyond order 64$"):
+        enumerate_structures(spec)
+
+
+def test_search_refuses_a_shape_deeper_than_the_cell_bound():
+    # one backtracking frame per cell: (31,1) and (18,3) have 961 and 972 cells
+    for order, gammas in ((31, 1), (18, 3)):
+        cells = order * order * gammas
+        with pytest.raises(gl.LimitExceededError,
+                           match=f"^search over {cells} table cells refused beyond 900$"):
+            enumerate_structures(SearchSpec(order, gammas, limit=1, allow_large=True))
+    # a shape at the bound still descends to its first leaf
+    (G,) = enumerate_structures(SearchSpec(30, 1, limit=1, allow_large=True))
+    assert G.tables == (((0,) * 30,) * 30,)
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 

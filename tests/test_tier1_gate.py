@@ -23,12 +23,12 @@ def _red_message(refuted):
             f"left_not_right_regular3.gag): {{{failures}}}\nassert not {{{failures[:40]}...}}")
 
 
-def _report(tmp_path, message):
+def _report(tmp_path, message, passing_end="/>"):
     red = (f'<testcase classname="tests.test_acceptance" '
            f'name="test_criterion_3_lemma_catalog_hunt">'
            f'<failure message={quoteattr(message)}>traceback</failure></testcase>')
     xml = (f'<testsuites><testsuite name="pytest">'
-           f'<testcase classname="tests.test_core" name="test_passes"/>{red}'
+           f'<testcase classname="tests.test_core" name="test_passes"{passing_end}{red}'
            f'</testsuite></testsuites>')
     path = tmp_path / "junit.xml"
     path.write_text(xml, encoding="utf-8")
@@ -48,3 +48,9 @@ def test_gate_checks_the_red_failure_message(tmp_path, message, code):
 def test_gate_reads_the_witness_keys_apart_from_the_ids():
     line = _red_message({"l-interior-iff-right": "{'subset': 5, 'at': (2, 0, 1)}"}).split("\n")[0]
     assert gate.refuted_ids(line) == ["l-interior-iff-right"]
+
+
+@pytest.mark.parametrize("kind", ["pytest.skip", "pytest.xfail"])
+def test_gate_refuses_a_skipped_test(tmp_path, kind):
+    skipped = f'><skipped type="{kind}" message="reason">reason</skipped></testcase>'
+    assert gate.main(_report(tmp_path, _red_message(_REFUTED), skipped)) == 1
