@@ -85,15 +85,16 @@ class GammaGroupoid:
         tt = tuple(tuple(tuple(int(v) for v in row) for row in t) for t in tables)
         return cls(tt, default_labels(len(tt[0]) if tt else 0), default_gamma_names(len(tt)))
 
-    @property
+    # kept after the first read, as the structure is immutable
+    @cached_property
     def order(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def gamma_count(self) -> int:
         return len(self.gamma_names)
 
-    @property
+    @cached_property
     def carrier(self) -> int:
         """Bitmask of the whole carrier."""
         return (1 << self.order) - 1
@@ -121,6 +122,7 @@ class GammaGroupoid:
         return subset_of(self.element_index(t) for t in labels)
 
     def labels_of_subset(self, mask: int) -> tuple[str, ...]:
+        _check_width(self, mask)
         return tuple(self.labels[i] for i in members(mask))
 
     def __repr__(self):
@@ -156,6 +158,8 @@ def subset_of(indices: Iterable[int]) -> int:
 
 
 def members(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"subset mask {mask:#x} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -170,8 +174,8 @@ def _check_width(G: GammaGroupoid, mask: int, what: str = "subset"):
 
 
 def _product_kernel(G: GammaGroupoid):
-    """``(full, cell, row, col)``: the carrier mask, ``cell[a][b]`` the mask of
-    a g b over every gamma g, ``row[a]`` the mask of aΓG, ``col[b]`` of GΓb."""
+    """``(cell, row, col)``: ``cell[a][b]`` the mask of a g b over every gamma g,
+    ``row[a]`` the mask of aΓG, ``col[b]`` of GΓb."""
     n = G.order
     cell = [[0] * n for _ in range(n)]
     for table in G.tables:
@@ -184,13 +188,14 @@ def _product_kernel(G: GammaGroupoid):
         for b, mask in enumerate(masks):
             row[a] |= mask
             col[b] |= mask
-    return G.carrier, cell, row, col
+    return cell, row, col
 
 
 def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
     """All products a g b with a in A, g ranging over every gamma, b in B,
     read from G's product kernel."""
-    full, cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
+    cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
+    full = G.carrier
     if (A | B) & ~full:  # either mask is negative or wider than the carrier
         _check_width(G, A, "left operand")
         _check_width(G, B, "right operand")
@@ -354,19 +359,13 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     ``MAX_LAW_INSTANCES`` instances is refused before it starts.
     """
     def scan():
-        refuse_oversized_law(law, G.order, G.gamma_count)
+        instances = prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables)
+        if instances > MAX_LAW_INSTANCES:
+            raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
+                                     f"beyond {MAX_LAW_INSTANCES}")
         return law.scan(G)
     witness = _fact(G, law, scan)
     return LawVerdict(witness is None, witness)
-
-
-def refuse_oversized_law(law: Law, order: int, gammas: int) -> None:
-    """Raise LimitExceededError when ``law`` has more than ``MAX_LAW_INSTANCES``
-    instances (n^e·m^g) over ``order`` elements and ``gammas`` gammas."""
-    instances = prod(gammas if is_gamma else order for _, is_gamma in law.variables)
-    if instances > MAX_LAW_INSTANCES:
-        raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
-                                 f"beyond {MAX_LAW_INSTANCES}")
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:

@@ -184,14 +184,12 @@ def is_semiprime(G: GammaGroupoid, P: int,
 class SemilatticeReport:
     """Two-sided ideals under the subset product, with exhaustively checked flags.
 
-    ``products[i][j]`` is the product mask of ideals i and j; ``table[i][j]``
-    is its index in ``ideals`` or None when the product is not itself in the
-    list (possible only when ``closed`` is False).  The four flags are
+    ``products[i][j]`` is the product mask of ideals i and j; ``closed`` says
+    whether every product is itself in ``ideals``.  The other flags are
     computed from the products directly, so they are meaningful either way.
     """
     ideals: tuple[int, ...]
     products: tuple[tuple[int, ...], ...]
-    table: tuple[tuple[Optional[int], ...], ...]
     closed: bool
     commutative: bool
     associative: bool
@@ -202,10 +200,8 @@ class SemilatticeReport:
 def build_ideal_semilattice(G: GammaGroupoid,
                             limit: int = DEFAULT_ENUM_LIMIT) -> SemilatticeReport:
     ideals = enumerate_ideals(G, IdealKind.TWO_SIDED, limit)
-    position = {S: i for i, S in enumerate(ideals)}
     products = tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
-    table = tuple(tuple(position.get(p) for p in row) for row in products)
-    closed = all(idx is not None for row in table for idx in row)
+    closed = {p for row in products for p in row} <= set(ideals)
     k = len(ideals)
     commutative = all(products[i][j] == products[j][i] for i in range(k) for j in range(k))
     idempotent = all(products[i][i] == ideals[i] for i in range(k))
@@ -213,5 +209,5 @@ def build_ideal_semilattice(G: GammaGroupoid,
         subset_product(G, products[i][j], ideals[l]) ==
         subset_product(G, ideals[i], products[j][l])
         for i in range(k) for j in range(k) for l in range(k))
-    return SemilatticeReport(tuple(ideals), products, table, closed,
+    return SemilatticeReport(tuple(ideals), products, closed,
                              commutative, associative, idempotent, is_regular(G))

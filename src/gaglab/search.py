@@ -26,22 +26,15 @@ from enum import Enum
 from itertools import islice, permutations, product
 from typing import Iterator, Optional
 
-from .core import (
-    MAX_ORDER,
-    GammaGroupoid,
-    Law,
-    LimitExceededError,
-    check_law,
-    identities,
-    is_regular,
-    refuse_oversized_law,
-)
+from .core import GammaGroupoid, Law, LimitExceededError, check_law, identities, is_regular
 
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
 MAX_CANONICAL_ORDER = 8
 # The backtracking takes one generator frame per cell, so a shape must stay
-# well below the default recursion limit of 1,000 frames.
+# well below the default recursion limit of 1,000 frames.  The bound also keeps
+# the order (at most 30) within core.MAX_ORDER, and the n^3·m^2 <= 900^2
+# instances of each pruned law within core.MAX_LAW_INSTANCES.
 MAX_SEARCH_CELLS = 900
 
 
@@ -100,12 +93,6 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             "set allow_large to override")
     if spec.up_to_iso:
         _refuse_canonical(spec.order)
-    for f, law in _PRUNABLE.items():
-        if f in spec.filters:
-            refuse_oversized_law(law, spec.order, spec.gammas)
-    if spec.order > MAX_ORDER:
-        raise LimitExceededError(
-            f"search over order {spec.order} refused beyond order {MAX_ORDER}")
     cells = spec.order * spec.order * spec.gammas
     if cells > MAX_SEARCH_CELLS:
         raise LimitExceededError(
@@ -190,16 +177,11 @@ def count(spec: SearchSpec) -> int:
     return sum(1 for _ in enumerate_structures(spec))
 
 
-def _relabelled(T, gammas, elements, sigma):
-    """The relabelled tables' cells in order: tables in the order ``gammas``,
-    rows and columns in the order ``elements`` (the inverse of ``sigma``),
-    values mapped by ``sigma``."""
-    return tuple(sigma[T[g][a][b]] for g in gammas for a in elements for b in elements)
-
-
 def _relabelled_if_smaller(T, gammas, elements, sigma, best):
-    """``_relabelled`` when it is below ``best``, else None; reads cells only
-    up to the first that differs from ``best``."""
+    """The relabelled tables' cells in order when they are below ``best``, else
+    None: tables in the order ``gammas``, rows and columns in the order
+    ``elements`` (the inverse of ``sigma``), values mapped by ``sigma``.  Reads
+    cells only up to the first that differs from ``best``."""
     i = 0
     for g in gammas:
         table = T[g]
@@ -208,7 +190,16 @@ def _relabelled_if_smaller(T, gammas, elements, sigma, best):
             for b in elements:
                 v = sigma[row[b]]
                 if v != best[i]:
-                    return _relabelled(T, gammas, elements, sigma) if v < best[i] else None
+                    if v > best[i]:
+                        return None
+                    # plain loops, as a generator would make sigma a slower closure cell
+                    out = []
+                    for h in gammas:
+                        for x in elements:
+                            r = T[h][x]
+                            for y in elements:
+                                out.append(sigma[r[y]])
+                    return tuple(out)
                 i += 1
     return None
 

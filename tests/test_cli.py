@@ -331,7 +331,7 @@ def test_search_refuses_an_oversized_canonical_order_at_once(capsys):
 
 
 @pytest.mark.parametrize("order,limit,message", [
-    ("65", "0", "search over order 65 refused beyond order 64"),
+    ("65", "0", "search over 4225 table cells refused beyond 900"),
     ("32", "1", "search over 1024 table cells refused beyond 900"),
 ])
 def test_search_refuses_an_oversized_shape_at_once(capsys, order, limit, message):
@@ -343,6 +343,18 @@ def test_search_refuses_an_oversized_shape_at_once(capsys, order, limit, message
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_search_refuses_a_law_filtered_shape_by_its_cells_at_once(capsys):
+    # (64,9) has 21,233,664 left-invertive instances, but the cell bound refuses it first
+    t0 = time.perf_counter()
+    code = run(["search", "--order", "64", "--gammas", "9", "--filter", "left-invertive",
+                "--count", "--allow-large"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: search over 36864 table cells refused beyond 900\n"
 
 
 def test_missing_file_exit(capsys):

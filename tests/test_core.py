@@ -36,6 +36,14 @@ def test_default_labels(singleton):
 def test_immutability(gamma5):
     with pytest.raises(AttributeError):
         gamma5.labels = ("x",) * 5
+    # the shape is kept after its first read, and stays read-only
+    G = fresh(gamma5)
+    shape = {"order": 5, "gamma_count": 3, "carrier": 0b11111}
+    for name, value in shape.items():
+        assert getattr(G, name) == value
+        with pytest.raises(AttributeError):
+            setattr(G, name, value + 1)
+        assert getattr(G, name) == value
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,19 @@ def test_law_scan_bound():
         with pytest.raises(gl.LimitExceededError,
                            match=f"^{law.value} scan over 16974593 instances refused"):
             gl.check_law(G, law)
+
+
+def test_check_law_refuses_an_oversized_scan_before_it_starts(monkeypatch):
+    monkeypatch.setattr("gaglab.core.MAX_LAW_INSTANCES", 100)
+    # (3,2) has 3**3 * 2**2 = 108 instances of either law, and 3 * 3 * 2 = 18
+    # commutative ones
+    G = GammaGroupoid.from_tables([[[0] * 3] * 3] * 2)
+    for law in (Law.LEFT_INVERTIVE, Law.AG_STAR_STAR):
+        monkeypatch.setattr(law, "scan", lambda G: pytest.fail("the scan started"))
+        with pytest.raises(gl.LimitExceededError,
+                           match=f"^{law.value} scan over 108 instances refused beyond 100$"):
+            gl.check_law(G, law)
+    assert gl.check_law(G, Law.COMMUTATIVE).holds
 
 
 def _oracle_law_holds(G, law):
@@ -348,6 +369,20 @@ def test_mask_helpers():
     assert subset_of([0, 2, 3]) == 0b1101
     assert members(0b1101) == (0, 2, 3)
     assert members(0) == ()
+
+
+def test_members_refuses_a_negative_mask():
+    # a negative mask has infinitely many set bits; members must not walk them
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(ValueError, match="negative"):
+            members(mask)
+
+
+def test_labels_of_subset_refuses_a_mask_outside_the_carrier(gamma5):
+    assert gamma5.labels_of_subset(0b10001) == ("1", "5")
+    for mask in (-1, 1 << 5, -(1 << 70)):
+        with pytest.raises(ValueError, match="does not fit carrier of size 5"):
+            gamma5.labels_of_subset(mask)
 
 
 def test_members_matches_the_oracle_below_2_to_the_12():

