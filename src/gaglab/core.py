@@ -9,6 +9,7 @@ are plain int bitmasks (bit i set <=> element i present).
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -56,8 +57,7 @@ class GammaGroupoid:
     gamma_names: tuple[str, ...]
 
     def __post_init__(self):
-        n = len(self.labels)
-        m = len(self.gamma_names)
+        n, m = self._set_shape()
         if n < 1 or m < 1:
             raise ValueError("carrier and gamma set must be non-empty")
         if n > MAX_ORDER:
@@ -79,25 +79,26 @@ class GammaGroupoid:
             if not _no_ws(tok):
                 raise ValueError(f"bad display token {tok!r}: whitespace and '#' are reserved")
 
+    def _set_shape(self) -> tuple[int, int]:
+        """Set ``order``, ``gamma_count`` and the ``carrier`` bitmask once, when built."""
+        n, m = len(self.labels), len(self.gamma_names)
+        self.__dict__.update(order=n, gamma_count=m, carrier=(1 << n) - 1)
+        return n, m
+
     @classmethod
     def from_tables(cls, tables) -> "GammaGroupoid":
         """Build from nested sequences, with labels 1..n and gamma names g1..gm."""
         tt = tuple(tuple(tuple(int(v) for v in row) for row in t) for t in tables)
         return cls(tt, default_labels(len(tt[0]) if tt else 0), default_gamma_names(len(tt)))
 
-    # kept after the first read, as the structure is immutable
-    @cached_property
-    def order(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def gamma_count(self) -> int:
-        return len(self.gamma_names)
-
-    @cached_property
-    def carrier(self) -> int:
-        """Bitmask of the whole carrier."""
-        return (1 << self.order) - 1
+    @classmethod
+    def _trusted(cls, tables) -> "GammaGroupoid":
+        """``from_tables`` of valid tuple tables, skipping ``__post_init__``'s checks."""
+        G = object.__new__(cls)
+        G.__dict__.update(tables=tables, labels=default_labels(len(tables[0])),
+                          gamma_names=default_gamma_names(len(tables)))
+        G._set_shape()
+        return G
 
     def apply(self, a: int, g: int, b: int) -> int:
         if not 0 <= a < self.order or not 0 <= b < self.order:
@@ -189,6 +190,23 @@ def _product_kernel(G: GammaGroupoid):
             row[a] |= mask
             col[b] |= mask
     return cell, row, col
+
+
+def _powerset_kernel(G: GammaGroupoid):
+    """``(GS, SG, SS)``: for every subset mask S, ``GS[S]`` the mask of GΓS, ``SG[S]``
+    of SΓG and ``SS[S]`` of SΓS; three ``array('Q')``, 24·2ⁿ bytes.  The masks with
+    highest element b extend those below b (read from a copy, as an array extended
+    from its own iterator never stops) by b's column, row and cells."""
+    cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
+    GS, SG, SS = array("Q", [0]), array("Q", [0]), array("Q", [0])
+    for b, cells in enumerate(cell):
+        cross = array("Q", [cells[b]])  # cross[X]: bΓb ∪ bΓX ∪ XΓb, X below b
+        for c in range(b):
+            cross.extend(map((cells[c] | cell[c][b]).__or__, cross[:]))
+        GS.extend(map(col[b].__or__, GS[:]))
+        SG.extend(map(row[b].__or__, SG[:]))
+        SS.extend(map(int.__or__, SS[:], cross))
+    return GS, SG, SS
 
 
 def subset_product(G: GammaGroupoid, A: int, B: int) -> int:

@@ -3,12 +3,17 @@
 Every predicate works on subsets given as bitmasks and reports, on failure,
 which clause broke and a first witness in a fixed scan order (element
 variables outer, gamma variables inner, all ascending).
+
+Each kind's clauses are stated once, as products of S and the carrier G, read
+through ``subset_product`` for one subset and, to enumerate, from the structure's
+powerset kernel (24·2ⁿ bytes), refused above ``limit`` or ``MAX_ENUM_ORDER``.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property, partial
 from typing import Optional
 
 from .core import (
@@ -16,13 +21,14 @@ from .core import (
     LimitExceededError,
     _check_width,
     _fact,
+    _powerset_kernel,
     compile_scan,
     is_regular,
-    members,
     subset_product,
 )
 
 DEFAULT_ENUM_LIMIT = 20  # 2**20 subsets is the worst case we accept by default
+MAX_ENUM_ORDER = 22  # the powerset kernel takes 24·2**22 bytes, about 100 MB
 
 # clause labels used in verdicts
 NON_EMPTY = "NonEmpty"
@@ -36,14 +42,70 @@ PRIME = "Prime"
 SEMIPRIME = "Semiprime"
 
 
+def _clause_scan(term, over_s):
+    """First instance of ``term``'s variables valued outside S; compiled on first use."""
+    scan = cache(lambda: compile_scan((term,), "not S >> {0} & 1", over_s))
+    return lambda G, S: scan()(G, S)
+
+
+# witness scans, run only after the cheap mask check failed
+_sub_witness = _clause_scan(("a", "g", "b"), "ab")
+_left_witness = _clause_scan(("x", "g", "s"), "s")
+_right_witness = _clause_scan(("s", "g", "x"), "s")
+_bi_witness = _clause_scan((("s", "g", "x"), "d", "t"), "st")
+_interior_witness = _clause_scan((("x", "g", "s"), "d", "y"), "s")
+
+# (label, product that must lie inside S, witness scan); a product is "S", "G",
+# a pair (A, B) for AΓB or a triple (A, "&", B) for A ∩ B; a clause with no
+# scan reports the least element outside S
+_SUB = ((SUB_GROUPOID, ("S", "S"), _sub_witness),)
+_LEFT = ((LEFT_ABSORB, ("G", "S"), _left_witness),)
+_RIGHT = ((RIGHT_ABSORB, ("S", "G"), _right_witness),)
+_BI = ((BI_ABSORB, (("S", "G"), "S"), _bi_witness),)
+_QUASI = ((QUASI_INTERSECTION, (("G", "S"), "&", ("S", "G")), None),)
+_INTERIOR = ((INTERIOR_ABSORB, (("G", "S"), "G"), _interior_witness),)
+
+
+def _source(term, kernel: bool) -> str:
+    """Python source of a product over S and the carrier F, read from the
+    powerset kernel's GS, SG and SS where ``kernel`` allows, else through P."""
+    if isinstance(term, str):
+        return "F" if term == "G" else term
+    if len(term) == 3:
+        return f"{_source(term[0], kernel)} & {_source(term[2], kernel)}"
+    a, b = (_source(t, kernel) for t in term)
+    if not kernel or "F" not in (a, b) and (a, b) != ("S", "S"):
+        return f"P({a}, {b})"
+    return f"GS[{b}]" if a == "F" else f"SG[{a}]" if b == "F" else "SS[S]"
+
+
 class IdealKind(Enum):
-    SUB_GROUPOID = "sub"
-    LEFT = "left"
-    RIGHT = "right"
-    TWO_SIDED = "two-sided"
-    BI = "bi"
-    QUASI = "quasi"
-    INTERIOR = "interior"
+    """A kind of ideal, given by its clauses in report order.  ``inside`` is per
+    clause ``f(P, F, S)``, the mask that must lie inside S; ``scan`` is
+    ``f(GS, SG, SS, P, F, N)``, every S in 1..N-1 that passes, ascending.  Both
+    compile on first use."""
+    SUB_GROUPOID = "sub", _SUB
+    LEFT = "left", _LEFT
+    RIGHT = "right", _RIGHT
+    TWO_SIDED = "two-sided", _LEFT + _RIGHT
+    BI = "bi", _SUB + _BI
+    QUASI = "quasi", _SUB + _QUASI
+    INTERIOR = "interior", _SUB + _INTERIOR
+
+    def __new__(cls, value, clauses):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.clauses = clauses
+        return kind
+
+    @cached_property
+    def inside(self):
+        return tuple(eval(f"lambda P, F, S: {_source(c[1], False)}") for c in self.clauses)
+
+    @cached_property
+    def scan(self):
+        passes = " and ".join(f"not ({_source(c[1], True)}) & ~S" for c in self.clauses)
+        return eval(f"lambda GS, SG, SS, P, F, N: [S for S in range(1, N) if {passes}]")
 
 
 @dataclass(frozen=True)
@@ -60,65 +122,35 @@ class IdealVerdict:
     witness: Optional[tuple] = None
 
 
-def _clause_scan(term, over_s):
-    """First instance of ``term``'s variables valued outside S; compiled on first use."""
-    scan = cache(lambda: compile_scan((term,), "not S >> {0} & 1", over_s))
-    return lambda G, S: scan()(G, S)
-
-
-# witness scans, run only after the cheap mask check failed
-_sub_witness = _clause_scan(("a", "g", "b"), "ab")
-_left_witness = _clause_scan(("x", "g", "s"), "s")
-_right_witness = _clause_scan(("s", "g", "x"), "s")
-_bi_witness = _clause_scan((("s", "g", "x"), "d", "t"), "st")
-_interior_witness = _clause_scan((("x", "g", "s"), "d", "y"), "s")
-
-
-def _clauses(G: GammaGroupoid, S: int, kind: IdealKind):
-    """Yield (label, outside, witness_fn) per clause of the given kind, in report
-    order; ``outside`` is the mask of elements the clause puts outside S."""
-    full = G.carrier
-    if kind in (IdealKind.SUB_GROUPOID, IdealKind.BI, IdealKind.QUASI, IdealKind.INTERIOR):
-        yield SUB_GROUPOID, subset_product(G, S, S) & ~S, _sub_witness
-    if kind in (IdealKind.LEFT, IdealKind.TWO_SIDED):
-        yield LEFT_ABSORB, subset_product(G, full, S) & ~S, _left_witness
-    if kind in (IdealKind.RIGHT, IdealKind.TWO_SIDED):
-        yield RIGHT_ABSORB, subset_product(G, S, full) & ~S, _right_witness
-    if kind is IdealKind.BI:
-        yield BI_ABSORB, subset_product(G, subset_product(G, S, full), S) & ~S, _bi_witness
-    if kind is IdealKind.QUASI:
-        bad = subset_product(G, full, S) & subset_product(G, S, full) & ~S
-        yield QUASI_INTERSECTION, bad, lambda G, S: (members(bad)[0],)
-    if kind is IdealKind.INTERIOR:
-        prod = subset_product(G, subset_product(G, full, S), full)
-        yield INTERIOR_ABSORB, prod & ~S, _interior_witness
-
-
 def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     """Check the clauses defining ``kind`` for subset S; empty subsets are rejected."""
     _check_width(G, S)
     if S == 0:
         return IdealVerdict(False, NON_EMPTY)
-    for label, outside, witness_fn in _clauses(G, S, kind):
-        if outside:
-            return IdealVerdict(False, label, witness_fn(G, S))
+    P = partial(subset_product, G)
+    for (label, _, witness_fn), inside in zip(kind.clauses, kind.inside):
+        if outside := inside(P, G.carrier, S) & ~S:
+            witness = witness_fn(G, S) if witness_fn else ((outside & -outside).bit_length() - 1,)
+            return IdealVerdict(False, label, witness)
     return IdealVerdict(True)
-
-
-def _holds(G: GammaGroupoid, S: int, kind: IdealKind) -> bool:
-    return S != 0 and not any(outside for _, outside, _ in _clauses(G, S, kind))
 
 
 def enumerate_ideals(G: GammaGroupoid, kind: IdealKind,
                      limit: int = DEFAULT_ENUM_LIMIT) -> list[int]:
     """All subsets passing ``kind``, ascending by bitmask value; found once per
-    structure and kind, with the limit checked and a new list on every call."""
+    structure and kind from its powerset kernel, with the limits checked first
+    and a new list on every call."""
+    if G.order > MAX_ENUM_ORDER:
+        raise LimitExceededError(
+            f"subset enumeration over {G.order} elements refused beyond {MAX_ENUM_ORDER}, "
+            "whatever the limit")
     if G.order > limit:
         raise LimitExceededError(
             f"subset enumeration over {G.order} elements exceeds the limit of {limit}; "
             "pass a larger limit explicitly to override")
-    return list(_fact(G, kind, lambda: tuple(
-        S for S in range(1, 1 << G.order) if _holds(G, S, kind))))
+    return list(_fact(G, kind, lambda: array("Q", kind.scan(
+        *_fact(G, "powerset", lambda: _powerset_kernel(G)),
+        partial(subset_product, G), G.carrier, 1 << G.order))))
 
 
 _CLOSURE_KINDS = (IdealKind.SUB_GROUPOID, IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)
@@ -131,14 +163,13 @@ def ideal_closure(G: GammaGroupoid, A: int, kind: IdealKind) -> int:
     _check_width(G, A)
     if A == 0:
         raise ValueError("closure of the empty subset is undefined")
-    S = A
-    while True:
-        new = S
-        for _, outside, _ in _clauses(G, S, kind):
-            new |= outside
-        if new == S:
-            return S
+    P = partial(subset_product, G)
+    S, new = 0, A
+    while new != S:
         S = new
+        for inside in kind.inside:
+            new |= inside(P, G.carrier, S)
+    return S
 
 
 def is_idempotent(G: GammaGroupoid, A: int) -> bool:

@@ -150,7 +150,8 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         while pos < len(cells) and cells[pos][0][cells[pos][1]] != n:
             pos += 1  # assigned by propagation
         if pos == len(cells):
-            G = GammaGroupoid.from_tables([[row[:n] for row in t[:n]] for t in tables])
+            G = GammaGroupoid._trusted(
+                tuple(tuple(tuple(row[:n]) for row in t[:n]) for t in tables))
             if all(f.holds(G) for f in leaf_filters) and (
                     not spec.up_to_iso
                     or canonical_form(G, include_gamma=spec.iso_include_gamma).tables == G.tables):

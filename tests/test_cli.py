@@ -357,6 +357,19 @@ def test_search_refuses_a_law_filtered_shape_by_its_cells_at_once(capsys):
     assert err == "error: search over 36864 table cells refused beyond 900\n"
 
 
+def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, capsys):
+    # the powerset kernel would take 24·2**23 bytes; an explicit limit does not lift it
+    doc = tmp_path / "order23.gag"
+    doc.write_text("order 23\ngammas 1\ngamma g\n" + ("1 " * 22 + "1\n") * 23, encoding="utf-8")
+    t0 = time.perf_counter()
+    code = run(["ideals", str(doc), "--kind", "left", "--limit", "30"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: subset enumeration over 23 elements refused beyond 22, whatever the limit\n"
+
+
 def test_missing_file_exit(capsys):
     assert run(["check", "no-such-file.gag"]) == 2
     capsys.readouterr()

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 import gaglab as gl
+from gaglab import ideals
 from gaglab.ideals import (
+    MAX_ENUM_ORDER,
     IdealKind,
     LEFT_ABSORB,
     NON_EMPTY,
@@ -108,10 +110,50 @@ def test_singleton_ideals(singleton):
     assert enumerate_ideals(singleton, IdealKind.TWO_SIDED) == [1]
 
 
-def test_enumeration_limit(gamma5):
+def test_enumeration_limit(gamma5, monkeypatch):
     with pytest.raises(gl.LimitExceededError):
         enumerate_ideals(gamma5, IdealKind.LEFT, limit=4)
     assert enumerate_ideals(gamma5, IdealKind.LEFT, limit=5)  # explicit override
+    # above the ceiling no limit overrides, and the kernel is never built
+    monkeypatch.setattr(ideals, "_powerset_kernel", None)
+    n = MAX_ENUM_ORDER + 1
+    with pytest.raises(gl.LimitExceededError, match="refused beyond 22, whatever the limit"):
+        enumerate_ideals(gl.GammaGroupoid.from_tables([[[0] * n] * n]), IdealKind.LEFT, limit=64)
+
+
+def _oracle_is_ideal(G, S, kind):
+    """The containments defining ``kind`` for the set S, by set arithmetic alone."""
+    full = set(range(G.order))
+
+    def P(A, B):
+        return oracle_product(G, A, B)
+    sub = P(S, S) <= S
+    return bool(S) and {
+        IdealKind.SUB_GROUPOID: sub,
+        IdealKind.LEFT: P(full, S) <= S,
+        IdealKind.RIGHT: P(S, full) <= S,
+        IdealKind.TWO_SIDED: P(full, S) <= S and P(S, full) <= S,
+        IdealKind.BI: sub and P(P(S, full), S) <= S,
+        IdealKind.QUASI: sub and P(full, S) & P(S, full) <= S,
+        IdealKind.INTERIOR: sub and P(P(full, S), full) <= S,
+    }[kind]
+
+
+def _assert_kernel_paths_equal_the_oracle(G):
+    for kind in IdealKind:
+        want = [S for S in range(1 << G.order) if _oracle_is_ideal(G, oracle_members(S), kind)]
+        assert enumerate_ideals(G, kind) == want, kind
+        assert [S for S in range(1 << G.order) if is_ideal(G, S, kind).holds] == want, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures(max_order=5, max_gammas=3))
+def test_enumeration_and_is_ideal_equal_a_set_oracle(G):
+    _assert_kernel_paths_equal_the_oracle(G)
+
+
+def test_enumeration_and_is_ideal_equal_a_set_oracle_at_order_9():
+    _assert_kernel_paths_equal_the_oracle(fresh(gl.load_fixture("principal_left_not_left9")))
 
 
 def test_enumerate_ideals_returns_a_new_list_each_call(gamma5):

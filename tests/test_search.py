@@ -11,7 +11,7 @@ from gaglab import core, search
 from gaglab.core import GammaGroupoid, Law
 from gaglab.search import Filter, SearchSpec, canonical_form, count, enumerate_structures
 
-from conftest import structures
+from conftest import fresh, structures
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,22 @@ def test_leaf_recheck_never_rejects_a_prunable_law(monkeypatch, n, m, laws):
     monkeypatch.setattr(search, "check_law", recording)
     assert count(_spec(n, m, laws)) * len(laws) == len(verdicts)
     assert all(verdicts)
+
+
+@pytest.mark.parametrize("n,m,filters", [(3, 2, {Filter.LEFT_INVERTIVE}), (2, 2, set())])
+def test_leaves_equal_validated_structures(n, m, filters):
+    # leaves skip the checks of __post_init__, as the search wrote every cell
+    leaves = 0
+    for G in enumerate_structures(SearchSpec(order=n, gammas=m, filters=frozenset(filters))):
+        built = GammaGroupoid.from_tables(G.tables)
+        # tuples compare unequal to lists, so equal tables are tuples all through
+        attributes = {k: v for k, v in G.__dict__.items() if k != "_facts"}
+        assert attributes == built.__dict__
+        assert attributes.keys() >= {"tables", "labels", "gamma_names", "order",
+                                     "gamma_count", "carrier"}
+        assert fresh(G) == G == built
+        leaves += 1
+    assert leaves == {3: 1095, 2: 256}[n]
 
 
 def test_order_4_left_invertive_counts():

@@ -304,25 +304,33 @@ def test_hunt_equals_hunt_over_fresh_copies(lid):
 
 
 def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
-    # counted below the kept facts: law scans and ideal enumerations
+    # counted below the kept facts: law scans, powerset kernel builds and
+    # ideal enumerations, one per kind's compiled scan
     scans, enumerations = Counter(), Counter()
     for law in Law:
         def scan(G, law=law, compiled=law.scan):
             scans[law] += 1
             return compiled(G)
         monkeypatch.setattr(law, "scan", scan)
-    holds = ideals._holds
+    for kind in ideals.IdealKind:
+        def enumerate_kind(*args, kind=kind, compiled=kind.scan):
+            enumerations[kind] += 1
+            return compiled(*args)
+        monkeypatch.setattr(kind, "scan", enumerate_kind)
+    kernel, built = ideals._powerset_kernel, []
 
-    def counting_holds(G, S, kind):
-        enumerations[kind] += S == 1  # the first subset of every enumeration
-        return holds(G, S, kind)
-    monkeypatch.setattr(ideals, "_holds", counting_holds)
+    def counting_kernel(G):
+        built.append(G)
+        return kernel(G)
+    monkeypatch.setattr(ideals, "_powerset_kernel", counting_kernel)
     # the session fixtures may already carry facts, so count on fresh copies;
     # the singleton has a right identity, so l-right-identity scans two more laws
     for G, most_scans in ((fresh(gamma5), 4), (fresh(singleton), 6)):
         scans.clear()
         enumerations.clear()
+        built.clear()
         verify_all(G)
+        assert built == [G]
         assert max(scans.values()) == 1 and sum(scans.values()) <= most_scans
         assert max(enumerations.values()) == 1
 
