@@ -13,8 +13,8 @@ from functools import cache
 from pathlib import Path
 
 from .core import GammaGroupoid, Law, LimitExceededError, check_law, law_sides
-from .ideals import _CLOSURE_KINDS, DEFAULT_ENUM_LIMIT, IdealKind, build_ideal_semilattice, \
-    enumerate_ideals, ideal_closure
+from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, enumerate_ideals, \
+    ideal_closure
 from .io import ParseError, parse_file, serialize
 from .search import Filter, SearchSpec, count, enumerate_structures
 from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify
@@ -100,7 +100,7 @@ def _cmd_check(args) -> int:
 def _cmd_ideals(args) -> int:
     G = parse_file(args.file)
     kind = IdealKind(args.kind)
-    found = enumerate_ideals(G, kind, args.limit)
+    found = enumerate_ideals(G, kind)
     lines = [f"{kind.value} ideals of {args.file} ({len(found)} found):"]
     lines += [_fmt_subset(G, S) for S in found]
     _emit({"command": "ideals", "file": args.file, "kind": kind.value,
@@ -126,7 +126,7 @@ def _cmd_closure(args) -> int:
 def _cmd_verify(args) -> int:
     G = parse_file(args.file)
     lids = [LemmaId(args.lemma)] if args.lemma else LemmaId
-    verdicts = {lid: verify(G, lid, args.limit) for lid in lids}
+    verdicts = {lid: verify(G, lid) for lid in lids}
     lines = []
     entries = []
     bad = 0
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_semilattice(args) -> int:
     G = parse_file(args.file)
-    rep = build_ideal_semilattice(G, args.limit)
+    rep = build_ideal_semilattice(G)
     flags = {"closed": rep.closed, "commutative": rep.commutative,
              "associative": rep.associative, "idempotent": rep.idempotent}
     lines = [f"regular: {str(rep.regular).lower()}",
@@ -210,7 +210,7 @@ def _cmd_hunt(args) -> int:
         filters |= set(lid.hypotheses)
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large)
-    found = hunt(enumerate_structures(spec), lid, args.limit)
+    found = hunt(enumerate_structures(spec), lid)
     if found is None:
         _emit({"command": "hunt", "lemma": lid.value, "counterexample": None},
               args.json, ["no counterexample"])
@@ -245,7 +245,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ideals", help="list all ideals of one kind")
     sp.add_argument("file")
     sp.add_argument("--kind", required=True, choices=[k.value for k in IdealKind])
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     common(sp)
     sp.set_defaults(func=_cmd_ideals)
 
@@ -259,13 +258,11 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the lemma catalog")
     sp.add_argument("file")
     sp.add_argument("--lemma", choices=[l.value for l in LemmaId])
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("semilattice", help="two-sided ideals under the subset product")
     sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     common(sp)
     sp.set_defaults(func=_cmd_semilattice)
 
@@ -291,8 +288,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--filter", action="append", choices=[f.value for f in Filter])
     sp.add_argument("--hypotheses", action="store_true",
                     help="also apply the lemma's own hypothesis filters")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT,
-                    help="subset-enumeration limit per structure")
     sp.add_argument("--allow-large", action="store_true")
     common(sp)
     sp.set_defaults(func=_cmd_hunt)

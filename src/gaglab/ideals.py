@@ -6,7 +6,7 @@ variables outer, gamma variables inner, all ascending).
 
 Each kind's clauses are stated once, as products of S and the carrier G, read
 through ``subset_product`` for one subset and, to enumerate, from the structure's
-powerset kernel (24·2ⁿ bytes), refused above ``limit`` or ``MAX_ENUM_ORDER``.
+powerset kernel (24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.
 """
 from __future__ import annotations
 
@@ -27,8 +27,7 @@ from .core import (
     subset_product,
 )
 
-DEFAULT_ENUM_LIMIT = 20  # 2**20 subsets is the worst case we accept by default
-MAX_ENUM_ORDER = 22  # the powerset kernel takes 24·2**22 bytes, about 100 MB
+MAX_ENUM_ORDER = 20  # the powerset kernel takes 24·2**20 bytes, about 25 MB
 
 # clause labels used in verdicts
 NON_EMPTY = "NonEmpty"
@@ -135,19 +134,13 @@ def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     return IdealVerdict(True)
 
 
-def enumerate_ideals(G: GammaGroupoid, kind: IdealKind,
-                     limit: int = DEFAULT_ENUM_LIMIT) -> list[int]:
+def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
     """All subsets passing ``kind``, ascending by bitmask value; found once per
-    structure and kind from its powerset kernel, with the limits checked first
-    and a new list on every call."""
+    structure and kind from its powerset kernel, with the order bound checked
+    first and a new list on every call."""
     if G.order > MAX_ENUM_ORDER:
         raise LimitExceededError(
-            f"subset enumeration over {G.order} elements refused beyond {MAX_ENUM_ORDER}, "
-            "whatever the limit")
-    if G.order > limit:
-        raise LimitExceededError(
-            f"subset enumeration over {G.order} elements exceeds the limit of {limit}; "
-            "pass a larger limit explicitly to override")
+            f"subset enumeration over {G.order} elements refused beyond {MAX_ENUM_ORDER}")
     return list(_fact(G, kind, lambda: array("Q", kind.scan(
         *_fact(G, "powerset", lambda: _powerset_kernel(G)),
         partial(subset_product, G), G.carrier, 1 << G.order))))
@@ -183,13 +176,12 @@ def principal_left(G: GammaGroupoid, a: int) -> int:
     return subset_product(G, G.carrier, 1 << a)
 
 
-def is_prime(G: GammaGroupoid, P: int,
-             limit: int = DEFAULT_ENUM_LIMIT) -> IdealVerdict:
+def is_prime(G: GammaGroupoid, P: int) -> IdealVerdict:
     """P prime: for all two-sided ideals A, B, A.B <= P forces A <= P or B <= P."""
     base = is_ideal(G, P, IdealKind.TWO_SIDED)
     if not base.holds:
         return base
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED, limit)
+    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
     for A in ideals:
         if A & ~P == 0:
             continue
@@ -199,13 +191,12 @@ def is_prime(G: GammaGroupoid, P: int,
     return IdealVerdict(True)
 
 
-def is_semiprime(G: GammaGroupoid, P: int,
-                 limit: int = DEFAULT_ENUM_LIMIT) -> IdealVerdict:
+def is_semiprime(G: GammaGroupoid, P: int) -> IdealVerdict:
     """P semiprime: for every two-sided ideal A, A.A <= P forces A <= P."""
     base = is_ideal(G, P, IdealKind.TWO_SIDED)
     if not base.holds:
         return base
-    for A in enumerate_ideals(G, IdealKind.TWO_SIDED, limit):
+    for A in enumerate_ideals(G, IdealKind.TWO_SIDED):
         if A & ~P and subset_product(G, A, A) & ~P == 0:
             return IdealVerdict(False, SEMIPRIME, (A,))
     return IdealVerdict(True)
@@ -228,9 +219,8 @@ class SemilatticeReport:
     regular: bool
 
 
-def build_ideal_semilattice(G: GammaGroupoid,
-                            limit: int = DEFAULT_ENUM_LIMIT) -> SemilatticeReport:
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED, limit)
+def build_ideal_semilattice(G: GammaGroupoid) -> SemilatticeReport:
+    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
     products = tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
     closed = {p for row in products for p in row} <= set(ideals)
     k = len(ideals)

@@ -29,7 +29,6 @@ from .core import (
     subset_product,
 )
 from .ideals import (
-    DEFAULT_ENUM_LIMIT,
     IdealKind,
     build_ideal_semilattice,
     enumerate_ideals,
@@ -71,12 +70,12 @@ def _cx(witness: dict):
 def _all_ideals(kind: IdealKind, candidates):
     """Verifier: every candidate is a ``kind`` ideal.
 
-    ``candidates(G, limit)`` yields (S, tested, extra); the first ``tested``
+    ``candidates(G)`` yields (S, tested, extra); the first ``tested``
     that fails is reported as subset S, the failed clause, its witness and
     the extra witness keys.
     """
-    def run(G, limit):
-        for S, tested, extra in candidates(G, limit):
+    def run(G):
+        for S, tested, extra in candidates(G):
             v = is_ideal(G, tested, kind)
             if not v.holds:
                 return _cx({"subset": S, "clause": v.failed_clause, "at": v.witness, **extra})
@@ -85,34 +84,34 @@ def _all_ideals(kind: IdealKind, candidates):
 
 
 def _ideals_of(kind: IdealKind):
-    return lambda G, limit: ((S, S, {}) for S in enumerate_ideals(G, kind, limit))
+    return lambda G: ((S, S, {}) for S in enumerate_ideals(G, kind))
 
 
-def _one_sided(G, limit):
+def _one_sided(G):
     seen = set()
     for kind in (IdealKind.LEFT, IdealKind.RIGHT):
-        for S in enumerate_ideals(G, kind, limit):
+        for S in enumerate_ideals(G, kind):
             if S not in seen:
                 seen.add(S)
                 yield S, S, {"side": kind.value}
 
 
-def _t1_unions(G, limit):
+def _t1_unions(G):
     full = G.carrier
-    for L in enumerate_ideals(G, IdealKind.LEFT, limit):
+    for L in enumerate_ideals(G, IdealKind.LEFT):
         union = L | subset_product(G, L, full)
         yield L, union, {"union": union, "side": "left"}
-    for R in enumerate_ideals(G, IdealKind.RIGHT, limit):
+    for R in enumerate_ideals(G, IdealKind.RIGHT):
         union = R | subset_product(G, full, R)
         yield R, union, {"union": union, "side": "right"}
 
 
-def _idempotent_quasi(G, limit):
-    return ((Q, Q, {}) for Q in enumerate_ideals(G, IdealKind.QUASI, limit)
+def _idempotent_quasi(G):
+    return ((Q, Q, {}) for Q in enumerate_ideals(G, IdealKind.QUASI)
             if is_idempotent(G, Q))
 
 
-def _gG_and_Gg(G, limit):
+def _gG_and_Gg(G):
     full = G.carrier
     for g in range(G.order):
         for S, side in ((subset_product(G, 1 << g, full), "gG"),
@@ -120,19 +119,19 @@ def _gG_and_Gg(G, limit):
             yield S, S, {"element": g, "side": side}
 
 
-def _aG(G, limit):
+def _aG(G):
     for a in range(G.order):
         S = subset_product(G, 1 << a, G.carrier)
         yield S, S, {"element": a}
 
 
-def _principal_lefts(G, limit):
+def _principal_lefts(G):
     for a in range(G.order):
         S = principal_left(G, a)
         yield S, S, {"element": a}
 
 
-def _verify_l1(G, limit):
+def _verify_l1(G):
     base = G.tables[0]
     for g, a, b in product(range(1, G.gamma_count), range(G.order), range(G.order)):
         if G.tables[g][a][b] != base[a][b]:
@@ -141,7 +140,7 @@ def _verify_l1(G, limit):
     return _HOLDS
 
 
-def _verify_right_identity(G, limit):
+def _verify_right_identity(G):
     rights = identities(G, "right")
     if not rights:
         return _na("right-identity")
@@ -149,11 +148,11 @@ def _verify_right_identity(G, limit):
     for e in sorted(rights):
         if e not in lefts:
             return _cx({"element": e, "side": "left"})
-    return _law_lemma(Law.COMMUTATIVE, Law.ASSOCIATIVE)(G, limit)
+    return _law_lemma(Law.COMMUTATIVE, Law.ASSOCIATIVE)(G)
 
 
 def _law_lemma(*laws: Law):
-    def run(G, limit):
+    def run(G):
         for law in laws:
             v = check_law(G, law)
             if not v.holds:
@@ -162,9 +161,9 @@ def _law_lemma(*laws: Law):
     return run
 
 
-def _verify_bi_product(G, limit):
+def _verify_bi_product(G):
     full = G.carrier
-    bis = enumerate_ideals(G, IdealKind.BI, limit)
+    bis = enumerate_ideals(G, IdealKind.BI)
     for B1 in bis:
         for B2 in bis:
             P = subset_product(G, B1, B2)
@@ -175,9 +174,9 @@ def _verify_bi_product(G, limit):
 
 def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
     """Every subset is a kind_a ideal exactly when it is a kind_b ideal."""
-    def run(G, limit):
-        a = set(enumerate_ideals(G, kind_a, limit))
-        b = set(enumerate_ideals(G, kind_b, limit))
+    def run(G):
+        a = set(enumerate_ideals(G, kind_a))
+        b = set(enumerate_ideals(G, kind_b))
         if a == b:
             return _HOLDS
         S = min(a ^ b)
@@ -189,9 +188,9 @@ def _equal_products(*checks):
     """Verifier: for each (kind, product, extra) in turn, every ``kind`` ideal S
     equals ``product(G, S)``; the first that does not is reported with its
     product and the extra witness keys."""
-    def run(G, limit):
+    def run(G):
         for kind, product_of, extra in checks:
-            for S in enumerate_ideals(G, kind, limit):
+            for S in enumerate_ideals(G, kind):
                 p = product_of(G, S)
                 if p != S:
                     return _cx({"subset": S, "product": p, **extra})
@@ -199,17 +198,17 @@ def _equal_products(*checks):
     return run
 
 
-def _verify_gg_regular(G, limit):
+def _verify_gg_regular(G):
     p = subset_product(G, G.carrier, G.carrier)
     if p != G.carrier:
         return _cx({"product": p})
     return _HOLDS
 
 
-def _verify_regular_iff_idempotent_left(G, limit):
+def _verify_regular_iff_idempotent_left(G):
     regular = is_regular(G)
     bad = None
-    for L in enumerate_ideals(G, IdealKind.LEFT, limit):
+    for L in enumerate_ideals(G, IdealKind.LEFT):
         if not is_idempotent(G, L):
             bad = L
             break
@@ -222,24 +221,24 @@ def _verify_regular_iff_idempotent_left(G, limit):
     return _HOLDS
 
 
-def _verify_semiprime_regular(G, limit):
-    for P in enumerate_ideals(G, IdealKind.TWO_SIDED, limit):
-        v = is_semiprime(G, P, limit)
+def _verify_semiprime_regular(G):
+    for P in enumerate_ideals(G, IdealKind.TWO_SIDED):
+        v = is_semiprime(G, P)
         if not v.holds:
             return _cx({"subset": P, "subset_b": v.witness[0]})
     return _HOLDS
 
 
-def _verify_semilattice(G, limit):
-    rep = build_ideal_semilattice(G, limit)
+def _verify_semilattice(G):
+    rep = build_ideal_semilattice(G)
     if rep.closed and rep.commutative and rep.associative and rep.idempotent:
         return _HOLDS
     return _cx({"closed": rep.closed, "commutative": rep.commutative,
                 "associative": rep.associative, "idempotent": rep.idempotent})
 
 
-def _verify_comm_ideals_regular(G, limit):
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED, limit)
+def _verify_comm_ideals_regular(G):
+    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
     for A in ideals:
         for B in ideals:
             ab = subset_product(G, A, B)
@@ -317,26 +316,23 @@ HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
 _HYPOTHESIS_LABELS = {Filter.HAS_LEFT_IDENTITY: "left-identity"}
 
 
-def verify(G: GammaGroupoid, lid: LemmaId,
-           limit: int = DEFAULT_ENUM_LIMIT) -> LemmaVerdict:
+def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
     """Check one catalog entry on a structure."""
     for f in lid.hypotheses:
         if not f.holds(G):
             return _na(_HYPOTHESIS_LABELS.get(f, f.value))
-    return lid.verifier(G, limit)
+    return lid.verifier(G)
 
 
-def verify_all(G: GammaGroupoid,
-               limit: int = DEFAULT_ENUM_LIMIT) -> dict[LemmaId, LemmaVerdict]:
-    return {lid: verify(G, lid, limit) for lid in LemmaId}
+def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:
+    return {lid: verify(G, lid) for lid in LemmaId}
 
 
-def hunt(source: Iterable[GammaGroupoid], lid: LemmaId,
-         limit: int = DEFAULT_ENUM_LIMIT
+def hunt(source: Iterable[GammaGroupoid], lid: LemmaId
          ) -> Optional[tuple[GammaGroupoid, LemmaVerdict]]:
     """First structure in the stream whose verdict is a counterexample, if any."""
     for G in source:
-        v = verify(G, lid, limit)
+        v = verify(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:
             return G, v
     return None

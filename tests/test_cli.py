@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,6 +12,9 @@ import gaglab as gl
 from gaglab import cli
 from gaglab.cli import run
 from gaglab.ideals import _CLOSURE_KINDS, IdealKind
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -163,7 +167,7 @@ def test_verify_decodes_element_and_at_witness_keys(capsys):
 def test_gamma_witness_keys_decode_to_gamma_names():
     G = gl.GammaGroupoid((((0, 0), (0, 0)), ((0, 0), (0, 1))), ("a", "b"), ("α", "β"))
     w = {"gamma": 0, "gamma_b": 1, "at": (1, 1, 1)}
-    assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G, 20).witness == w
+    assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G).witness == w
     assert cli._lemma_witness_json(G, w) == {"gamma": "α", "gamma_b": "β",
                                              "at": ["b", "β", "b"]}
     assert cli._fmt_lemma_witness(G, w) == "gamma=α gamma_b=β at=(b β b)"
@@ -282,7 +286,7 @@ def test_hunt_json_agreement(capsys):
 @pytest.mark.parametrize("lemma", ["l-interior-iff-right", "l-left-iff-right-regular",
                                    "t-regular-iff-idempotent-left"])
 def test_hunt_json_matches_the_benchmark_pin(lemma, capsys):
-    pins = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "pins.json"
+    pins = ROOT / "perfbench" / "data" / "pins.json"
     pin = json.loads(pins.read_text(encoding="utf-8"))["hunt"]["refuted"][lemma]
     n, m = pin["size"]
     assert run(["hunt", "--order", str(n), "--gammas", str(m), "--lemma", lemma,
@@ -358,16 +362,56 @@ def test_search_refuses_a_law_filtered_shape_by_its_cells_at_once(capsys):
 
 
 def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, capsys):
-    # the powerset kernel would take 24·2**23 bytes; an explicit limit does not lift it
-    doc = tmp_path / "order23.gag"
-    doc.write_text("order 23\ngammas 1\ngamma g\n" + ("1 " * 22 + "1\n") * 23, encoding="utf-8")
-    t0 = time.perf_counter()
-    code = run(["ideals", str(doc), "--kind", "left", "--limit", "30"])
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 2
+    # every command that enumerates refuses an order above MAX_ENUM_ORDER before
+    # the powerset kernel (24·2**21 bytes here) is built
+    doc = tmp_path / "order21.gag"
+    doc.write_text("order 21\ngammas 1\ngamma g\n" + ("1 " * 20 + "1\n") * 21, encoding="utf-8")
+    for argv in (["ideals", str(doc), "--kind", "left"], ["verify", str(doc)],
+                 ["semilattice", str(doc)]):
+        t0 = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "error: subset enumeration over 21 elements refused beyond 20\n", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideals", "FILE", "--kind", "left"],
+    ["verify", "FILE"],
+    ["semilattice", "FILE"],
+    ["hunt", "--order", "2", "--gammas", "1", "--lemma", "c-ideal-bi"],
+], ids=lambda argv: argv[0])
+def test_enumerating_commands_take_no_limit(gamma5_path, capsys, argv):
+    # the enumeration bound is fixed; only search has a --limit, on its stream
+    argv = [gamma5_path if a == "FILE" else a for a in argv]
+    assert run(argv) in (0, 1)
+    capsys.readouterr()
+    assert run(argv + ["--limit", "5"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: subset enumeration over 23 elements refused beyond 22, whatever the limit\n"
+    assert "unrecognized arguments: --limit 5" in err
+
+
+def _readme_commands():
+    """The argv of each ``gaglab`` line in README's command-line block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("gaglab ")]
+
+
+def test_readme_commands_run(gamma5_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        argv = [gamma5_path if a == "FILE" else a for a in argv]
+        if "--emit" in argv:
+            argv[argv.index("--emit") + 1] = str(tmp_path / "out")
+        assert run(argv) in (0, 1), argv
+        capsys.readouterr()
 
 
 def test_missing_file_exit(capsys):

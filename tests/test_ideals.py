@@ -110,15 +110,13 @@ def test_singleton_ideals(singleton):
     assert enumerate_ideals(singleton, IdealKind.TWO_SIDED) == [1]
 
 
-def test_enumeration_limit(gamma5, monkeypatch):
-    with pytest.raises(gl.LimitExceededError):
-        enumerate_ideals(gamma5, IdealKind.LEFT, limit=4)
-    assert enumerate_ideals(gamma5, IdealKind.LEFT, limit=5)  # explicit override
-    # above the ceiling no limit overrides, and the kernel is never built
+def test_enumeration_limit(monkeypatch):
+    # above the bound enumeration is refused, and the kernel is never built
     monkeypatch.setattr(ideals, "_powerset_kernel", None)
     n = MAX_ENUM_ORDER + 1
-    with pytest.raises(gl.LimitExceededError, match="refused beyond 22, whatever the limit"):
-        enumerate_ideals(gl.GammaGroupoid.from_tables([[[0] * n] * n]), IdealKind.LEFT, limit=64)
+    with pytest.raises(gl.LimitExceededError,
+                       match=r"^subset enumeration over 21 elements refused beyond 20$"):
+        enumerate_ideals(gl.GammaGroupoid.from_tables([[[0] * n] * n]), IdealKind.LEFT)
 
 
 def _oracle_is_ideal(G, S, kind):
@@ -163,8 +161,6 @@ def test_enumerate_ideals_returns_a_new_list_each_call(gamma5):
     first.append(0)
     first.reverse()
     assert enumerate_ideals(G, IdealKind.RIGHT) == want
-    with pytest.raises(gl.LimitExceededError):  # the kept ideals do not skip the limit
-        enumerate_ideals(G, IdealKind.RIGHT, limit=4)
 
 
 # ---------------------------------------------------------------------------

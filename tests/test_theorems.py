@@ -256,24 +256,6 @@ def test_lemma_id_strings_are_stable():
     assert len(LemmaId) == 24
 
 
-def test_verify_propagates_enumeration_limit(gamma5):
-    with pytest.raises(gl.LimitExceededError):
-        verify(gamma5, LemmaId.C_IDEAL_BI, limit=3)
-
-
-@pytest.mark.parametrize("lid,fixture", [
-    (LemmaId.L_INTERIOR_IFF_RIGHT, "interior_not_right3"),
-    (LemmaId.L_LEFT_IFF_RIGHT_REGULAR, "left_not_right_regular3"),
-])
-def test_ideal_comparing_lemmas_respect_limit(lid, fixture):
-    G = gl.load_fixture(fixture)  # order 3, passes the lemma's hypotheses
-    with pytest.raises(gl.LimitExceededError):
-        verify(G, lid, limit=2)
-    verify_all(G)  # keeps the structure's ideals on it
-    with pytest.raises(gl.LimitExceededError):
-        verify(G, lid, limit=2)
-
-
 def test_interior_iff_right_refuses_large_carrier():
     G = GammaGroupoid.from_tables([[[0] * 26 for _ in range(26)]])
     with pytest.raises(gl.LimitExceededError):
@@ -417,7 +399,7 @@ def test_every_fallible_verifier_is_pinned():
 def test_first_counterexample_of_each_verifier(cx_streams, lid):
     found = next((shape, i, v.witness)
                  for shape in CX_SHAPES for i, G in enumerate(cx_streams[shape])
-                 for v in (lid.verifier(G, 20),)
+                 for v in (lid.verifier(G),)
                  if v.status is LemmaStatus.COUNTEREXAMPLE)
     assert found == FIRST_CX[lid]
     shape, i, w = found
@@ -432,4 +414,4 @@ def test_always_holding_entries_hold_on_every_bundle(cx_streams):
     for shape, stream in cx_streams.items():
         for G in stream:
             for lid in ALWAYS_HOLD:
-                assert lid.verifier(G, 20).status is LemmaStatus.HOLDS, (lid, shape, G.tables)
+                assert lid.verifier(G).status is LemmaStatus.HOLDS, (lid, shape, G.tables)
