@@ -12,7 +12,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .core import GammaGroupoid, Law, LimitExceededError, check_law, law_sides
+from .core import GammaGroupoid, Law, check_law, law_sides
 from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, enumerate_ideals, \
     ideal_closure
 from .io import ParseError, parse_file, serialize
@@ -187,9 +187,9 @@ def _cmd_search(args) -> int:
     for G in enumerate_structures(spec):
         text = serialize(G)
         if args.emit:
-            out = Path(args.emit)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"structure_{total:05d}.gag").write_text(text, encoding="utf-8")
+            if total == 0:
+                Path(args.emit).mkdir(parents=True, exist_ok=True)
+            (Path(args.emit) / f"structure_{total:05d}.gag").write_text(text, encoding="utf-8")
         elif args.json:
             texts.append(text)
         else:
@@ -307,7 +307,7 @@ def run(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2
-    except (LimitExceededError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,16 +4,17 @@ Every predicate works on subsets given as bitmasks and reports, on failure,
 which clause broke and a first witness in a fixed scan order (element
 variables outer, gamma variables inner, all ascending).
 
-Each kind's clauses are stated once, as products of S and the carrier G, read
-through ``subset_product`` for one subset and, to enumerate, from the structure's
-powerset kernel (24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.
+Each clause is stated once, as a term like a law's, compiled into its witness
+scan and into a product of S and the carrier G, read through ``subset_product``
+for one subset and, to enumerate, from the structure's powerset kernel
+(24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Optional
 
 from .core import (
@@ -41,48 +42,37 @@ PRIME = "Prime"
 SEMIPRIME = "Semiprime"
 
 
-def _clause_scan(term, over_s):
-    """First instance of ``term``'s variables valued outside S; compiled on first use."""
-    scan = cache(lambda: compile_scan((term,), "not S >> {0} & 1", over_s))
-    return lambda G, S: scan()(G, S)
+# (label, term whose values must lie in S, the variables ranging over S); a term
+# is written like a law's, each variable once, or is (term, "&", term) for the
+# intersection, which reports the least element outside S as its witness
+_SUB = ((SUB_GROUPOID, ("a", "g", "b"), "ab"),)
+_LEFT = ((LEFT_ABSORB, ("x", "g", "s"), "s"),)
+_RIGHT = ((RIGHT_ABSORB, ("s", "g", "x"), "s"),)
+_BI = ((BI_ABSORB, (("s", "g", "x"), "d", "t"), "st"),)
+_QUASI = ((QUASI_INTERSECTION, (("x", "g", "s"), "&", ("s", "g", "x")), "s"),)
+_INTERIOR = ((INTERIOR_ABSORB, (("x", "g", "s"), "d", "y"), "s"),)
 
 
-# witness scans, run only after the cheap mask check failed
-_sub_witness = _clause_scan(("a", "g", "b"), "ab")
-_left_witness = _clause_scan(("x", "g", "s"), "s")
-_right_witness = _clause_scan(("s", "g", "x"), "s")
-_bi_witness = _clause_scan((("s", "g", "x"), "d", "t"), "st")
-_interior_witness = _clause_scan((("x", "g", "s"), "d", "y"), "s")
-
-# (label, product that must lie inside S, witness scan); a product is "S", "G",
-# a pair (A, B) for AΓB or a triple (A, "&", B) for A ∩ B; a clause with no
-# scan reports the least element outside S
-_SUB = ((SUB_GROUPOID, ("S", "S"), _sub_witness),)
-_LEFT = ((LEFT_ABSORB, ("G", "S"), _left_witness),)
-_RIGHT = ((RIGHT_ABSORB, ("S", "G"), _right_witness),)
-_BI = ((BI_ABSORB, (("S", "G"), "S"), _bi_witness),)
-_QUASI = ((QUASI_INTERSECTION, (("G", "S"), "&", ("S", "G")), None),)
-_INTERIOR = ((INTERIOR_ABSORB, (("G", "S"), "G"), _interior_witness),)
-
-
-def _source(term, kernel: bool) -> str:
-    """Python source of a product over S and the carrier F, read from the
-    powerset kernel's GS, SG and SS where ``kernel`` allows, else through P."""
+def _source(term, over_s, kernel: bool) -> str:
+    """Python source of the mask of ``term``'s values, each variable of ``over_s``
+    read as S and every other element variable as the carrier F, a product read
+    from the powerset kernel's GS, SG and SS where ``kernel`` allows, else through P."""
     if isinstance(term, str):
-        return "F" if term == "G" else term
-    if len(term) == 3:
-        return f"{_source(term[0], kernel)} & {_source(term[2], kernel)}"
-    a, b = (_source(t, kernel) for t in term)
+        return "S" if term in over_s else "F"
+    a, b = (_source(t, over_s, kernel) for t in term[::2])
+    if term[1] == "&":
+        return f"{a} & {b}"
     if not kernel or "F" not in (a, b) and (a, b) != ("S", "S"):
         return f"P({a}, {b})"
     return f"GS[{b}]" if a == "F" else f"SG[{a}]" if b == "F" else "SS[S]"
 
 
 class IdealKind(Enum):
-    """A kind of ideal, given by its clauses in report order.  ``inside`` is per
-    clause ``f(P, F, S)``, the mask that must lie inside S; ``scan`` is
-    ``f(GS, SG, SS, P, F, N)``, every S in 1..N-1 that passes, ascending.  Both
-    compile on first use."""
+    """A kind of ideal, given by its clauses in report order.  Per clause, ``inside``
+    is ``f(P, F, S)``, the mask that must lie inside S, and ``witness`` is ``f(G, S)``,
+    the first instance of the term valued outside S (None for an intersection);
+    ``scan`` is ``f(GS, SG, SS, P, F, N)``, every S in 1..N-1 that passes,
+    ascending.  All three compile from the clause terms on first use."""
     SUB_GROUPOID = "sub", _SUB
     LEFT = "left", _LEFT
     RIGHT = "right", _RIGHT
@@ -99,11 +89,16 @@ class IdealKind(Enum):
 
     @cached_property
     def inside(self):
-        return tuple(eval(f"lambda P, F, S: {_source(c[1], False)}") for c in self.clauses)
+        return tuple(eval(f"lambda P, F, S: {_source(*c, False)}") for _, *c in self.clauses)
+
+    @cached_property
+    def witness(self):
+        return tuple(None if term[1] == "&" else compile_scan((term,), "not S >> {0} & 1", over_s)
+                     for _, term, over_s in self.clauses)
 
     @cached_property
     def scan(self):
-        passes = " and ".join(f"not ({_source(c[1], True)}) & ~S" for c in self.clauses)
+        passes = " and ".join(f"not ({_source(*c, True)}) & ~S" for _, *c in self.clauses)
         return eval(f"lambda GS, SG, SS, P, F, N: [S for S in range(1, N) if {passes}]")
 
 
@@ -127,9 +122,9 @@ def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     if S == 0:
         return IdealVerdict(False, NON_EMPTY)
     P = partial(subset_product, G)
-    for (label, _, witness_fn), inside in zip(kind.clauses, kind.inside):
+    for (label, _, _), inside, scan in zip(kind.clauses, kind.inside, kind.witness):
         if outside := inside(P, G.carrier, S) & ~S:
-            witness = witness_fn(G, S) if witness_fn else ((outside & -outside).bit_length() - 1,)
+            witness = scan(G, S) if scan else ((outside & -outside).bit_length() - 1,)
             return IdealVerdict(False, label, witness)
     return IdealVerdict(True)
 

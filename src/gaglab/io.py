@@ -43,7 +43,7 @@ class _Cursor:
     def __init__(self, text: str):
         self.lines = _significant_lines(text)
         self.pos = 0
-        self.eof_line = text.count("\n") + (0 if text.endswith("\n") or not text else 1) + 1
+        self.eof_line = len(text.splitlines()) + 1  # lines are numbered as splitlines counts them
 
     def peek(self):
         return self.lines[self.pos] if self.pos < len(self.lines) else None

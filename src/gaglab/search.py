@@ -39,28 +39,26 @@ MAX_SEARCH_CELLS = 900
 
 
 class Filter(Enum):
-    """A search restriction, carrying ``holds(G)``, the check that decides it.
+    """A search restriction, carrying ``holds(G)``, the check that decides it, and
+    ``law``, that check's law or None; the search prunes by the filters with a law.
 
     The checks call ``check_law``, ``is_regular`` and ``identities`` through
     this module's names at call time.  The same filters name the catalog's
     hypotheses, so these are the only checks of them.
     """
-    LEFT_INVERTIVE = "left-invertive", lambda G: check_law(G, Law.LEFT_INVERTIVE).holds
-    AG_STAR_STAR = "ag-star-star", lambda G: check_law(G, Law.AG_STAR_STAR).holds
+    LEFT_INVERTIVE = "left-invertive", Law.LEFT_INVERTIVE
+    AG_STAR_STAR = "ag-star-star", Law.AG_STAR_STAR
     REGULAR = "regular", lambda G: is_regular(G)
     HAS_LEFT_IDENTITY = "has-left-identity", lambda G: bool(identities(G, "left"))
     NO_LEFT_IDENTITY = "no-left-identity", lambda G: not identities(G, "left")
     NON_ASSOCIATIVE = "non-associative", lambda G: not check_law(G, Law.ASSOCIATIVE).holds
 
-    def __new__(cls, value, holds):
+    def __new__(cls, value, check):
         f = object.__new__(cls)
         f._value_ = value
-        f.holds = holds
+        f.law = check if isinstance(check, Law) else None
+        f.holds = (lambda G: check_law(G, check).holds) if f.law else check
         return f
-
-
-_PRUNABLE = {Filter.LEFT_INVERTIVE: Law.LEFT_INVERTIVE,
-             Filter.AG_STAR_STAR: Law.AG_STAR_STAR}
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,10 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
              for g in range(m) for r in range(n) for c in range(n)]
     moved = []   # the bucket each re-queued instance went to, in order
     forced = []  # the cells assigned by propagation, in order
-    prunable = [f for f in _PRUNABLE if f in spec.filters]
+    prunable = [f for f in Filter if f in spec.filters and f.law]
     # The leaf-only filters, which can reject a leaf, are checked before the
     # prunable ones, which re-check the pruning; each group in declaration order.
-    leaf_filters = [f for f in Filter if f in spec.filters and f not in _PRUNABLE] + prunable
+    leaf_filters = [f for f in Filter if f in spec.filters and not f.law] + prunable
 
     def propagate(instances) -> bool:
         """Re-probe ``instances`` and, in turn, the instances waiting on each
@@ -166,10 +164,10 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             undo(*marks)
         row[c] = n
 
-    instances = [(law.probe, values)
-                 for law in (_PRUNABLE[f] for f in prunable)
+    instances = [(f.law.probe, values)
+                 for f in prunable
                  for values in product(*(range(m) if is_gamma else range(n)
-                                         for _, is_gamma in law.variables))]
+                                         for _, is_gamma in f.law.variables))]
     if propagate(instances):
         yield from rec(0)
 
@@ -238,4 +236,4 @@ def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoi
                 best = key
     tables = tuple(tuple(tuple(best[g * n * n + a * n + b] for b in range(n))
                          for a in range(n)) for g in range(m))
-    return GammaGroupoid.from_tables(tables)
+    return GammaGroupoid._trusted(tables)

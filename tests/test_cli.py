@@ -205,6 +205,20 @@ def test_search_emit_round_trips(tmp_path, capsys):
         assert gl.check_law(G, gl.Law.LEFT_INVERTIVE).holds
 
 
+def test_search_emit_makes_its_directory_once_and_only_for_a_result(tmp_path, monkeypatch):
+    made = []
+    real = cli.Path.mkdir
+    monkeypatch.setattr(cli.Path, "mkdir",
+                        lambda self, *a, **kw: made.append(self) or real(self, *a, **kw))
+    out_dir = tmp_path / "out"
+    for limit, files in (("0", 0), ("3", 3)):
+        assert run(["search", "--order", "2", "--gammas", "1", "--limit", limit,
+                    "--emit", str(out_dir)]) == 0
+        assert out_dir.exists() == bool(files)
+        assert made == [out_dir] * bool(files)
+    assert len(list(out_dir.glob("*.gag"))) == 3
+
+
 def test_search_streams_each_structure(tmp_path, monkeypatch, capsys):
     spec = gl.SearchSpec(order=2, gammas=1, limit=3)
     structs = list(gl.enumerate_structures(spec))

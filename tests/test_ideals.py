@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
@@ -55,6 +57,18 @@ def test_empty_subset_rejected(gamma5):
 def test_width_mismatch_rejected(gamma5):
     with pytest.raises(ValueError):
         is_ideal(gamma5, 1 << 5, IdealKind.LEFT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structure_with_subsets(count=1))
+def test_witness_scan_finds_nothing_exactly_when_the_product_lies_inside(data):
+    # the witness scan and the mask check are compiled from one clause term
+    G, S = data
+    P = partial(gl.subset_product, G)
+    for kind in IdealKind:
+        for (_, term, _), inside, witness in zip(kind.clauses, kind.inside, kind.witness):
+            if term[1] != "&":
+                assert (witness(G, S) is None) == (inside(P, G.carrier, S) & ~S == 0), kind
 
 
 def test_clause_witnesses_reverify(gamma5):

@@ -79,6 +79,22 @@ def test_parse_errors(text, line, fragment):
     assert fragment in exc.value.message
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0c", "\u2028"])
+@pytest.mark.parametrize("lines,line", [
+    ([], 1),
+    (["order 2"], 2),
+    (["order 1", "gammas 1"], 3),
+    (["order 2", "gammas 2", "gamma g", "1 2", "2 1"], 6),
+])
+def test_end_of_document_is_the_line_after_the_last(sep, lines, line):
+    # lines are numbered as str.splitlines counts them, whatever the line break
+    for end in ("", sep) if lines else ("",):
+        with pytest.raises(ParseError) as exc:
+            parse(sep.join(lines) + end)
+        assert exc.value.line == line
+        assert "unexpected end of document" in exc.value.message
+
+
 def test_round_trip_fixtures(gamma5, dot5, singleton):
     for G in (gamma5, dot5, singleton):
         assert parse(serialize(G)) == G

@@ -197,6 +197,16 @@ def test_filter_checks_call_the_module_bindings(monkeypatch, gamma5):
         assert len(calls) == 1, f
 
 
+@settings(max_examples=60, deadline=None)
+@given(structures(max_order=3, max_gammas=2))
+def test_exactly_the_law_filters_carry_their_law(G):
+    # the search prunes by exactly these filters
+    assert [f for f in Filter if f.law] == [Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR]
+    for f in (Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR):
+        assert f.law is Law(f.value)
+        assert f.holds(G) == core.check_law(G, f.law).holds
+
+
 def test_limit_short_circuits():
     spec = SearchSpec(order=2, gammas=2, filters=frozenset({Filter.LEFT_INVERTIVE}),
                       limit=5)
@@ -296,7 +306,10 @@ def test_canonical_form_equals_brute_force_on_a_search_stream(include_gamma):
 @settings(max_examples=60, deadline=None)
 @given(structures(max_order=4, max_gammas=3), st.booleans())
 def test_canonical_form_equals_brute_force(G, include_gamma):
-    assert _cells(canonical_form(G, include_gamma)) == _brute_force_canonical(G, include_gamma)
+    C = canonical_form(G, include_gamma)
+    assert _cells(C) == _brute_force_canonical(G, include_gamma)
+    # built without __post_init__'s checks, as its tables relabel valid ones
+    assert C.__dict__ == GammaGroupoid.from_tables(C.tables).__dict__
 
 
 def test_canonical_form_fixes_singleton(singleton):

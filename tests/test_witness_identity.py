@@ -1,20 +1,15 @@
 """Witness identity of the term-compiled scans against hand-written loops.
 
 The reference code below is the nested-loop ``check_law`` and the five
-clause witness scanners that the law terms in ``gaglab.core`` replaced,
-kept verbatim so that every witness, not only every verdict, is compared.
+clause witness scanners that the law terms in ``gaglab.core`` and the clause
+terms in ``gaglab.ideals`` replaced, kept verbatim so that every witness, not
+only every verdict, is compared.
 """
 from hypothesis import given, settings
 
 import gaglab as gl
 from gaglab.core import Law, LawVerdict, members
-from gaglab.ideals import (
-    _bi_witness,
-    _interior_witness,
-    _left_witness,
-    _right_witness,
-    _sub_witness,
-)
+from gaglab.ideals import IdealKind
 
 from conftest import structure_with_subsets, structures
 
@@ -120,11 +115,11 @@ def reference_interior_witness(G, S):
 
 
 SCANNERS = [
-    (_sub_witness, reference_sub_witness),
-    (_left_witness, reference_left_witness),
-    (_right_witness, reference_right_witness),
-    (_bi_witness, reference_bi_witness),
-    (_interior_witness, reference_interior_witness),
+    (IdealKind.SUB_GROUPOID.witness[0], reference_sub_witness),
+    (IdealKind.LEFT.witness[0], reference_left_witness),
+    (IdealKind.RIGHT.witness[0], reference_right_witness),
+    (IdealKind.BI.witness[1], reference_bi_witness),
+    (IdealKind.INTERIOR.witness[1], reference_interior_witness),
 ]
 
 
