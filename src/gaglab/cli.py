@@ -2,7 +2,7 @@
 structure search and counterexample hunts over .gag files.
 
 Exit codes: 0 all checks passed / results emitted, 1 a property failed or a
-counterexample was found, 2 usage or parse error.
+counterexample was found, 2 usage, parse or OS error.
 """
 from __future__ import annotations
 
@@ -304,10 +304,7 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

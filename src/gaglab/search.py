@@ -15,22 +15,27 @@ give it, so the stream is the same as with pruning alone.  Emitted
 structures are re-checked in full at the leaf, so pruning is an
 optimization, never trusted.
 
-Canonical forms are the least relabelling over all permutations, each
-relabelling compared cell by cell with the least so far and dropped at its
-first larger cell.
+A canonical form is the least relabelling.  One table per shape lists, for each
+relabelling, the old cell each new cell reads; a walk stops at its first difference.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, permutations, product
+from functools import lru_cache
+from itertools import chain, islice, permutations, product
+from math import factorial
 from typing import Iterator, Optional
 
 from .core import GammaGroupoid, Law, LimitExceededError, check_law, identities, is_regular
 
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
-MAX_CANONICAL_ORDER = 8
+MAX_RELABELLINGS = factorial(8)  # every one-gamma shape up to order 8
+# A table holds at most 32 MB of 4-byte cells.  Of the shapes that permute the
+# gammas, (7,3) lists the most, 4,445,280, so only carrier permutations reach it.
+MAX_TABLE_CELLS = 2 ** 23
 # The backtracking takes one generator frame per cell, so a shape must stay
 # well below the default recursion limit of 1,000 frames.  The bound also keeps
 # the order (at most 30) within core.MAX_ORDER, and the n^3·m^2 <= 900^2
@@ -89,12 +94,12 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         raise LimitExceededError(
             f"search over order {spec.order} with {spec.gammas} gammas refused; "
             "set allow_large to override")
-    if spec.up_to_iso:
-        _refuse_canonical(spec.order)
     cells = spec.order * spec.order * spec.gammas
     if cells > MAX_SEARCH_CELLS:
         raise LimitExceededError(
             f"search over {cells} table cells refused beyond {MAX_SEARCH_CELLS}")
+    if spec.up_to_iso:  # the search's one table, built here to refuse its shape at once
+        _relabellings(spec.order, spec.gammas, spec.iso_include_gamma)
     return islice(_generate(spec), spec.limit)
 
 
@@ -176,64 +181,50 @@ def count(spec: SearchSpec) -> int:
     return sum(1 for _ in enumerate_structures(spec))
 
 
-def _relabelled_if_smaller(T, gammas, elements, sigma, best):
-    """The relabelled tables' cells in order when they are below ``best``, else
-    None: tables in the order ``gammas``, rows and columns in the order
-    ``elements`` (the inverse of ``sigma``), values mapped by ``sigma``.  Reads
-    cells only up to the first that differs from ``best``."""
-    i = 0
-    for g in gammas:
-        table = T[g]
-        for a in elements:
-            row = table[a]
-            for b in elements:
-                v = sigma[row[b]]
-                if v != best[i]:
-                    if v > best[i]:
-                        return None
-                    # plain loops, as a generator would make sigma a slower closure cell
-                    out = []
-                    for h in gammas:
-                        for x in elements:
-                            r = T[h][x]
-                            for y in elements:
-                                out.append(sigma[r[y]])
-                    return tuple(out)
-                i += 1
-    return None
-
-
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
-
-
-def _refuse_canonical(n):
-    if n > MAX_CANONICAL_ORDER:
-        raise LimitExceededError(
-            f"canonical form over {n}! relabelings refused beyond order {MAX_CANONICAL_ORDER}")
+@lru_cache(maxsize=2)
+def _relabellings(n: int, m: int, include_gamma: bool) -> list:
+    """Every relabelling of the (n, m) shape, in permutation order, as ``(sigma,
+    cells)``: relabelled cell i is ``sigma[flat[cells[i]]]`` over the old cells.
+    Refused beyond the bounds before a factorial passes them; kept for two shapes."""
+    total = 1
+    for k in chain(range(2, n + 1), range(2, m + 1) if include_gamma else ()):
+        total *= k
+        if total > MAX_RELABELLINGS:
+            shape = f"{n}!·{m}!" if include_gamma else f"{n}!"
+            raise LimitExceededError(
+                f"canonical form over {shape} relabellings refused beyond {MAX_RELABELLINGS}")
+    if total * n * n * m > MAX_TABLE_CELLS:
+        raise LimitExceededError(f"canonical form over {total * n * n * m} relabelled cells "
+                                 f"refused beyond {MAX_TABLE_CELLS}")
+    table = []
+    for gammas in permutations(range(m)) if include_gamma else [range(m)]:
+        for sigma in permutations(range(n)):
+            elements = sorted(range(n), key=sigma.__getitem__)
+            table.append((sigma, array("I", [g * n * n + a * n + b for g in gammas
+                                             for a in elements for b in elements])))
+    return table
 
 
 def canonical_form(G: GammaGroupoid, include_gamma: bool = True) -> GammaGroupoid:
-    """Lexicographically least relabeling over carrier (and optionally gamma) permutations.
+    """Lexicographically least relabelling over carrier (and optionally gamma) permutations.
 
     Two structures are isomorphic under the chosen permutation group exactly
     when their canonical forms have equal tables.  The result carries default
-    labels and gamma names.  Each relabelling is compared with the least so
-    far cell by cell and dropped at the first larger cell.
+    labels and gamma names.  Each relabelling is read up to its first cell that
+    differs from the least so far, and taken whole if that cell is smaller.
     """
     n, m = G.order, G.gamma_count
-    _refuse_canonical(n)
-    T = G.tables
-    best = tuple(v for t in T for row in t for v in row)
-    # reading the tables in every order covers every gamma relabelling
-    for gammas in permutations(range(m)) if include_gamma else [range(m)]:
-        for sigma in permutations(range(n)):
-            key = _relabelled_if_smaller(T, gammas, _inverse(sigma), sigma, best)
-            if key is not None:
-                best = key
-    tables = tuple(tuple(tuple(best[g * n * n + a * n + b] for b in range(n))
-                         for a in range(n)) for g in range(m))
-    return GammaGroupoid._trusted(tables)
+    flat = [v for t in G.tables for row in t for v in row]
+    best = flat
+    for sigma, cells in _relabellings(n, m, include_gamma):
+        i = 0
+        for c in cells:
+            v = sigma[flat[c]]
+            if v != best[i]:
+                if v < best[i]:
+                    # maps, as a comprehension makes sigma and flat slower closure cells
+                    best = list(map(sigma.__getitem__, map(flat.__getitem__, cells)))
+                break
+            i += 1
+    rows = zip(*[iter(best)] * n)  # n cells to a row, then n rows to a table
+    return GammaGroupoid._trusted(tuple(zip(*[rows] * n)))

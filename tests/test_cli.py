@@ -269,6 +269,18 @@ def test_search_canonical_flag(capsys):
     assert capsys.readouterr().out.strip() == "6"
 
 
+@pytest.mark.parametrize("order,full,carrier_only", [("2", 6, 7), ("3", 112, 187)])
+def test_search_iso_carrier_only_keeps_the_gamma_relabellings_apart(
+        capsys, order, full, carrier_only):
+    argv = ["search", "--order", order, "--gammas", "2", "--filter", "left-invertive",
+            "--canonical", "--count"]
+    for extra, expected in (([], full), (["--iso-carrier-only"], carrier_only)):
+        assert run(argv + extra) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
+        assert run(argv + extra + ["--json"]) == 0
+        assert _json_out(capsys) == {"command": "search", "count": expected}
+
+
 def test_hunt_clean(capsys):
     code = run(["hunt", "--order", "2", "--gammas", "2", "--lemma", "l-medial",
                 "--filter", "left-invertive"])
@@ -345,7 +357,19 @@ def test_search_refuses_an_oversized_canonical_order_at_once(capsys):
     assert code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: canonical form over 9! relabelings refused beyond order 8\n"
+    assert err == "error: canonical form over 9!·1! relabellings refused beyond 40320\n"
+
+
+def test_search_refuses_an_oversized_gamma_relabelling_at_once(capsys):
+    # 14! gamma orders of one element: the bound counts relabellings, not the order
+    t0 = time.perf_counter()
+    code = run(["search", "--order", "1", "--gammas", "14", "--canonical", "--count",
+                "--allow-large"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: canonical form over 1!·14! relabellings refused beyond 40320\n"
 
 
 @pytest.mark.parametrize("order,limit,message", [
@@ -431,6 +455,24 @@ def test_readme_commands_run(gamma5_path, tmp_path, monkeypatch, capsys):
 def test_missing_file_exit(capsys):
     assert run(["check", "no-such-file.gag"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["directory", "missing", "emit-under-a-file"])
+def test_an_os_error_is_one_line_and_exit_2(tmp_path, capsys, case):
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    argv, message = {
+        "directory": (["verify", str(tmp_path)],
+                      f"[Errno 21] Is a directory: '{tmp_path}'"),
+        "missing": (["check", str(tmp_path / "absent.gag")],
+                    f"[Errno 2] No such file or directory: '{tmp_path / 'absent.gag'}'"),
+        "emit-under-a-file": (["search", "--order", "1", "--gammas", "1",
+                               "--emit", str(tmp_path / "plain" / "out")],
+                              f"[Errno 20] Not a directory: '{tmp_path / 'plain' / 'out'}'"),
+    }[case]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_search_guard_is_usage_error(capsys):

@@ -1,6 +1,7 @@
+import time
 from functools import cache
 from itertools import permutations, product
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -237,12 +238,25 @@ def test_search_guard_refuses_large_shapes():
 
 def test_search_refuses_a_canonical_order_before_it_starts():
     spec = SearchSpec(order=9, gammas=1, up_to_iso=True, limit=0, allow_large=True)
-    with pytest.raises(gl.LimitExceededError, match="beyond order 8$"):
+    with pytest.raises(gl.LimitExceededError,
+                       match="^canonical form over 9!·1! relabellings refused beyond 40320$"):
         enumerate_structures(spec)
-    # the raw search of the same shape, and order 8 up to isomorphism, are admitted
+    # the raw search of the same shape, and 8! relabellings up to isomorphism,
+    # over the carrier or over the gammas, are admitted
     for spec in (SearchSpec(order=9, gammas=1, limit=0, allow_large=True),
-                 SearchSpec(order=8, gammas=1, up_to_iso=True, limit=0, allow_large=True)):
+                 SearchSpec(order=8, gammas=1, up_to_iso=True, limit=0, allow_large=True),
+                 SearchSpec(order=1, gammas=8, up_to_iso=True, limit=0, allow_large=True)):
         assert list(enumerate_structures(spec)) == []
+
+
+def test_search_counts_the_gamma_relabellings_only_when_it_permutes_the_gammas():
+    spec = SearchSpec(order=1, gammas=9, up_to_iso=True, limit=0, allow_large=True)
+    with pytest.raises(gl.LimitExceededError,
+                       match="^canonical form over 1!·9! relabellings refused beyond 40320$"):
+        enumerate_structures(spec)
+    spec = SearchSpec(order=1, gammas=9, up_to_iso=True, limit=0, allow_large=True,
+                      iso_include_gamma=False)
+    assert list(enumerate_structures(spec)) == []
 
 
 def test_the_cell_bound_keeps_every_search_within_the_order_and_law_bounds():
@@ -297,10 +311,13 @@ def _cells(G):
 
 @pytest.mark.parametrize("include_gamma", [True, False])
 def test_canonical_form_equals_brute_force_on_a_search_stream(include_gamma):
-    spec = SearchSpec(order=3, gammas=2, filters=frozenset({Filter.LEFT_INVERTIVE}))
-    for G in enumerate_structures(spec):
-        assert _cells(canonical_form(G, include_gamma)) == \
-            _brute_force_canonical(G, include_gamma)
+    # every labelled (3,2) left-invertive leaf, and the first 300 at order 5
+    for spec in (SearchSpec(order=3, gammas=2, filters=frozenset({Filter.LEFT_INVERTIVE})),
+                 SearchSpec(order=5, gammas=1, filters=frozenset({Filter.LEFT_INVERTIVE}),
+                            limit=300, allow_large=True)):
+        for G in enumerate_structures(spec):
+            assert _cells(canonical_form(G, include_gamma)) == \
+                _brute_force_canonical(G, include_gamma)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,6 +375,37 @@ def test_canonical_form_guard():
     big = GammaGroupoid.from_tables([[[0] * 9 for _ in range(9)]])
     with pytest.raises(gl.LimitExceededError):
         canonical_form(big)
+
+
+@pytest.mark.parametrize("n,m,include_gamma,message", [
+    (1, 12, True, "canonical form over 1!·12! relabellings refused beyond 40320"),
+    (1, 100_000, True, "canonical form over 1!·100000! relabellings refused beyond 40320"),
+    (8, 4, False, "canonical form over 10321920 relabelled cells refused beyond 8388608"),
+])
+def test_canonical_form_refuses_an_oversized_table_at_once(n, m, include_gamma, message):
+    # the refusal multiplies the factorials only up to the bound and builds no table
+    G = GammaGroupoid._trusted(((tuple([0] * n),) * n,) * m)
+    t0 = time.perf_counter()
+    with pytest.raises(gl.LimitExceededError, match=f"^{message}$"):
+        canonical_form(G, include_gamma)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_canonical_form_keeps_the_tables_of_the_last_two_shapes():
+    search._relabellings.cache_clear()
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 1)):
+        G = GammaGroupoid._trusted(((tuple([0] * n),) * n,) * m)
+        for include_gamma in (True, False):
+            assert canonical_form(G, include_gamma).tables == G.tables
+            assert search._relabellings.cache_info().currsize <= 2
+
+
+def test_every_shape_that_permutes_the_gammas_fits_the_table_bound():
+    # the cell bound only refuses carrier permutations over many gammas
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 9)
+              if factorial(n) * factorial(m) <= search.MAX_RELABELLINGS]
+    assert max(factorial(n) * factorial(m) * n * n * m for n, m in shapes) == 4_445_280
+    assert 4_445_280 <= search.MAX_TABLE_CELLS
 
 
 def test_up_to_iso_counts_and_coverage():
