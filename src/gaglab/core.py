@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterable, Literal, Optional
 
@@ -130,10 +130,14 @@ class GammaGroupoid:
         return f"GammaGroupoid(order={self.order}, gammas={self.gamma_count})"
 
 
+# one tuple per size, shared by every structure of that size (a search builds
+# one per leaf); the tuples are immutable, so sharing them is safe
+@lru_cache(maxsize=16)
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
+@lru_cache(maxsize=16)
 def default_gamma_names(m: int) -> tuple[str, ...]:
     return tuple(f"g{i + 1}" for i in range(m))
 
@@ -241,6 +245,11 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # (a g b) d c.  Terms are compiled into nested Python loops on first use:
 # walking the term tree at every instance makes check_law several times
 # slower, and compiling at import would be a large share of the import time.
+# A law compiles into three forms: the verdict pass (compile_holds), which
+# loops over the gammas outermost and hoists each lookup out of the loops it
+# does not read; the witness scan (compile_scan), which keeps the documented
+# scan order and runs only when the verdict pass fails; and the probe
+# (compile_probe), which checks one instance on partial tables.
 
 def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     """Variables in order of first appearance, as (name, is_gamma) pairs."""
@@ -284,6 +293,53 @@ def compile_scan(terms, violated: str, over_s=()):
     pad = "    " * (len(loops) + 1)
     lines.append(pad + "if " + violated.format(*map(_expr, terms)) + ":")
     lines.append(pad + "    return (" + "".join(f"v_{v}, " for v, _ in variables) + ")")
+    return _define(lines)
+
+
+def compile_holds(terms):
+    """Compile ``f(G)``, whether the two terms agree at every instance.
+
+    Gamma variables are the outer loops and element variables the inner ones,
+    each in order of first appearance.  Every lookup, and every table and row
+    that it reads, is made once, in the shallowest loop that binds all the
+    variables it reads.  The result is False at the first disagreement in
+    this order, which is not the scan order, so it names no witness.
+    """
+    variables = _variables(*terms)
+    gammas = [v for v, is_gamma in variables if is_gamma]
+    loops = gammas + [v for v, is_gamma in variables if not is_gamma]
+    depth_of = {v: depth for depth, v in enumerate(loops, 1)}
+    bound = [[] for _ in range(len(loops) + 1)]  # the assignments made at each depth
+    names = {}
+
+    def bind(expr, depth):
+        if depth == len(loops):  # read once per instance, so left inline
+            return expr, depth
+        if expr not in names:
+            names[expr] = f"t{len(names)}", depth
+            bound[depth].append(f"{names[expr][0]} = {expr}")
+        return names[expr]
+
+    def value(term):
+        """The local name holding a term's value and the depth that binds it."""
+        if isinstance(term, str):
+            return "v_" + term, depth_of[term]
+        left, g, right = term
+        at, depth = bind(f"T[v_{g}]", depth_of[g])
+        for index, index_depth in (value(left), value(right)):
+            at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
+        return at, depth
+
+    (lhs, _), (rhs, _) = map(value, terms)
+    lines = ["def f(G):", "    T = G.tables", "    E = range(G.order)",
+             "    M = range(G.gamma_count)"]
+    for depth, assignments in enumerate(bound):
+        if depth:
+            domain = "M" if depth <= len(gammas) else "E"
+            lines.append("    " * depth + f"for v_{loops[depth - 1]} in {domain}:")
+        lines += ["    " * (depth + 1) + line for line in assignments]
+    lines.append("    " * (len(loops) + 1) + f"if {lhs} != {rhs}: return False")
+    lines.append("    return True")
     return _define(lines)
 
 
@@ -335,10 +391,11 @@ def compile_probe(terms):
 class Law(Enum):
     """An identity lhs == rhs over all elements and gammas, given by its terms.
 
+    ``holds(G)`` (its ``compile_holds``) decides whether the law holds,
     ``scan(G)`` (its ``compile_scan``) finds the first violated instance and
     ``probe`` (its ``compile_probe``) checks one instance at values of the law's
     ``variables``: on partial tables in the search, on complete ones in
-    ``law_sides``.  Both compile on first use.  Adding a law is one line here.
+    ``law_sides``.  Each compiles on first use.  Adding a law is one line here.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -361,6 +418,10 @@ class Law(Enum):
         return compile_probe(self.terms)
 
     @cached_property
+    def holds(self):
+        return compile_holds(self.terms)
+
+    @cached_property
     def scan(self):
         return compile_scan(self.terms, "{0} != {1}")
 
@@ -373,7 +434,8 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
 
     Scan order is element variables outer, gamma variables inner, each in
     order of first appearance in the law's left-hand term and ascending, so
-    the reported witness is reproducible.  A scan over more than
+    the reported witness is reproducible.  The law's verdict pass runs first,
+    and the scan only when that pass fails.  A check over more than
     ``MAX_LAW_INSTANCES`` instances is refused before it starts.
     """
     def scan():
@@ -381,7 +443,7 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
         if instances > MAX_LAW_INSTANCES:
             raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
                                      f"beyond {MAX_LAW_INSTANCES}")
-        return law.scan(G)
+        return None if law.holds(G) else law.scan(G)
     witness = _fact(G, law, scan)
     return LawVerdict(witness is None, witness)
 

@@ -164,11 +164,15 @@ def _law_lemma(*laws: Law):
 def _verify_bi_product(G):
     full = G.carrier
     bis = enumerate_ideals(G, IdealKind.BI)
+    passed = set()  # products already checked, each of which passed
     for B1 in bis:
         for B2 in bis:
             P = subset_product(G, B1, B2)
+            if P in passed:
+                continue
             if subset_product(G, subset_product(G, P, full), P) & ~P:
                 return _cx({"subset": B1, "subset_b": B2, "product": P})
+            passed.add(P)
     return _HOLDS
 
 

@@ -33,6 +33,18 @@ def test_default_labels(singleton):
     assert G.gamma_names == ("g1", "g2")
 
 
+def test_search_leaves_share_one_label_tuple_per_size():
+    a, b = enumerate_structures(SearchSpec(order=2, gammas=2, limit=2))
+    assert a.labels is b.labels and a.gamma_names is b.gamma_names
+    assert a.labels == ("1", "2") and a.gamma_names == ("g1", "g2")
+    # the cache keeps a few sizes, not every size ever built
+    for size in range(1, 40):
+        assert gl.core.default_labels(size) == tuple(str(i + 1) for i in range(size))
+        assert gl.core.default_gamma_names(size) == tuple(f"g{i + 1}" for i in range(size))
+    for cached in (gl.core.default_labels, gl.core.default_gamma_names):
+        assert cached.cache_info().currsize <= cached.cache_info().maxsize < 39
+
+
 def test_immutability(gamma5):
     with pytest.raises(AttributeError):
         gamma5.labels = ("x",) * 5

@@ -3,20 +3,22 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import gaglab as gl
-from gaglab import ideals
+from gaglab import core, ideals, theorems
 from gaglab.core import GammaGroupoid, Law
 from gaglab.theorems import (
     HUNT_FILTERS,
     LemmaId,
     LemmaStatus,
+    LemmaVerdict,
     hunt,
     verify,
     verify_all,
 )
 
-from conftest import fresh, oracle_members, oracle_product
+from conftest import fresh, oracle_members, oracle_product, structures
 
 
 REGULAR_ONLY = {
@@ -119,6 +121,42 @@ def test_products_of_bi_ideals_are_sub_groupoids():
                 assert oracle_product(G, P, P) <= P, (G.tables, B1, B2)
                 products += 1
     assert products == 8546
+
+
+def _reference_verify_bi_product(G):
+    """l-bi-product as it was before repeated products were skipped: all
+    three products for every ordered pair of bi-ideals."""
+    full = G.carrier
+    bis = ideals.enumerate_ideals(G, ideals.IdealKind.BI)
+    for B1 in bis:
+        for B2 in bis:
+            P = core.subset_product(G, B1, B2)
+            if core.subset_product(G, core.subset_product(G, P, full), P) & ~P:
+                return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE,
+                                    witness={"subset": B1, "subset_b": B2, "product": P})
+    return LemmaVerdict(LemmaStatus.HOLDS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures())
+def test_bi_product_verifier_matches_the_three_product_loop(G):
+    # no hypotheses are imposed, so both verdicts and first witnesses occur
+    assert LemmaId.L_BI_PRODUCT.verifier(G) == _reference_verify_bi_product(G)
+
+
+def test_bi_product_verifier_checks_each_distinct_product_once(monkeypatch, gamma5):
+    G = fresh(gamma5)
+    calls = []
+
+    def counting_product(G, A, B):
+        calls.append((A, B))
+        return core.subset_product(G, A, B)
+    monkeypatch.setattr(theorems, "subset_product", counting_product)
+    assert LemmaId.L_BI_PRODUCT.verifier(G).status is LemmaStatus.HOLDS
+    bis = ideals.enumerate_ideals(G, ideals.IdealKind.BI)
+    products = {core.subset_product(G, B1, B2) for B1 in bis for B2 in bis}
+    assert len(products) < len(bis) ** 2
+    assert len(calls) == len(bis) ** 2 + 2 * len(products)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +324,15 @@ def test_hunt_equals_hunt_over_fresh_copies(lid):
 
 
 def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
-    # counted below the kept facts: law scans, powerset kernel builds and
-    # ideal enumerations, one per kind's compiled scan
-    scans, enumerations = Counter(), Counter()
+    # counted below the kept facts: law verdict passes and witness scans,
+    # powerset kernel builds and ideal enumerations, one per kind's compiled scan
+    passes, scans, enumerations = Counter(), Counter(), Counter()
     for law in Law:
+        def verdict(G, law=law, compiled=law.holds):
+            passes[law] += 1
+            return compiled(G)
+        monkeypatch.setattr(law, "holds", verdict)
+
         def scan(G, law=law, compiled=law.scan):
             scans[law] += 1
             return compiled(G)
@@ -306,14 +349,18 @@ def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
         return kernel(G)
     monkeypatch.setattr(ideals, "_powerset_kernel", counting_kernel)
     # the session fixtures may already carry facts, so count on fresh copies;
-    # the singleton has a right identity, so l-right-identity scans two more laws
-    for G, most_scans in ((fresh(gamma5), 4), (fresh(singleton), 6)):
+    # the singleton has a right identity, so l-right-identity checks two more
+    # laws; a law is scanned for its witness only after its verdict pass fails
+    for G, most_laws in ((fresh(gamma5), 4), (fresh(singleton), 6)):
+        passes.clear()
         scans.clear()
         enumerations.clear()
         built.clear()
         verify_all(G)
         assert built == [G]
-        assert max(scans.values()) == 1 and sum(scans.values()) <= most_scans
+        assert max(passes.values()) == 1 and sum(passes.values()) <= most_laws
+        failed = {law for law in passes if not gl.check_law(G, law).holds}
+        assert set(scans) == failed and max(scans.values(), default=1) == 1
         assert max(enumerations.values()) == 1
 
 
