@@ -1,18 +1,22 @@
 """Backtracking enumeration of all table bundles of a given shape.
 
 Cells are assigned depth-first in gamma-major, row-major order, so structures
-come out in lexicographic order of their flattened cell sequence.  Each law
-instance of the requested identity filters waits on one unassigned cell that
-it reads (a watch list, as with the watched literals of Chaff), and assigning
-a cell re-probes only the instances waiting on it: an instance with both
-sides known and unequal prunes the branch, one with a known side and the
-other blocked only at its outermost lookup forces that cell to the known
-value (unit propagation, as in SEM), and any other is moved to the cell it
-now waits on.  Forced cells are propagated at once and skipped by the
-backtracking; a trail of moved instances and forced cells is rolled back on
-the way up.  A cell is only forced to the one value every completion must
-give it, so the stream is the same as with pruning alone.  Emitted
-structures are re-checked in full at the leaf, so pruning is an
+come out in lexicographic order of their flattened cell sequence.  The search
+takes one instance per mirror pair of each pruned law (``Law.instances``): an
+instance and its mirror image state one equation, and a self-mirror instance,
+whose sides are the same lookup, is dropped.  Each instance waits on an
+unassigned cell that it reads (a watch list, as with the watched literals of
+Chaff), and assigning a cell re-probes only the instances waiting on it, in
+one propagate step compiled per tuple of laws with the probes inline: an
+instance with both sides known and unequal prunes the branch, one with a
+known side and the other blocked only at its outermost lookup forces that
+cell to the known value (unit propagation, as in SEM), one with both
+outermost cells unassigned waits on both of them, and any other is moved to
+its first unassigned inner lookup.  Forced cells are propagated at once and
+skipped by the backtracking; a trail of moved instances and forced cells is
+rolled back on the way up.  A cell is only forced to the one value every
+completion must give it, so the stream is the same as with pruning alone.
+Emitted structures are re-checked in full at the leaf, so pruning is an
 optimization, never trusted.
 
 A canonical form is the least relabelling.  One table per shape lists, for each
@@ -24,11 +28,12 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice, permutations
 from math import factorial
 from typing import Iterator, Optional
 
-from .core import GammaGroupoid, Law, LimitExceededError, check_law, identities, is_regular
+from .core import (GammaGroupoid, Law, LimitExceededError, check_law, compile_propagate,
+                   identities, is_regular)
 
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
@@ -113,40 +118,20 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     cells = [(tables[g][r], c, waiting[g][r][c])
              for g in range(m) for r in range(n) for c in range(n)]
     moved = []   # the bucket each re-queued instance went to, in order
-    forced = []  # the cells assigned by propagation, in order
+    forced = []  # the (row, column) of each cell assigned by propagation, in order
     prunable = [f for f in Filter if f in spec.filters and f.law]
     # The leaf-only filters, which can reject a leaf, are checked before the
     # prunable ones, which re-check the pruning; each group in declaration order.
     leaf_filters = [f for f in Filter if f in spec.filters and not f.law] + prunable
-
-    def propagate(instances) -> bool:
-        """Re-probe ``instances`` and, in turn, the instances waiting on each
-        cell forced on the way; False on a violated instance."""
-        todo = [instances]
-        for batch in todo:
-            for inst in batch:
-                lhs, rhs, cell = inst[0](tables, inst[1], n)
-                if cell is None:
-                    if lhs != rhs:
-                        return False
-                    continue
-                g, r, c = cell
-                if lhs == rhs:
-                    bucket = waiting[g][r][c]
-                    bucket.append(inst)
-                    moved.append(bucket)
-                else:
-                    tables[g][r][c] = rhs if lhs == n else lhs
-                    forced.append(cell)
-                    todo.append(waiting[g][r][c])
-        return True
+    laws = tuple(f.law for f in prunable)
+    propagate = _propagation(laws)(tables, waiting, n, moved, forced)
 
     def undo(n_moved, n_forced):
         for bucket in moved[n_moved:]:
             bucket.pop()
         del moved[n_moved:]
-        for g, r, c in forced[n_forced:]:
-            tables[g][r][c] = n
+        for row, c in forced[n_forced:]:
+            row[c] = n
         del forced[n_forced:]
 
     def rec(pos):
@@ -169,12 +154,14 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             undo(*marks)
         row[c] = n
 
-    instances = [(f.law.probe, values)
-                 for f in prunable
-                 for values in product(*(range(m) if is_gamma else range(n)
-                                         for _, is_gamma in f.law.variables))]
-    if propagate(instances):
+    if propagate([(k, *values) for k, law in enumerate(laws) for values in law.instances(n, m)]):
         yield from rec(0)
+
+
+@lru_cache(maxsize=None)
+def _propagation(laws: tuple[Law, ...]):
+    """The propagate step of the laws' instances, compiled once per tuple of laws."""
+    return compile_propagate([law.terms for law in laws])
 
 
 def count(spec: SearchSpec) -> int:
