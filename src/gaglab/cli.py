@@ -305,7 +305,9 @@ def run(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

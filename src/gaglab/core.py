@@ -246,15 +246,17 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # (a g b) d c.  Terms are compiled into nested Python loops on first use:
 # walking the term tree at every instance makes check_law several times
 # slower, and compiling at import would be a large share of the import time.
-# A law compiles into three forms: the verdict pass (compile_holds), which
-# loops over the gammas outermost and hoists each lookup out of the loops it
-# does not read; the witness scan (compile_scan), which keeps the documented
-# scan order and runs only when the verdict pass fails; and the search's
-# propagate step (compile_propagate), one per tuple of pruned laws, with every
-# instance's probe written inline and both outermost cells watched.  The search
-# takes one instance per mirror pair (Law.instances): the mirror swaps the two
-# terms, so an instance and its image state one equation, and an instance that
-# is its own image holds on every table and is dropped.
+# Terms compile through one loop-nest emitter in two loop orders, plus the
+# propagate step.  The emitter (compile_scan) hoists each lookup out of the
+# loops it does not read.  A law's verdict pass loops over the gammas outermost;
+# its witness scan, and each ideal clause's, loops over the elements outermost,
+# keeps the documented scan order and, for a law, runs only when the verdict
+# pass fails.  The search's propagate step (compile_propagate), one per tuple of
+# pruned laws, writes every instance's probe inline and watches both outermost
+# cells; its lookups wait on a cell one by one, so it has its own emitter.  The
+# search takes one instance per mirror pair (Law.instances): the mirror swaps
+# the two terms, so an instance and its image state one equation, and an
+# instance that is its own image holds on every table and is dropped.
 
 def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     """Variables in order of first appearance, as (name, is_gamma) pairs."""
@@ -265,55 +267,31 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     return tuple(dict.fromkeys(v for term in terms for v in reading(term)))
 
 
-def _expr(term) -> str:
-    if isinstance(term, str):
-        return "v_" + term
-    left, g, right = term
-    return f"T[v_{g}][{_expr(left)}][{_expr(right)}]"
-
-
 def _define(lines: list[str]):
     scope = {"members": members}
     exec("\n".join(lines), scope)
     return scope["f"]
 
 
-def compile_scan(terms, violated: str, over_s=()):
-    """Compile ``f(G, S=0)``, the first instance of the terms' variables at
+def compile_scan(terms, violated: str, over_s=(), gammas_outer=False):
+    """Compile ``f(G, S=0)``, a scan for an instance of the terms' variables at
     which ``violated`` (a condition on the terms' values ``{0}``, ``{1}``, ...
-    and the subset mask ``S``) holds, or None.
+    and the subset mask ``S``) holds.
 
-    Element variables are the outer loops and gamma variables the inner ones,
-    each in order of first appearance; element variables in ``over_s`` range
-    over the members of S, the others over the carrier.  The instance is the
-    variables in order of first appearance.
+    The loops run over the variables in order of first appearance, element
+    variables outermost and gamma variables innermost, or the other way round
+    when ``gammas_outer``; element variables in ``over_s`` range over the
+    members of S, the others over the carrier.  Every lookup, and every table
+    and row that it reads, is made once, in the shallowest loop that binds all
+    the variables it reads.  With the elements outermost, f returns the first
+    hit in this scan order, as the variables in order of first appearance, or
+    None; with the gammas outermost the first hit is not the first in scan
+    order, so it names no witness and f returns False at it, else True.
     """
     variables = _variables(*terms)
-    loops = [v for v in variables if not v[1]] + [v for v in variables if v[1]]
-    lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
-             "    M = range(G.gamma_count)", "    SE = members(S)"]
-    for depth, (name, is_gamma) in enumerate(loops, 1):
-        domain = "M" if is_gamma else "SE" if name in over_s else "E"
-        lines.append("    " * depth + f"for v_{name} in {domain}:")
-    pad = "    " * (len(loops) + 1)
-    lines.append(pad + "if " + violated.format(*map(_expr, terms)) + ":")
-    lines.append(pad + "    return (" + "".join(f"v_{v}, " for v, _ in variables) + ")")
-    return _define(lines)
-
-
-def compile_holds(terms):
-    """Compile ``f(G)``, whether the two terms agree at every instance.
-
-    Gamma variables are the outer loops and element variables the inner ones,
-    each in order of first appearance.  Every lookup, and every table and row
-    that it reads, is made once, in the shallowest loop that binds all the
-    variables it reads.  The result is False at the first disagreement in
-    this order, which is not the scan order, so it names no witness.
-    """
-    variables = _variables(*terms)
-    gammas = [v for v, is_gamma in variables if is_gamma]
-    loops = gammas + [v for v, is_gamma in variables if not is_gamma]
-    depth_of = {v: depth for depth, v in enumerate(loops, 1)}
+    # a stable sort keeps the order of first appearance within each kind
+    loops = sorted(variables, key=lambda v: v[1] != gammas_outer)
+    depth_of = {v: depth for depth, (v, _) in enumerate(loops, 1)}
     bound = [[] for _ in range(len(loops) + 1)]  # the assignments made at each depth
     names = {}
 
@@ -335,16 +313,21 @@ def compile_holds(terms):
             at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
         return at, depth
 
-    (lhs, _), (rhs, _) = map(value, terms)
-    lines = ["def f(G):", "    T = G.tables", "    E = range(G.order)",
+    values = [value(term)[0] for term in terms]
+    lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
              "    M = range(G.gamma_count)"]
+    if any(name in over_s for name, is_gamma in variables if not is_gamma):
+        lines.append("    SE = members(S)")
     for depth, assignments in enumerate(bound):
         if depth:
-            domain = "M" if depth <= len(gammas) else "E"
-            lines.append("    " * depth + f"for v_{loops[depth - 1]} in {domain}:")
+            name, is_gamma = loops[depth - 1]
+            domain = "M" if is_gamma else "SE" if name in over_s else "E"
+            lines.append("    " * depth + f"for v_{name} in {domain}:")
         lines += ["    " * (depth + 1) + line for line in assignments]
-    lines.append("    " * (len(loops) + 1) + f"if {lhs} != {rhs}: return False")
-    lines.append("    return True")
+    instance = "(" + "".join(f"v_{v}, " for v, _ in variables) + ")"
+    hit, miss = ("False", "True") if gammas_outer else (instance, "None")
+    lines.append("    " * (len(loops) + 1) + f"if {violated.format(*values)}: return {hit}")
+    lines.append(f"    return {miss}")
     return _define(lines)
 
 
@@ -428,12 +411,14 @@ def _mirror(lhs, rhs) -> Optional[dict]:
 class Law(Enum):
     """An identity lhs == rhs over all elements and gammas, given by its terms.
 
-    ``holds(G)`` (its ``compile_holds``) decides whether the law holds and
-    ``scan(G)`` (its ``compile_scan``) finds the first violated instance; each
-    compiles on first use.  ``mirror`` is the variable involution that swaps the
-    terms, found by unifying them (None when there is none), and ``instances``
-    the search's values of the law's ``variables``: one per mirror pair, with
-    the self-mirror ones dropped.  The search runs them through
+    ``holds(G)`` decides whether the law holds and ``scan(G)`` finds the first
+    violated instance; both come from the one loop-nest emitter,
+    ``compile_scan``, in its two loop orders (gammas outermost for ``holds``,
+    elements for ``scan``), and each compiles on first use.  ``mirror`` is the
+    variable involution that swaps the terms, found by unifying them (None
+    when there is none), and ``instances`` the search's values of the law's
+    ``variables``: one per mirror pair, with the self-mirror ones dropped.
+    The search runs them through
     ``compile_propagate``, probes inline and both outermost cells watched.
     Adding a law is one line here.
     """
@@ -469,7 +454,7 @@ class Law(Enum):
 
     @cached_property
     def holds(self):
-        return compile_holds(self.terms)
+        return compile_scan(self.terms, "{0} != {1}", gammas_outer=True)
 
     @cached_property
     def scan(self):

@@ -108,7 +108,7 @@ def test_closure_kind_choices_are_the_closure_kinds(gamma5_path, capsys, kind):
 def test_closure_unknown_label_is_usage_error(gamma5_path, capsys):
     code = run(["closure", gamma5_path, "--elements", "9", "--kind", "left"])
     assert code == 2
-    assert "unknown element label" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown element label '9'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,23 @@ from conftest import fresh, oracle_product, oracle_members, structures, structur
 # construction
 
 def test_construction_rejects_bad_entries():
-    with pytest.raises(ValueError):
-        GammaGroupoid.from_tables([[[0, 2], [0, 0]]])  # entry 2 outside order 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="table entry 2 outside carrier"):
+        GammaGroupoid.from_tables([[[0, 2], [0, 0]]])
+    with pytest.raises(ValueError, match="n-by-n"):
         GammaGroupoid.from_tables([[[0, 0]]])  # not square
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be non-empty"):
         GammaGroupoid.from_tables([])  # no gamma operation
-    with pytest.raises(ValueError):
-        GammaGroupoid(((((0,),),)), ("a", "a"), ("g",))  # duplicate labels
+    with pytest.raises(ValueError, match="carrier size 65 exceeds supported maximum 64"):
+        GammaGroupoid((), tuple(map(str, range(65))), ("g",))
+    with pytest.raises(ValueError, match="exactly one table per gamma"):
+        GammaGroupoid((((0,),),), ("a",), ("g", "h"))
+    with pytest.raises(ValueError, match="element labels must be unique"):
+        GammaGroupoid((((0, 0), (0, 0)),), ("a", "a"), ("g",))
+    with pytest.raises(ValueError, match="gamma names must be unique"):
+        GammaGroupoid((((0,),), ((0,),)), ("a",), ("g", "g"))
+    for labels, names in (("a b",), ("g",)), (("a",), ("g#",)):
+        with pytest.raises(ValueError, match="bad display token"):
+            GammaGroupoid((((0,),),), labels, names)
 
 
 def test_default_labels(singleton):
@@ -79,6 +88,11 @@ def test_apply_out_of_range(gamma5):
         gamma5.apply(0, 3, 0)
     with pytest.raises(IndexError):
         gamma5.apply(0, 0, -1)
+
+
+def test_unknown_gamma_name(gamma5):
+    with pytest.raises(KeyError, match="unknown gamma name 'δ'"):
+        gamma5.gamma_index("δ")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +330,8 @@ def test_instances_take_one_per_mirror_pair(law):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_law_sides_evaluate_both_terms(data):
-    # law_sides reads the probe, which is exact on complete tables
+    # law_sides evaluates the terms; the partial-table oracle _walk must agree on
+    # complete tables
     G = data.draw(structures(max_order=3, max_gammas=2))
     law = data.draw(st.sampled_from(list(Law)))
     values = tuple(data.draw(st.integers(0, (G.gamma_count if is_gamma else G.order) - 1))
@@ -416,6 +431,9 @@ def test_regular_witness_fixture_values(gamma5, singleton):
     assert gl.regular_witness(gamma5, 1) == gl.RegularityWitness(0, 0, 1)
     for idx in (2, 3, 4):  # labels 3, 4, 5 have no witness
         assert gl.regular_witness(gamma5, idx) is None
+    for idx in (-1, 5):
+        with pytest.raises(IndexError, match=f"element index {idx} out of range"):
+            gl.regular_witness(gamma5, idx)
 
 
 def test_is_regular(gamma5, dot5, singleton):

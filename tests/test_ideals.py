@@ -274,8 +274,11 @@ def test_prime_gamma5(gamma5):
 
 
 def test_prime_requires_ideal(gamma5):
-    v = is_prime(gamma5, mask(gamma5, ["4"]))
+    S = mask(gamma5, ["4"])
+    v = is_prime(gamma5, S)
     assert not v.holds and v.failed_clause in ("LeftAbsorb", "RightAbsorb")
+    # semiprimeness of a non-ideal is the same base verdict
+    assert is_semiprime(gamma5, S) == v == is_ideal(gamma5, S, IdealKind.TWO_SIDED)
 
 
 def test_principal_left(gamma5, singleton):
@@ -284,6 +287,9 @@ def test_principal_left(gamma5, singleton):
     assert principal_left(gamma5, gamma5.element_index("1")) == \
         mask(gamma5, ["1", "2"])
     assert principal_left(singleton, 0) == 1
+    for a in (-1, 5):
+        with pytest.raises(IndexError, match=f"element index {a} out of range"):
+            principal_left(gamma5, a)
 
 
 # ---------------------------------------------------------------------------
