@@ -50,10 +50,10 @@ def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
     return out
 
 
-def _fmt_lemma_witness(G: GammaGroupoid, w: dict) -> str:
-    """The witness as key=value pairs, from its JSON form; None values are left out."""
+def _fmt_lemma_witness(w: dict) -> str:
+    """A witness's JSON form as key=value pairs; None values are left out."""
     parts = []
-    for key, value in _lemma_witness_json(G, w).items():
+    for key, value in w.items():
         if key in MASK_KEYS:
             value = "{" + ",".join(value) + "}"
         elif key == "at" and value is not None:
@@ -139,8 +139,8 @@ def _cmd_verify(args) -> int:
             entry["hypothesis_failed"] = v.hypothesis_failed
         else:
             bad += 1
-            line = f"{lid.value}: counterexample {_fmt_lemma_witness(G, v.witness)}"
             entry["witness"] = _lemma_witness_json(G, v.witness)
+            line = f"{lid.value}: counterexample {_fmt_lemma_witness(entry['witness'])}"
         lines.append(line)
         entries.append(entry)
     code = 1 if bad else 0
@@ -184,11 +184,12 @@ def _cmd_search(args) -> int:
         return 0
     texts = []  # kept only for the --json payload without --emit
     total = 0
-    for G in enumerate_structures(spec):
+    structures = enumerate_structures(spec)  # refuses an oversized spec before the mkdir
+    if args.emit:
+        Path(args.emit).mkdir(parents=True, exist_ok=True)
+    for G in structures:
         text = serialize(G)
         if args.emit:
-            if total == 0:
-                Path(args.emit).mkdir(parents=True, exist_ok=True)
             (Path(args.emit) / f"structure_{total:05d}.gag").write_text(text, encoding="utf-8")
         elif args.json:
             texts.append(text)
@@ -216,13 +217,11 @@ def _cmd_hunt(args) -> int:
               args.json, ["no counterexample"])
         return 0
     G, v = found
-    lines = [f"counterexample to {lid.value}:",
-             serialize(G).rstrip("\n"),
-             f"witness: {_fmt_lemma_witness(G, v.witness)}"]
+    text, witness = serialize(G), _lemma_witness_json(G, v.witness)
+    lines = [f"counterexample to {lid.value}:", text.rstrip("\n"),
+             f"witness: {_fmt_lemma_witness(witness)}"]
     _emit({"command": "hunt", "lemma": lid.value,
-           "counterexample": {"structure": serialize(G),
-                              "witness": _lemma_witness_json(G, v.witness),
-                              "note": None}},
+           "counterexample": {"structure": text, "witness": witness, "note": None}},
           args.json, lines)
     return 1
 

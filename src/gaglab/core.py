@@ -13,7 +13,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import product
 from math import prod
 from typing import Iterable, Literal, Optional
 
@@ -246,17 +245,11 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # (a g b) d c.  Terms are compiled into nested Python loops on first use:
 # walking the term tree at every instance makes check_law several times
 # slower, and compiling at import would be a large share of the import time.
-# Terms compile through one loop-nest emitter in two loop orders, plus the
-# propagate step.  The emitter (compile_scan) hoists each lookup out of the
-# loops it does not read.  A law's verdict pass loops over the gammas outermost;
-# its witness scan, and each ideal clause's, loops over the elements outermost,
-# keeps the documented scan order and, for a law, runs only when the verdict
-# pass fails.  The search's propagate step (compile_propagate), one per tuple of
-# pruned laws, writes every instance's probe inline and watches both outermost
-# cells; its lookups wait on a cell one by one, so it has its own emitter.  The
-# search takes one instance per mirror pair (Law.instances): the mirror swaps
-# the two terms, so an instance and its image state one equation, and an
-# instance that is its own image holds on every table and is dropped.
+# Terms compile through one loop-nest emitter, compile_scan, in two loop
+# orders; it hoists each lookup out of the loops it does not read.  A law's
+# verdict pass loops over the gammas outermost; its witness scan, and each
+# ideal clause's, loops over the elements outermost, keeps the documented scan
+# order and, for a law, runs only when the verdict pass fails.
 
 def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     """Variables in order of first appearance, as (name, is_gamma) pairs."""
@@ -331,96 +324,14 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False):
     return _define(lines)
 
 
-def compile_propagate(laws):
-    """Compile ``f(T, W, n, moved, forced)``, which returns the search's
-    ``propagate(batch)`` over instances of ``laws``, a sequence of term pairs.
-
-    T holds ``n`` in every unassigned cell and in a spare row and column, and
-    ``W[g][r][c]`` lists the instances waiting on unassigned cell (g, r, c).  An
-    instance is ``(k, *values)``: the index of its law and values of that law's
-    variables.  ``propagate`` runs each instance of ``batch``, with its lookups
-    written inline, and then those waiting on each cell it forces; False at the
-    first instance whose sides are known and unequal.  An instance waits on its
-    first unassigned inner lookup; with every inner lookup known it forces an
-    unassigned outermost cell to the other side's known value, or waits on both
-    outermost cells when both are unassigned (Chaff's two watched literals).
-    A wait appends the instance to the bucket and the bucket to ``moved``; a
-    force assigns the cell, appends ``(row, column)`` to ``forced`` and queues
-    the cell's bucket.
-    """
-    lines = ["def f(T, W, n, moved, forced):",
-             "    def propagate(batch):",
-             "        todo = [batch]",
-             "        for batch in todo:",
-             "            for inst in batch:"]
-    for k, terms in enumerate(laws):
-        pad = " " * 16
-        if len(laws) > 1:
-            lines.append(f"{pad}{'elif' if k else 'if'} inst[0] == {k}:")
-            pad += "    "
-        lines.append(pad + "_, " + "".join(f"v_{v}, " for v, _ in _variables(*terms)) + "= inst")
-
-        def wait(at):
-            return f"w = W[{at[0]}][{at[1]}][{at[2]}]; w.append(inst); moved.append(w)"
-
-        def cell(term):
-            left, g, right = term
-            return "v_" + g, value(left), value(right)
-
-        def value(term):
-            """Emit the lookups of a term, each waiting at once when unassigned."""
-            if isinstance(term, str):
-                return "v_" + term
-            at = cell(term)
-            var = f"x{len(lines)}"
-            lines.append(f"{pad}{var} = T[{at[0]}][{at[1]}][{at[2]}]")
-            lines.append(f"{pad}if {var} == n: {wait(at)}; continue")
-            return var
-
-        # the outermost lookups come last, so that a known side can force the other's
-        roots = [(i, cell(term)) for i, term in enumerate(terms) if not isinstance(term, str)]
-        lines += [f"{pad}r{i} = T[{at[0]}][{at[1]}]; s{i} = r{i}[{at[2]}]" for i, at in roots]
-        sides = ["v_" + term if isinstance(term, str) else f"s{i}" for i, term in enumerate(terms)]
-        lhs, rhs = sides
-        lines.append(f"{pad}if {lhs} != {rhs}:")
-        for branch, (i, at) in enumerate(roots):  # a side reading n: the other is known
-            lines.append(f"{pad}    {'elif' if branch else 'if'} s{i} == n:")
-            lines.append(f"{pad}        r{i}[{at[2]}] = {sides[1 - i]}; forced.append((r{i}, {at[2]}))")
-            lines.append(f"{pad}        todo.append(W[{at[0]}][{at[1]}][{at[2]}])")
-        lines.append(f"{pad}    {'else: ' if roots else ''}return False")
-        if len(roots) == 2:  # equal sides: both known, or both unassigned
-            lines.append(f"{pad}elif s0 == n:")
-            lines += [f"{pad}    {wait(at)}" for _, at in roots]
-    if not laws:
-        lines.append(" " * 16 + "pass")
-    lines += ["        return True", "    return propagate"]
-    return _define(lines)
-
-
-def _mirror(lhs, rhs) -> Optional[dict]:
-    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None."""
-    image = {}
-
-    def onto(s, t):
-        if isinstance(s, str) or isinstance(t, str):
-            return isinstance(s, str) and isinstance(t, str) and image.setdefault(s, t) == t
-        return onto(s[0], t[0]) and image.setdefault(s[1], t[1]) == t[1] and onto(s[2], t[2])
-    return image if onto(lhs, rhs) and onto(rhs, lhs) else None
-
-
 class Law(Enum):
     """An identity lhs == rhs over all elements and gammas, given by its terms.
 
     ``holds(G)`` decides whether the law holds and ``scan(G)`` finds the first
     violated instance; both come from the one loop-nest emitter,
     ``compile_scan``, in its two loop orders (gammas outermost for ``holds``,
-    elements for ``scan``), and each compiles on first use.  ``mirror`` is the
-    variable involution that swaps the terms, found by unifying them (None
-    when there is none), and ``instances`` the search's values of the law's
-    ``variables``: one per mirror pair, with the self-mirror ones dropped.
-    The search runs them through
-    ``compile_propagate``, probes inline and both outermost cells watched.
-    Adding a law is one line here.
+    elements for ``scan``), and each compiles on first use.  Adding a law is
+    one line here.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -437,20 +348,6 @@ class Law(Enum):
         law.terms = lhs, rhs
         law.variables = _variables(lhs, rhs)
         return law
-
-    @cached_property
-    def mirror(self) -> Optional[dict]:
-        return _mirror(*self.terms)
-
-    def instances(self, n: int, m: int) -> list[tuple]:
-        """Values of ``variables`` over n elements and m gammas, each smaller than
-        its mirror image (where ``x`` takes the value of ``mirror[x]``)."""
-        values = product(*(range(m) if is_gamma else range(n) for _, is_gamma in self.variables))
-        if self.mirror is None:
-            return list(values)
-        names = [v for v, _ in self.variables]
-        image = [names.index(self.mirror[v]) for v in names]
-        return [v for v in values if v < tuple(v[i] for i in image)]
 
     @cached_property
     def holds(self):

@@ -2,22 +2,23 @@
 
 Cells are assigned depth-first in gamma-major, row-major order, so structures
 come out in lexicographic order of their flattened cell sequence.  The search
-takes one instance per mirror pair of each pruned law (``Law.instances``): an
-instance and its mirror image state one equation, and a self-mirror instance,
-whose sides are the same lookup, is dropped.  Each instance waits on an
-unassigned cell that it reads (a watch list, as with the watched literals of
-Chaff), and assigning a cell re-probes only the instances waiting on it, in
-one propagate step compiled per tuple of laws with the probes inline: an
-instance with both sides known and unequal prunes the branch, one with a
-known side and the other blocked only at its outermost lookup forces that
-cell to the known value (unit propagation, as in SEM), one with both
-outermost cells unassigned waits on both of them, and any other is moved to
-its first unassigned inner lookup.  Forced cells are propagated at once and
-skipped by the backtracking; a trail of moved instances and forced cells is
-rolled back on the way up.  A cell is only forced to the one value every
-completion must give it, so the stream is the same as with pruning alone.
-Emitted structures are re-checked in full at the leaf, so pruning is an
-optimization, never trusted.
+takes one instance per mirror pair of each pruned law (``_instances``): the
+mirror swaps the law's two terms, so an instance and its image state one
+equation, and a self-mirror instance, whose sides are the same lookup, is
+dropped.  Each instance waits on an unassigned cell that it reads (a watch
+list, as with the watched literals of Chaff), and assigning a cell re-probes
+only the instances waiting on it, in one propagate step compiled per tuple of
+laws with the probes inline (``compile_propagate``, an emitter of its own, as
+its lookups wait on a cell one by one): an instance with both sides known and
+unequal prunes the branch, one with a known side and the other blocked only
+at its outermost lookup forces that cell to the known value (unit
+propagation, as in SEM), one with both outermost cells unassigned waits on
+both of them, and any other is moved to its first unassigned inner lookup.
+Forced cells are propagated at once and skipped by the backtracking; a trail
+of moved instances and forced cells is rolled back on the way up.  A cell is
+only forced to the one value every completion must give it, so the stream is
+the same as with pruning alone.  Emitted structures are re-checked in full at
+the leaf, so pruning is an optimization, never trusted.
 
 A canonical form is the least relabelling.  One table per shape lists, for each
 relabelling, the old cell each new cell reads; a walk stops at its first difference.
@@ -28,11 +29,11 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, islice, permutations
+from itertools import chain, islice, permutations, product
 from math import factorial
 from typing import Iterator, Optional
 
-from .core import (GammaGroupoid, Law, LimitExceededError, check_law, compile_propagate,
+from .core import (GammaGroupoid, Law, LimitExceededError, _define, _variables, check_law,
                    identities, is_regular)
 
 MAX_SEARCH_ORDER = 4
@@ -124,7 +125,8 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     # prunable ones, which re-check the pruning; each group in declaration order.
     leaf_filters = [f for f in Filter if f in spec.filters and not f.law] + prunable
     laws = tuple(f.law for f in prunable)
-    propagate = _propagation(laws)(tables, waiting, n, moved, forced)
+    propagate = compile_propagate(tuple(law.terms for law in laws))(
+        tables, waiting, n, moved, forced)
 
     def undo(n_moved, n_forced):
         for bucket in moved[n_moved:]:
@@ -154,14 +156,99 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             undo(*marks)
         row[c] = n
 
-    if propagate([(k, *values) for k, law in enumerate(laws) for values in law.instances(n, m)]):
+    if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
         yield from rec(0)
 
 
 @lru_cache(maxsize=None)
-def _propagation(laws: tuple[Law, ...]):
-    """The propagate step of the laws' instances, compiled once per tuple of laws."""
-    return compile_propagate([law.terms for law in laws])
+def compile_propagate(laws):
+    """Compile ``f(T, W, n, moved, forced)``, which returns the search's
+    ``propagate(batch)`` over instances of ``laws``, a tuple of term pairs;
+    compiled once per tuple.
+
+    T holds ``n`` in every unassigned cell and in a spare row and column, and
+    ``W[g][r][c]`` lists the instances waiting on unassigned cell (g, r, c).  An
+    instance is ``(k, *values)``: the index of its law and values of that law's
+    variables.  ``propagate`` runs each instance of ``batch``, with its lookups
+    written inline, and then those waiting on each cell it forces; False at the
+    first instance whose sides are known and unequal.  An instance waits on its
+    first unassigned inner lookup; with every inner lookup known it forces an
+    unassigned outermost cell to the other side's known value, or waits on both
+    outermost cells when both are unassigned (Chaff's two watched literals).
+    A wait appends the instance to the bucket and the bucket to ``moved``; a
+    force assigns the cell, appends ``(row, column)`` to ``forced`` and queues
+    the cell's bucket.
+    """
+    lines = ["def f(T, W, n, moved, forced):",
+             "    def propagate(batch):",
+             "        todo = [batch]",
+             "        for batch in todo:",
+             "            for inst in batch:"]
+    for k, terms in enumerate(laws):
+        pad = " " * 16
+        if len(laws) > 1:
+            lines.append(f"{pad}{'elif' if k else 'if'} inst[0] == {k}:")
+            pad += "    "
+        lines.append(pad + "_, " + "".join(f"v_{v}, " for v, _ in _variables(*terms)) + "= inst")
+
+        def wait(at):
+            return f"w = W[{at[0]}][{at[1]}][{at[2]}]; w.append(inst); moved.append(w)"
+
+        def cell(term):
+            left, g, right = term
+            return "v_" + g, value(left), value(right)
+
+        def value(term):
+            """Emit the lookups of a term, each waiting at once when unassigned."""
+            if isinstance(term, str):
+                return "v_" + term
+            at = cell(term)
+            var = f"x{len(lines)}"
+            lines.append(f"{pad}{var} = T[{at[0]}][{at[1]}][{at[2]}]")
+            lines.append(f"{pad}if {var} == n: {wait(at)}; continue")
+            return var
+
+        # the outermost lookups come last, so that a known side can force the other's
+        roots = [(i, cell(term)) for i, term in enumerate(terms) if not isinstance(term, str)]
+        lines += [f"{pad}r{i} = T[{at[0]}][{at[1]}]; s{i} = r{i}[{at[2]}]" for i, at in roots]
+        sides = ["v_" + term if isinstance(term, str) else f"s{i}" for i, term in enumerate(terms)]
+        lhs, rhs = sides
+        lines.append(f"{pad}if {lhs} != {rhs}:")
+        for branch, (i, at) in enumerate(roots):  # a side reading n: the other is known
+            lines.append(f"{pad}    {'elif' if branch else 'if'} s{i} == n:")
+            lines.append(f"{pad}        r{i}[{at[2]}] = {sides[1 - i]}; forced.append((r{i}, {at[2]}))")
+            lines.append(f"{pad}        todo.append(W[{at[0]}][{at[1]}][{at[2]}])")
+        lines.append(f"{pad}    {'else: ' if roots else ''}return False")
+        if len(roots) == 2:  # equal sides: both known, or both unassigned
+            lines.append(f"{pad}elif s0 == n:")
+            lines += [f"{pad}    {wait(at)}" for _, at in roots]
+    if not laws:
+        lines.append(" " * 16 + "pass")
+    lines += ["        return True", "    return propagate"]
+    return _define(lines)
+
+
+def _mirror(lhs, rhs) -> Optional[dict]:
+    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None."""
+    image = {}
+
+    def onto(s, t):
+        if isinstance(s, str) or isinstance(t, str):
+            return isinstance(s, str) and isinstance(t, str) and image.setdefault(s, t) == t
+        return onto(s[0], t[0]) and image.setdefault(s[1], t[1]) == t[1] and onto(s[2], t[2])
+    return image if onto(lhs, rhs) and onto(rhs, lhs) else None
+
+
+def _instances(law: Law, n: int, m: int) -> list[tuple]:
+    """Values of the law's ``variables`` over n elements and m gammas, each
+    smaller than its mirror image (where ``x`` takes the value of ``mirror[x]``)."""
+    values = product(*(range(m) if is_gamma else range(n) for _, is_gamma in law.variables))
+    mirror = _mirror(*law.terms)
+    if mirror is None:
+        return list(values)
+    names = [v for v, _ in law.variables]
+    image = [names.index(mirror[v]) for v in names]
+    return [v for v in values if v < tuple(v[i] for i in image)]
 
 
 def count(spec: SearchSpec) -> int:

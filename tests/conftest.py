@@ -52,3 +52,18 @@ def oracle_product(G, A, B):
 
 def oracle_members(mask):
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def oracle_walk(term, T, env, n):
+    """A term on partial tables, by recursion: its value (None while unknown),
+    the unassigned cells it reaches, and its outermost cell when both
+    arguments of that lookup are known."""
+    if isinstance(term, str):
+        return env[term], [], None
+    left, g, right = term
+    a, reach_a, _ = oracle_walk(left, T, env, n)
+    b, reach_b, _ = oracle_walk(right, T, env, n)
+    if a is None or b is None:
+        return None, reach_a + reach_b, None
+    v = T[env[g]][a][b]
+    return (None, [(env[g], a, b)], (env[g], a, b)) if v == n else (v, [], (env[g], a, b))

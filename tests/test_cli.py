@@ -170,7 +170,8 @@ def test_gamma_witness_keys_decode_to_gamma_names():
     assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G).witness == w
     assert cli._lemma_witness_json(G, w) == {"gamma": "α", "gamma_b": "β",
                                              "at": ["b", "β", "b"]}
-    assert cli._fmt_lemma_witness(G, w) == "gamma=α gamma_b=β at=(b β b)"
+    assert cli._fmt_lemma_witness(cli._lemma_witness_json(G, w)) == \
+        "gamma=α gamma_b=β at=(b β b)"
 
 
 def test_semilattice_exit_codes(gamma5_path, dot5_path, capsys):
@@ -205,18 +206,34 @@ def test_search_emit_round_trips(tmp_path, capsys):
         assert gl.check_law(G, gl.Law.LEFT_INVERTIVE).holds
 
 
-def test_search_emit_makes_its_directory_once_and_only_for_a_result(tmp_path, monkeypatch):
+def test_search_emit_makes_its_directory_once_before_the_search(tmp_path, monkeypatch, capsys):
     made = []
     real = cli.Path.mkdir
     monkeypatch.setattr(cli.Path, "mkdir",
                         lambda self, *a, **kw: made.append(self) or real(self, *a, **kw))
     out_dir = tmp_path / "out"
-    for limit, files in (("0", 0), ("3", 3)):
-        assert run(["search", "--order", "2", "--gammas", "1", "--limit", limit,
-                    "--emit", str(out_dir)]) == 0
-        assert out_dir.exists() == bool(files)
-        assert made == [out_dir] * bool(files)
-    assert len(list(out_dir.glob("*.gag"))) == 3
+    # no result still leaves the empty directory that the message names
+    assert run(["search", "--order", "2", "--gammas", "1", "--limit", "0",
+                "--emit", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote 0 structures to {out_dir}\n"
+    assert made == [out_dir] and list(out_dir.iterdir()) == []
+    assert run(["search", "--order", "2", "--gammas", "1", "--limit", "3",
+                "--emit", str(out_dir)]) == 0
+    assert made == [out_dir] * 2 and len(list(out_dir.glob("*.gag"))) == 3
+
+
+def test_search_emit_to_a_file_exits_2_before_the_search(tmp_path, monkeypatch, capsys):
+    started = []
+
+    def stub(spec):
+        started.append(spec)
+        yield from gl.enumerate_structures(spec)
+    monkeypatch.setattr(cli, "enumerate_structures", stub)
+    target = tmp_path / "plain"
+    target.write_text("kept", encoding="utf-8")
+    assert run(["search", "--order", "2", "--gammas", "1", "--emit", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{target}'\n")
+    assert started == [] and target.read_text(encoding="utf-8") == "kept"
 
 
 def test_search_streams_each_structure(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,3 @@
-import random
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -7,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import GammaGroupoid, Law, _variables, compile_propagate, members, subset_of
+from gaglab.core import GammaGroupoid, Law, members, subset_of
 from gaglab.search import SearchSpec, enumerate_structures
 
-from conftest import fresh, oracle_product, oracle_members, structures, structure_with_subsets
+from conftest import (fresh, oracle_members, oracle_product, oracle_walk, structures,
+                      structure_with_subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -199,138 +198,10 @@ def test_law_witnesses_reverify(G):
             assert lhs != rhs
 
 
-def _walk(term, T, env, n):
-    """A term on partial tables, by recursion: its value (None while unknown),
-    the unassigned cells it reaches, and its outermost cell when both
-    arguments of that lookup are known."""
-    if isinstance(term, str):
-        return env[term], [], None
-    left, g, right = term
-    a, reach_a, _ = _walk(left, T, env, n)
-    b, reach_b, _ = _walk(right, T, env, n)
-    if a is None or b is None:
-        return None, reach_a + reach_b, None
-    v = T[env[g]][a][b]
-    return (None, [(env[g], a, b)], (env[g], a, b)) if v == n else (v, [], (env[g], a, b))
-
-
-# every law, plus a side that is a bare variable on either side
-_PROBE_TERMS = [law.terms for law in Law] + [("a", ("a", "g", "a")), (("a", "g", "b"), "b")]
-
-
-def _propagate_one(terms, T, values, n, m):
-    """The search's compiled propagate step, run on one instance while no other
-    waits: its verdict, the cells it waits on and the cells it forces."""
-    W = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
-    moved, forced = [], []
-    inst = (0, *values)
-    holds = compile_propagate([terms])(T, W, n, moved, forced)([inst])
-    waits = [(g, r, c) for g, r, c in product(range(m), range(n), range(n))
-             for _ in W[g][r][c]]
-    assert len(moved) == len(waits) and all(bucket[-1] is inst for bucket in moved)
-    cells = [(g, r, c) for row, c in forced for g, t in enumerate(T) for r in range(n)
-             if t[r] is row]
-    return holds, sorted(waits), cells
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_probe_meets_its_contract(data):
-    terms = data.draw(st.sampled_from(_PROBE_TERMS))
-    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
-    T = [[[data.draw(st.integers(0, n)) for _ in range(n)] + [n] for _ in range(n)]
-         + [[n] * (n + 1)] for _ in range(m)]
-    before = [[row[:] for row in t] for t in T]
-    variables = _variables(*terms)
-    values = tuple(data.draw(st.integers(0, (m if is_gamma else n) - 1))
-                   for _, is_gamma in variables)
-    env = dict(zip((v for v, _ in variables), values))
-    sides = [_walk(t, T, env, n) for t in terms]
-    (lv, l_reach, l_root), (rv, r_reach, r_root) = sides
-    holds, waits, cells = _propagate_one(terms, T, values, n, m)
-    if None not in (lv, rv):
-        assert (holds, waits, cells) == (lv == rv, [], [])
-        assert T == before
-        return
-    assert holds
-    forceable = [(root, w) for (v, _, root), (w, _, _) in (sides, sides[::-1])
-                 if v is None and w is not None and root is not None]
-    if forceable:
-        (cell, known), = forceable
-        assert (waits, cells) == ([], [cell])
-        g, r, c = cell
-        before[g][r][c] = known
-    elif l_root and r_root and lv is None and rv is None:
-        # blocked only at both outermost lookups: it waits on both cells
-        assert (waits, cells) == (sorted([l_root, r_root]), [])
-    else:
-        assert len(waits) == 1 and waits[0] in l_reach + r_reach and cells == []
-    assert T == before
-
-
-def test_propagate_waits_on_both_outermost_cells():
-    # (0 g 0) d 1 = (1 g 0) d 0 with 0·0 = 1·0 = 2 known and 2·1, 2·0 unassigned
-    n, law = 3, Law.LEFT_INVERTIVE
-    T = [[[2, n, n, n], [2, n, n, n], [n, n, n, n], [n] * 4]]
-    W = [[[[] for _ in range(n)] for _ in range(n)]]
-    moved, forced = [], []
-    propagate = compile_propagate([law.terms])(T, W, n, moved, forced)
-    inst = (0, 0, 0, 0, 0, 1)
-    assert propagate([inst])
-    assert W[0][2][1] == W[0][2][0] == [inst] and forced == []
-    # the right cell is assigned first: the second watch wakes the instance,
-    # which forces the left cell to the same value
-    T[0][2][0] = 1
-    assert propagate(W[0][2][0])
-    assert T[0][2][1] == 1 and forced == [(T[0][2], 1)]
-
-
-_SWAPS = {Law.LEFT_INVERTIVE: {"a": "c"}, Law.AG_STAR_STAR: {"a": "b"},
-          Law.MEDIAL: {"y": "l"}, Law.PARAMEDIAL: {"x": "m", "y": "l"},
-          Law.ASSOCIATIVE: None, Law.COMMUTATIVE: {"a": "b"}}
-
-
-def _substitute(term, image):
-    if isinstance(term, str):
-        return image[term]
-    left, g, right = term
-    return _substitute(left, image), image[g], _substitute(right, image)
-
-
-@pytest.mark.parametrize("law", list(Law))
-def test_instances_take_one_per_mirror_pair(law):
-    n, m = 3, 2
-    names = [v for v, _ in law.variables]
-    everything = list(product(*(range(m) if g else range(n) for _, g in law.variables)))
-    kept = law.instances(n, m)
-    if _SWAPS[law] is None:
-        assert law.mirror is None and kept == everything
-        return
-    mirror = law.mirror
-    assert {v: w for v, w in mirror.items() if v != w} == \
-        {**_SWAPS[law], **{w: v for v, w in _SWAPS[law].items()}}
-    lhs, rhs = law.terms
-    assert _substitute(lhs, mirror) == rhs and _substitute(rhs, mirror) == lhs
-
-    def image(values):
-        env = dict(zip(names, values))
-        return tuple(env[mirror[v]] for v in names)
-    images = [image(v) for v in kept]
-    self_mirror = [v for v in everything if image(v) == v]
-    assert sorted(kept + images + self_mirror) == everything
-    # both sides of a self-mirror instance are the same lookup
-    rng = random.Random(law.value)
-    for _ in range(20):
-        T = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
-        for values in self_mirror:
-            env = dict(zip(names, values))
-            assert _walk(lhs, T, env, n)[0] == _walk(rhs, T, env, n)[0]
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_law_sides_evaluate_both_terms(data):
-    # law_sides evaluates the terms; the partial-table oracle _walk must agree on
+    # law_sides evaluates the terms; the partial-table oracle must agree on
     # complete tables
     G = data.draw(structures(max_order=3, max_gammas=2))
     law = data.draw(st.sampled_from(list(Law)))
@@ -338,7 +209,7 @@ def test_law_sides_evaluate_both_terms(data):
                    for _, is_gamma in law.variables)
     env = dict(zip((v for v, _ in law.variables), values))
     assert gl.law_sides(G, law, values) == \
-        tuple(_walk(t, G.tables, env, G.order)[0] for t in law.terms)
+        tuple(oracle_walk(t, G.tables, env, G.order)[0] for t in law.terms)
 
 
 # ---------------------------------------------------------------------------
