@@ -162,15 +162,36 @@ def subset_of(indices: Iterable[int]) -> int:
     return mask
 
 
+# members reads a mask a byte at a time: _BYTE_MEMBERS[k][byte] is the tuple of
+# elements 8k + i for the set bits i of byte, over the MAX_ORDER // 8 bytes of a
+# mask.  Its 2,048 tuples are built on first use, not at import, where they would
+# add about 4 ms to every start.
+_BYTE_MEMBERS: tuple = ()
+
+
+def _byte_members() -> tuple:
+    global _BYTE_MEMBERS
+    _BYTE_MEMBERS = tuple(tuple(tuple(8 * k + i for i in range(8) if byte >> i & 1)
+                                for byte in range(256)) for k in range(MAX_ORDER // 8))
+    return _BYTE_MEMBERS
+
+
 def members(mask: int) -> tuple[int, ...]:
+    """The set bits of a subset mask, ascending."""
     if mask < 0:
         raise ValueError(f"subset mask {mask:#x} is negative")
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    tables = _BYTE_MEMBERS or _byte_members()
+    out = tables[0][mask & 255]
+    mask >>= 8
+    k = 1
+    try:
+        while mask:
+            out += tables[k][mask & 255]
+            mask >>= 8
+            k += 1
+    except IndexError:
+        raise ValueError(f"subset mask is wider than {MAX_ORDER} bits") from None
+    return out
 
 
 def _check_width(G: GammaGroupoid, mask: int, what: str = "subset"):
@@ -245,28 +266,53 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # (a g b) d c.  Terms are compiled into nested Python loops on first use:
 # walking the term tree at every instance makes check_law several times
 # slower, and compiling at import would be a large share of the import time.
-# Terms compile through one loop-nest emitter, compile_scan, in two loop
+# Terms compile through one loop-nest emitter, compile_scan, in three loop
 # orders; it hoists each lookup out of the loops it does not read.  A law's
 # verdict pass loops over the gammas outermost; its witness scan, and each
 # ideal clause's, loops over the elements outermost, keeps the documented scan
-# order and, for a law, runs only when the verdict pass fails.
+# order and, for a law, runs only when the verdict pass fails.  The verdict
+# pass's vector form drops the loop over the last element variable: each
+# lookup that reads it is a bytes vector of its values over that variable,
+# made by bytes.translate through a row or column of the structure, so each
+# instance of the other variables is one comparison of two vectors.
+
+# Law.holds takes the vector form from this order on.  The structure's byte rows
+# and columns, built once per structure, cost more than the vector form saves on
+# small carriers; this is the least order at which no law's whole pass, with that
+# build in it, is slower (left-invertive ties at 6; AG** and associative win from
+# 7).  Commutative never repays the build alone, but each command checks it after
+# another law, so it finds the tables built and is faster at every order.
+VECTOR_ORDER = 7
+
+
+def _reading(term, is_gamma=False) -> list[tuple[str, bool]]:
+    """A term's variables in reading order, as (name, is_gamma) pairs."""
+    if isinstance(term, str):
+        return [(term, is_gamma)]
+    return _reading(term[0]) + _reading(term[1], True) + _reading(term[2])
+
 
 def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     """Variables in order of first appearance, as (name, is_gamma) pairs."""
-    def reading(term, is_gamma=False):
-        if isinstance(term, str):
-            return [(term, is_gamma)]
-        return reading(term[0]) + reading(term[1], True) + reading(term[2])
-    return tuple(dict.fromkeys(v for term in terms for v in reading(term)))
+    return tuple(dict.fromkeys(v for term in terms for v in _reading(term)))
+
+
+def _byte_kernel(G: GammaGroupoid):
+    """``(R, C, RT, CT)``: ``R[g][a]`` row a of table g as bytes, ``C[g][b]`` column
+    b, and ``RT``, ``CT`` the same padded to 256-byte ``bytes.translate`` tables."""
+    pad = bytes(256 - G.order)
+    R = [[bytes(row) for row in table] for table in G.tables]
+    C = [[bytes(col) for col in zip(*table)] for table in G.tables]
+    return R, C, [[r + pad for r in rows] for rows in R], [[c + pad for c in cols] for cols in C]
 
 
 def _define(lines: list[str]):
-    scope = {"members": members}
+    scope = {"members": members, "_fact": _fact, "_byte_kernel": _byte_kernel}
     exec("\n".join(lines), scope)
     return scope["f"]
 
 
-def compile_scan(terms, violated: str, over_s=(), gammas_outer=False):
+def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=False):
     """Compile ``f(G, S=0)``, a scan for an instance of the terms' variables at
     which ``violated`` (a condition on the terms' values ``{0}``, ``{1}``, ...
     and the subset mask ``S``) holds.
@@ -280,10 +326,21 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False):
     hit in this scan order, as the variables in order of first appearance, or
     None; with the gammas outermost the first hit is not the first in scan
     order, so it names no witness and f returns False at it, else True.
+
+    ``vector`` gives the gammas-outermost form without the loop over the last
+    element variable, the lanes: a value that reads the lanes is the bytes of
+    its values over all of them, and ``violated`` compares those vectors.  It
+    needs the lanes exactly once in each term, so that every lookup reads them
+    on one side at most, and refuses other terms with ``ValueError``.
     """
     variables = _variables(*terms)
+    gammas_outer = gammas_outer or vector
     # a stable sort keeps the order of first appearance within each kind
     loops = sorted(variables, key=lambda v: v[1] != gammas_outer)
+    lanes = loops.pop()[0] if vector else None
+    if vector and any(_reading(term).count((lanes, False)) != 1 for term in terms):
+        raise ValueError(f"the vector form needs the last element variable {lanes!r} "
+                         f"exactly once in each term, not in {terms!r}")
     depth_of = {v: depth for depth, (v, _) in enumerate(loops, 1)}
     bound = [[] for _ in range(len(loops) + 1)]  # the assignments made at each depth
     names = {}
@@ -297,18 +354,38 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False):
         return names[expr]
 
     def value(term):
-        """The local name holding a term's value and the depth that binds it."""
+        """The local name holding a term's value, the depth that binds it, and
+        whether it is a vector over the lanes."""
+        if term == lanes:
+            return "L", 0, True
         if isinstance(term, str):
-            return "v_" + term, depth_of[term]
+            return "v_" + term, depth_of[term], False
         left, g, right = term
-        at, depth = bind(f"T[v_{g}]", depth_of[g])
-        for index, index_depth in (value(left), value(right)):
-            at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
-        return at, depth
+        (a, a_depth, a_lanes), (b, b_depth, b_lanes) = value(left), value(right)
+        if not (a_lanes or b_lanes):
+            at, depth = bind(f"T[v_{g}]", depth_of[g])
+            for index, index_depth in ((a, a_depth), (b, b_depth)):
+                at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
+            return at, depth, False
+        # the lanes read on the left run down a column, on the right along a row;
+        # a lookup of the lanes themselves is that column or row, and any other
+        # vector is translated through it
+        (vec, vec_depth), (index, index_depth) = (
+            ((a, a_depth), (b, b_depth)) if a_lanes else ((b, b_depth), (a, a_depth)))
+        table = ("C" if a_lanes else "R") + ("" if vec == "L" else "T")
+        at, depth = bind(f"{table}[v_{g}]", depth_of[g])
+        at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
+        if vec != "L":
+            at, depth = bind(f"{vec}.translate({at})", max(depth, vec_depth))
+        return at, depth, True
 
     values = [value(term)[0] for term in terms]
     lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
              "    M = range(G.gamma_count)"]
+    if vector:
+        lines.append('    R, C, RT, CT = _fact(G, "bytes", lambda: _byte_kernel(G))')
+        if lanes in terms:
+            lines.append("    L = bytes(E)")
     if any(name in over_s for name, is_gamma in variables if not is_gamma):
         lines.append("    SE = members(S)")
     for depth, assignments in enumerate(bound):
@@ -329,9 +406,12 @@ class Law(Enum):
 
     ``holds(G)`` decides whether the law holds and ``scan(G)`` finds the first
     violated instance; both come from the one loop-nest emitter,
-    ``compile_scan``, in its two loop orders (gammas outermost for ``holds``,
-    elements for ``scan``), and each compiles on first use.  Adding a law is
-    one line here.
+    ``compile_scan``, and each compiles on first use.  ``scan`` loops over the
+    elements outermost.  ``holds`` loops over the gammas outermost: below
+    ``VECTOR_ORDER`` it is the scalar pass ``holds_scalar``, from it on the
+    vector form ``holds_vector``, which decides every value of the last element
+    variable at once.  Adding a law is one line here; the vector form takes a
+    law whose last element variable occurs once in each term.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -349,9 +429,16 @@ class Law(Enum):
         law.variables = _variables(lhs, rhs)
         return law
 
+    def holds(self, G: GammaGroupoid) -> bool:
+        return (self.holds_vector if G.order >= VECTOR_ORDER else self.holds_scalar)(G)
+
     @cached_property
-    def holds(self):
+    def holds_scalar(self):
         return compile_scan(self.terms, "{0} != {1}", gammas_outer=True)
+
+    @cached_property
+    def holds_vector(self):
+        return compile_scan(self.terms, "{0} != {1}", vector=True)
 
     @cached_property
     def scan(self):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import GammaGroupoid, Law, members, subset_of
+from gaglab.core import GammaGroupoid, Law, compile_scan, members, subset_of
 from gaglab.search import SearchSpec, enumerate_structures
 
 from conftest import (fresh, oracle_members, oracle_product, oracle_walk, structures,
@@ -154,6 +157,23 @@ def test_check_law_refuses_an_oversized_scan_before_it_starts(monkeypatch):
                            match=f"^{law.value} scan over 108 instances refused beyond 100$"):
             gl.check_law(G, law)
     assert gl.check_law(G, Law.COMMUTATIVE).holds
+
+
+def test_the_vector_form_takes_every_law_and_refuses_other_terms(gamma5):
+    ag_star = (("a", "g", "b"), "d", "c"), ("b", "g", ("a", "d", "c"))
+    right_invertive = ("a", "g", ("b", "d", "c")), ("c", "g", ("b", "d", "a"))
+    every_left_identity = ("e", "g", "a"), "a"  # a whole term that is the lanes
+    right_zero = GammaGroupoid.from_tables([[list(range(4))] * 4] * 2)  # a g b = b
+    for terms in (*(law.terms for law in Law), ag_star, right_invertive, every_left_identity):
+        vector = compile_scan(terms, "{0} != {1}", vector=True)
+        scalar = compile_scan(terms, "{0} != {1}", gammas_outer=True)
+        for G in (gamma5, right_zero):
+            assert vector(G) == scalar(G), (terms, G)
+    assert compile_scan(every_left_identity, "{0} != {1}", vector=True)(right_zero)
+    # the last element variable twice on the left, and not at all on the right
+    for terms in ((("a", "g", "a"), "a"), (("a", "g", "b"), "a")):
+        with pytest.raises(ValueError, match="exactly once in each term"):
+            compile_scan(terms, "{0} != {1}", vector=True)
 
 
 def _oracle_law_holds(G, law):
@@ -379,3 +399,16 @@ def test_members_matches_the_oracle_below_2_to_the_12():
 @given(st.integers(0, (1 << 64) - 1))
 def test_members_matches_the_oracle_up_to_64_bits(mask):
     assert list(members(mask)) == sorted(oracle_members(mask))
+
+
+def test_members_refuses_a_mask_wider_than_64_bits():
+    for mask in (1 << 64, (1 << 70) | 1):
+        with pytest.raises(ValueError, match="wider than 64 bits"):
+            members(mask)
+
+
+def test_importing_gaglab_builds_no_byte_table():
+    # members builds its 2,048-tuple table on first use, not at every start
+    code = "import gaglab.core as c; assert c._BYTE_MEMBERS == (); c.members(1); assert c._BYTE_MEMBERS"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(gl.__file__).parents[1])})

@@ -11,10 +11,10 @@ import random
 from hypothesis import given, settings
 
 import gaglab as gl
-from gaglab.core import Law, LawVerdict, members
+from gaglab.core import VECTOR_ORDER, Law, LawVerdict, members
 from gaglab.ideals import IdealKind
 
-from conftest import structure_with_subsets, structures
+from conftest import fresh, structure_with_subsets, structures
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,12 @@ SCANNERS = [
 @settings(max_examples=150, deadline=None)
 @given(structures())
 def test_check_law_witness_matches_reference(G):
+    # orders 1-4, below VECTOR_ORDER, so the vector form is called directly;
+    # order 1 gives one-byte vectors
     for law in Law:
         expected = reference_check_law(G, law)
         assert law.holds(G) == expected.holds, law
+        assert law.holds_vector(G) == expected.holds, law
         assert gl.check_law(G, law) == expected, law
 
 
@@ -158,21 +161,54 @@ def test_check_law_matches_reference_on_left_invertive_structures():
                 assert gl.check_law(G, law) == expected, law
 
 
+def _tables_across_the_crossover(n, m, rng):
+    """Random tables, which fail most laws early, and tables that hold laws:
+    constant ones, and affine ones x g y = p·x + q·y + c_g (mod n), which are
+    medial for every p and q and left invertive when q = p² (mod n)."""
+    yield [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
+    yield [[[rng.randrange(n)] * n for _ in range(n)] for _ in range(m)]
+    for _ in range(3):
+        p = rng.randrange(n)
+        q = rng.choice((p * p % n, rng.randrange(n)))
+        c = [rng.randrange(n) for _ in range(m)]
+        yield [[[(p * x + q * y + c[g]) % n for y in range(n)] for x in range(n)]
+               for g in range(m)]
+
+
+def test_check_law_matches_reference_across_the_crossover():
+    rng = random.Random(11)
+    for n in (VECTOR_ORDER - 1, VECTOR_ORDER, VECTOR_ORDER + 1):
+        for tables in _tables_across_the_crossover(n, 2, rng):
+            G = gl.GammaGroupoid.from_tables(tables)
+            for law in Law:
+                expected = reference_check_law(G, law)
+                assert law.holds(fresh(G)) == expected.holds, (n, law)
+                assert gl.check_law(G, law) == expected, (n, law)
+
+
+def test_holds_takes_the_vector_pass_from_the_crossover_on():
+    for n, vector in ((VECTOR_ORDER - 1, False), (VECTOR_ORDER, True)):
+        G = gl.GammaGroupoid.from_tables([[[0] * n] * n])
+        assert Law.MEDIAL.holds(G)
+        assert ("bytes" in G.__dict__.get("_facts", {})) is vector, n
+
+
 def test_check_law_matches_reference_when_only_a_late_gamma_fails():
     # gammas (Z, Z, R), Z constant and R random: an instance (x a y) b (l g m)
     # of medial or paramedial can fail only when b and one of a, g are R, so
     # the verdict pass, whose loops over (a, b, g) are outermost, sweeps eight
     # gamma triples over every element before it can meet a violation, while
-    # the scan, whose element loops are outermost, meets one early
+    # the scan, whose element loops are outermost, meets one early; order 4
+    # takes the scalar pass and VECTOR_ORDER the vector form
     rng = random.Random(7)
-    n = 4
-    Z = [[0] * n for _ in range(n)]
-    R = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-    G = gl.GammaGroupoid.from_tables([Z, Z, R])
-    for law in Law:
-        expected = reference_check_law(G, law)
-        assert law.holds(G) == expected.holds, law
-        assert gl.check_law(G, law) == expected, law
-    for law in (Law.MEDIAL, Law.PARAMEDIAL):
-        witness = gl.check_law(G, law).witness
-        assert witness is not None and witness[3] == 2, law
+    for n in (4, VECTOR_ORDER):
+        Z = [[0] * n for _ in range(n)]
+        R = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        G = gl.GammaGroupoid.from_tables([Z, Z, R])
+        for law in Law:
+            expected = reference_check_law(G, law)
+            assert law.holds(G) == expected.holds, (n, law)
+            assert gl.check_law(G, law) == expected, (n, law)
+        for law in (Law.MEDIAL, Law.PARAMEDIAL):
+            witness = gl.check_law(G, law).witness
+            assert witness is not None and witness[3] == 2, (n, law)
