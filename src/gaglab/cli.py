@@ -15,23 +15,15 @@ from pathlib import Path
 from .core import GammaGroupoid, Law, check_law, law_sides
 from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, enumerate_ideals, \
     ideal_closure
-from .io import ParseError, parse_file, serialize
+from .io import ParseError, parse_file, serialize, write_file
 from .search import Filter, SearchSpec, count, enumerate_structures
 from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify
-
-
-def _fmt_subset(G: GammaGroupoid, mask: int) -> str:
-    return "{" + ",".join(G.labels_of_subset(mask)) + "}"
 
 
 def _witness_json(G: GammaGroupoid, at) -> list | None:
     if at is None:
         return None
     return [G.labels[v] if i % 2 == 0 else G.gamma_names[v] for i, v in enumerate(at)]
-
-
-def _fmt_at(G: GammaGroupoid, at: tuple) -> str:
-    return "(" + " ".join(_witness_json(G, at)) + ")"
 
 
 def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
@@ -50,12 +42,20 @@ def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
     return out
 
 
+# Each _cmd_* returns its report, the payload that --json prints, and its exit
+# code; the text report is rendered from that payload by the _text_* function of
+# its command, so the two cannot disagree.
+
+def _subset(labels: list) -> str:
+    return "{" + ",".join(labels) + "}"
+
+
 def _fmt_lemma_witness(w: dict) -> str:
     """A witness's JSON form as key=value pairs; None values are left out."""
     parts = []
     for key, value in w.items():
         if key in MASK_KEYS:
-            value = "{" + ",".join(value) + "}"
+            value = _subset(value)
         elif key == "at" and value is not None:
             value = "(" + " ".join(value) + ")"
         if value is not None:
@@ -63,148 +63,131 @@ def _fmt_lemma_witness(w: dict) -> str:
     return " ".join(parts)
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]):
-    if as_json:
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     G = parse_file(args.file)
-    lines = [f"{args.file}: order {G.order}, gammas {G.gamma_count}"]
     entries = []
-    defining_ok = True
     for law in Law:
         v = check_law(G, law)
-        entry = {"law": law.value, "holds": v.holds,
-                 "witness": _witness_json(G, v.witness)}
-        if v.holds:
-            lines.append(f"{law.value}: holds")
-        else:
-            lhs, rhs = law_sides(G, law, v.witness)
-            entry["lhs"], entry["rhs"] = G.labels[lhs], G.labels[rhs]
-            lines.append(f"{law.value}: fails at {_fmt_at(G, v.witness)} "
-                         f"-> {G.labels[lhs]} != {G.labels[rhs]}")
-            if law is Law.LEFT_INVERTIVE:
-                defining_ok = False
+        entry = {"law": law.value, "holds": v.holds, "witness": _witness_json(G, v.witness)}
+        if not v.holds:
+            entry["lhs"], entry["rhs"] = (G.labels[x] for x in law_sides(G, law, v.witness))
         entries.append(entry)
-    code = 0 if defining_ok else 1
-    _emit({"command": "check", "file": args.file, "order": G.order,
-           "gammas": G.gamma_count, "laws": entries, "exit_code": code},
-          args.json, lines)
-    return code
+    code = 0 if check_law(G, Law.LEFT_INVERTIVE).holds else 1
+    return {"command": "check", "file": args.file, "order": G.order,
+            "gammas": G.gamma_count, "laws": entries, "exit_code": code}, code
 
 
-def _cmd_ideals(args) -> int:
+def _text_check(r):
+    yield f"{r['file']}: order {r['order']}, gammas {r['gammas']}"
+    for e in r["laws"]:
+        yield (f"{e['law']}: holds" if e["holds"] else
+               f"{e['law']}: fails at ({' '.join(e['witness'])}) -> {e['lhs']} != {e['rhs']}")
+
+
+def _cmd_ideals(args) -> tuple[dict, int]:
     G = parse_file(args.file)
     kind = IdealKind(args.kind)
-    found = enumerate_ideals(G, kind)
-    lines = [f"{kind.value} ideals of {args.file} ({len(found)} found):"]
-    lines += [_fmt_subset(G, S) for S in found]
-    _emit({"command": "ideals", "file": args.file, "kind": kind.value,
-           "ideals": [list(G.labels_of_subset(S)) for S in found]},
-          args.json, lines)
-    return 0
+    return {"command": "ideals", "file": args.file, "kind": kind.value,
+            "ideals": [list(G.labels_of_subset(S)) for S in enumerate_ideals(G, kind)]}, 0
 
 
-def _cmd_closure(args) -> int:
+def _text_ideals(r):
+    yield f"{r['kind']} ideals of {r['file']} ({len(r['ideals'])} found):"
+    yield from map(_subset, r["ideals"])
+
+
+def _cmd_closure(args) -> tuple[dict, int]:
     G = parse_file(args.file)
-    labels = [t for t in args.elements.split(",") if t]
-    mask = G.subset_of_labels(labels)
+    mask = G.subset_of_labels([t for t in args.elements.split(",") if t])
     kind = IdealKind(args.kind)
-    result = ideal_closure(G, mask, kind)
-    lines = [f"{kind.value} closure of {_fmt_subset(G, mask)}: {_fmt_subset(G, result)}"]
-    _emit({"command": "closure", "file": args.file, "kind": kind.value,
-           "start": list(G.labels_of_subset(mask)),
-           "closure": list(G.labels_of_subset(result))},
-          args.json, lines)
-    return 0
+    return {"command": "closure", "file": args.file, "kind": kind.value,
+            "start": list(G.labels_of_subset(mask)),
+            "closure": list(G.labels_of_subset(ideal_closure(G, mask, kind)))}, 0
 
 
-def _cmd_verify(args) -> int:
+def _text_closure(r):
+    yield f"{r['kind']} closure of {_subset(r['start'])}: {_subset(r['closure'])}"
+
+
+def _cmd_verify(args) -> tuple[dict, int]:
     G = parse_file(args.file)
-    lids = [LemmaId(args.lemma)] if args.lemma else LemmaId
-    verdicts = {lid: verify(G, lid) for lid in lids}
-    lines = []
     entries = []
-    bad = 0
-    for lid, v in verdicts.items():
+    for lid in [LemmaId(args.lemma)] if args.lemma else LemmaId:
+        v = verify(G, lid)
         entry = {"lemma": lid.value, "status": v.status.value}
-        if v.status is LemmaStatus.HOLDS:
-            line = f"{lid.value}: holds"
-        elif v.status is LemmaStatus.NOT_APPLICABLE:
-            line = f"{lid.value}: not-applicable (hypothesis {v.hypothesis_failed} failed)"
+        if v.status is LemmaStatus.NOT_APPLICABLE:
             entry["hypothesis_failed"] = v.hypothesis_failed
-        else:
-            bad += 1
+        elif v.status is LemmaStatus.COUNTEREXAMPLE:
             entry["witness"] = _lemma_witness_json(G, v.witness)
-            line = f"{lid.value}: counterexample {_fmt_lemma_witness(entry['witness'])}"
-        lines.append(line)
         entries.append(entry)
-    code = 1 if bad else 0
-    _emit({"command": "verify", "file": args.file, "lemmas": entries,
-           "exit_code": code}, args.json, lines)
-    return code
+    code = 1 if any(e["status"] == LemmaStatus.COUNTEREXAMPLE.value for e in entries) else 0
+    return {"command": "verify", "file": args.file, "lemmas": entries, "exit_code": code}, code
 
 
-def _cmd_semilattice(args) -> int:
+def _text_verify(r):
+    for e in r["lemmas"]:
+        line = f"{e['lemma']}: {e['status']}"
+        if "hypothesis_failed" in e:
+            line += f" (hypothesis {e['hypothesis_failed']} failed)"
+        if "witness" in e:
+            line += " " + _fmt_lemma_witness(e["witness"])
+        yield line
+
+
+_SEMILATTICE_FLAGS = ("closed", "commutative", "associative", "idempotent")
+
+
+def _cmd_semilattice(args) -> tuple[dict, int]:
     G = parse_file(args.file)
     rep = build_ideal_semilattice(G)
-    flags = {"closed": rep.closed, "commutative": rep.commutative,
-             "associative": rep.associative, "idempotent": rep.idempotent}
-    lines = [f"regular: {str(rep.regular).lower()}",
-             f"two-sided ideals ({len(rep.ideals)}): "
-             + " ".join(_fmt_subset(G, S) for S in rep.ideals)]
-    lines += [f"{k}: {str(v).lower()}" for k, v in flags.items()]
-    lines.append("product table:")
-    for i, row in enumerate(rep.products):
-        cells = " ".join(_fmt_subset(G, p) for p in row)
-        lines.append(f"  {_fmt_subset(G, rep.ideals[i])}: {cells}")
+    flags = {k: getattr(rep, k) for k in _SEMILATTICE_FLAGS}
     code = 0 if all(flags.values()) else 1
-    _emit({"command": "semilattice", "file": args.file,
-           "regular": rep.regular,
-           "ideals": [list(G.labels_of_subset(S)) for S in rep.ideals],
-           "products": [[list(G.labels_of_subset(p)) for p in row]
-                        for row in rep.products],
-           **flags, "exit_code": code}, args.json, lines)
-    return code
+    return {"command": "semilattice", "file": args.file, "regular": rep.regular,
+            "ideals": [list(G.labels_of_subset(S)) for S in rep.ideals],
+            "products": [[list(G.labels_of_subset(p)) for p in row] for row in rep.products],
+            **flags, "exit_code": code}, code
 
 
-def _cmd_search(args) -> int:
+def _text_semilattice(r):
+    yield f"regular: {str(r['regular']).lower()}"
+    yield f"two-sided ideals ({len(r['ideals'])}): " + " ".join(map(_subset, r["ideals"]))
+    yield from (f"{k}: {str(r[k]).lower()}" for k in _SEMILATTICE_FLAGS)
+    yield "product table:"
+    for ideal, row in zip(r["ideals"], r["products"]):
+        yield f"  {_subset(ideal)}: " + " ".join(map(_subset, row))
+
+
+def _cmd_search(args) -> tuple[dict, int]:
     spec = SearchSpec(order=args.order, gammas=args.gammas,
                       filters=frozenset(Filter(f) for f in args.filter or []),
                       up_to_iso=args.canonical, limit=args.limit,
                       allow_large=args.allow_large,
                       iso_include_gamma=not args.iso_carrier_only)
     if args.count:
-        total = count(spec)
-        _emit({"command": "search", "count": total}, args.json, [str(total)])
-        return 0
-    texts = []  # kept only for the --json payload without --emit
-    total = 0
+        return {"command": "search", "count": count(spec)}, 0
     structures = enumerate_structures(spec)  # refuses an oversized spec before the mkdir
     if args.emit:
         Path(args.emit).mkdir(parents=True, exist_ok=True)
-    for G in structures:
-        text = serialize(G)
-        if args.emit:
-            (Path(args.emit) / f"structure_{total:05d}.gag").write_text(text, encoding="utf-8")
-        elif args.json:
-            texts.append(text)
-        else:
-            print(text)
-        total += 1
-    if args.emit:
-        _emit({"command": "search", "count": total, "dir": args.emit},
-              args.json, [f"wrote {total} structures to {args.emit}"])
-    elif args.json:
-        _emit({"command": "search", "count": total, "structures": texts}, True, [])
-    return 0
+        total = 0
+        for G in structures:
+            write_file(Path(args.emit) / f"structure_{total:05d}.gag", G)
+            total += 1
+        return {"command": "search", "count": total, "dir": args.emit}, 0
+    texts = map(serialize, structures)
+    if args.json:
+        texts = list(texts)
+        return {"command": "search", "count": len(texts), "structures": texts}, 0
+    # in text mode the stream is rendered, and so printed, as it is found
+    return {"command": "search", "structures": texts}, 0
 
 
-def _cmd_hunt(args) -> int:
+def _text_search(r):
+    if "structures" in r:
+        return r["structures"]
+    return [f"wrote {r['count']} structures to {r['dir']}" if "dir" in r else str(r["count"])]
+
+
+def _cmd_hunt(args) -> tuple[dict, int]:
     lid = LemmaId(args.lemma)
     filters = {Filter(f) for f in args.filter or []}
     if args.hypotheses:
@@ -213,17 +196,25 @@ def _cmd_hunt(args) -> int:
                       allow_large=args.allow_large)
     found = hunt(enumerate_structures(spec), lid)
     if found is None:
-        _emit({"command": "hunt", "lemma": lid.value, "counterexample": None},
-              args.json, ["no counterexample"])
-        return 0
+        return {"command": "hunt", "lemma": lid.value, "counterexample": None}, 0
     G, v = found
-    text, witness = serialize(G), _lemma_witness_json(G, v.witness)
-    lines = [f"counterexample to {lid.value}:", text.rstrip("\n"),
-             f"witness: {_fmt_lemma_witness(witness)}"]
-    _emit({"command": "hunt", "lemma": lid.value,
-           "counterexample": {"structure": text, "witness": witness, "note": None}},
-          args.json, lines)
-    return 1
+    return {"command": "hunt", "lemma": lid.value,
+            "counterexample": {"structure": serialize(G),
+                               "witness": _lemma_witness_json(G, v.witness),
+                               "note": None}}, 1
+
+
+def _text_hunt(r):
+    found = r["counterexample"]
+    if found is None:
+        return ["no counterexample"]
+    return [f"counterexample to {r['lemma']}:", found["structure"].rstrip("\n"),
+            f"witness: {_fmt_lemma_witness(found['witness'])}"]
+
+
+_TEXT = {"check": _text_check, "ideals": _text_ideals, "closure": _text_closure,
+         "verify": _text_verify, "semilattice": _text_semilattice,
+         "search": _text_search, "hunt": _text_hunt}
 
 
 @cache
@@ -299,7 +290,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        if args.json:
+            print(json.dumps(report, ensure_ascii=False, indent=2))
+        else:
+            for line in _TEXT[report["command"]](report):
+                print(line)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -297,17 +297,21 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     return tuple(dict.fromkeys(v for term in terms for v in _reading(term)))
 
 
-def _byte_kernel(G: GammaGroupoid):
-    """``(R, C, RT, CT)``: ``R[g][a]`` row a of table g as bytes, ``C[g][b]`` column
-    b, and ``RT``, ``CT`` the same padded to 256-byte ``bytes.translate`` tables."""
-    pad = bytes(256 - G.order)
-    R = [[bytes(row) for row in table] for table in G.tables]
-    C = [[bytes(col) for col in zip(*table)] for table in G.tables]
-    return R, C, [[r + pad for r in rows] for rows in R], [[c + pad for c in cols] for cols in C]
+def _byte_table(G: GammaGroupoid, name: str):
+    """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a
+    of table g as bytes, ``C[g][b]`` column b, and ``RT``, ``CT`` the same padded to
+    256-byte ``bytes.translate`` tables."""
+    def build():
+        if name in ("RT", "CT"):
+            pad = bytes(256 - G.order)
+            return [[v + pad for v in vectors] for vectors in _byte_table(G, name[0])]
+        return [[bytes(v) for v in (table if name == "R" else zip(*table))]
+                for table in G.tables]
+    return _fact(G, name, build)
 
 
 def _define(lines: list[str]):
-    scope = {"members": members, "_fact": _fact, "_byte_kernel": _byte_kernel}
+    scope = {"members": members, "_byte_table": _byte_table}
     exec("\n".join(lines), scope)
     return scope["f"]
 
@@ -329,7 +333,8 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
 
     ``vector`` gives the gammas-outermost form without the loop over the last
     element variable, the lanes: a value that reads the lanes is the bytes of
-    its values over all of them, and ``violated`` compares those vectors.  It
+    its values over all of them, and ``violated`` compares those vectors.  f
+    builds only the byte tables (``_byte_table``) that its lookups read.  It
     needs the lanes exactly once in each term, so that every lookup reads them
     on one side at most, and refuses other terms with ``ValueError``.
     """
@@ -344,6 +349,7 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     depth_of = {v: depth for depth, (v, _) in enumerate(loops, 1)}
     bound = [[] for _ in range(len(loops) + 1)]  # the assignments made at each depth
     names = {}
+    tables = set()  # the byte tables that the vector form reads
 
     def bind(expr, depth):
         if depth == len(loops):  # read once per instance, so left inline
@@ -373,6 +379,7 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         (vec, vec_depth), (index, index_depth) = (
             ((a, a_depth), (b, b_depth)) if a_lanes else ((b, b_depth), (a, a_depth)))
         table = ("C" if a_lanes else "R") + ("" if vec == "L" else "T")
+        tables.add(table)
         at, depth = bind(f"{table}[v_{g}]", depth_of[g])
         at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
         if vec != "L":
@@ -382,10 +389,9 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     values = [value(term)[0] for term in terms]
     lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
              "    M = range(G.gamma_count)"]
-    if vector:
-        lines.append('    R, C, RT, CT = _fact(G, "bytes", lambda: _byte_kernel(G))')
-        if lanes in terms:
-            lines.append("    L = bytes(E)")
+    lines += [f'    {t} = _byte_table(G, "{t}")' for t in sorted(tables)]
+    if lanes in terms:
+        lines.append("    L = bytes(E)")
     if any(name in over_s for name, is_gamma in variables if not is_gamma):
         lines.append("    SE = members(S)")
     for depth, assignments in enumerate(bound):

@@ -7,7 +7,9 @@ variables outer, gamma variables inner, all ascending).
 Each clause is stated once, as a term like a law's, compiled into its witness
 scan and into a product of S and the carrier G, read through ``subset_product``
 for one subset and, to enumerate, from the structure's powerset kernel
-(24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.
+(24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.  Whatever pairs or
+triples the two-sided ideals, primeness and the semilattice, refuses more than
+``MAX_PAIRED_IDEALS`` of them.
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ from .core import (
 )
 
 MAX_ENUM_ORDER = 20  # the powerset kernel takes 24·2**20 bytes, about 25 MB
+# the semilattice's associativity check takes two products per triple of ideals,
+# 2·64³ at this bound, about 1 s
+MAX_PAIRED_IDEALS = 64
 
 # clause labels used in verdicts
 NON_EMPTY = "NonEmpty"
@@ -141,6 +146,16 @@ def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
         partial(subset_product, G), G.carrier, 1 << G.order))))
 
 
+def paired_ideals(G: GammaGroupoid) -> list[int]:
+    """The two-sided ideals, for a caller that pairs or triples them: more than
+    ``MAX_PAIRED_IDEALS`` are refused before the first product."""
+    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
+    if len(ideals) > MAX_PAIRED_IDEALS:
+        raise LimitExceededError(f"pairing {len(ideals)} two-sided ideals refused "
+                                 f"beyond {MAX_PAIRED_IDEALS}")
+    return ideals
+
+
 _CLOSURE_KINDS = (IdealKind.SUB_GROUPOID, IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)
 
 
@@ -176,7 +191,7 @@ def is_prime(G: GammaGroupoid, P: int) -> IdealVerdict:
     base = is_ideal(G, P, IdealKind.TWO_SIDED)
     if not base.holds:
         return base
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
+    ideals = paired_ideals(G)
     for A in ideals:
         if A & ~P == 0:
             continue
@@ -215,7 +230,7 @@ class SemilatticeReport:
 
 
 def build_ideal_semilattice(G: GammaGroupoid) -> SemilatticeReport:
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
+    ideals = paired_ideals(G)
     products = tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
     closed = {p for row in products for p in row} <= set(ideals)
     k = len(ideals)

@@ -35,6 +35,7 @@ from .ideals import (
     is_ideal,
     is_idempotent,
     is_semiprime,
+    paired_ideals,
     principal_left,
 )
 from .search import Filter
@@ -226,7 +227,7 @@ def _verify_regular_iff_idempotent_left(G):
 
 
 def _verify_semiprime_regular(G):
-    for P in enumerate_ideals(G, IdealKind.TWO_SIDED):
+    for P in paired_ideals(G):
         v = is_semiprime(G, P)
         if not v.holds:
             return _cx({"subset": P, "subset_b": v.witness[0]})
@@ -242,7 +243,7 @@ def _verify_semilattice(G):
 
 
 def _verify_comm_ideals_regular(G):
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
+    ideals = paired_ideals(G)
     for A in ideals:
         for B in ideals:
             ab = subset_product(G, A, B)

@@ -111,6 +111,158 @@ def test_closure_unknown_label_is_usage_error(gamma5_path, capsys):
     assert capsys.readouterr().err == "error: unknown element label '9'\n"
 
 
+# the text reports of ideals, closure and semilattice as they are printed; FILE
+# stands for the fixture's path
+_TEXT_PINS = {
+    ("gamma5", "ideals --kind sub"): """\
+sub ideals of FILE (6 found):
+{1,2}
+{1,2,3}
+{1,2,4}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind left"): """\
+left ideals of FILE (5 found):
+{1,2}
+{1,2,3}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind right"): """\
+right ideals of FILE (6 found):
+{1,2}
+{1,2,3}
+{1,2,4}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind two-sided"): """\
+two-sided ideals of FILE (5 found):
+{1,2}
+{1,2,3}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind bi"): """\
+bi ideals of FILE (6 found):
+{1,2}
+{1,2,3}
+{1,2,4}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind quasi"): """\
+quasi ideals of FILE (6 found):
+{1,2}
+{1,2,3}
+{1,2,4}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "ideals --kind interior"): """\
+interior ideals of FILE (6 found):
+{1,2}
+{1,2,3}
+{1,2,4}
+{1,2,3,4}
+{1,2,3,5}
+{1,2,3,4,5}
+""",
+    ("gamma5", "closure --elements 3,5 --kind sub"): """\
+sub closure of {3,5}: {1,2,3,5}
+""",
+    ("gamma5", "closure --elements 3,5 --kind left"): """\
+left closure of {3,5}: {1,2,3,5}
+""",
+    ("gamma5", "closure --elements 3,5 --kind right"): """\
+right closure of {3,5}: {1,2,3,5}
+""",
+    ("gamma5", "closure --elements 3,5 --kind two-sided"): """\
+two-sided closure of {3,5}: {1,2,3,5}
+""",
+    ("gamma5", "semilattice"): """\
+regular: false
+two-sided ideals (5): {1,2} {1,2,3} {1,2,3,4} {1,2,3,5} {1,2,3,4,5}
+closed: true
+commutative: false
+associative: true
+idempotent: false
+product table:
+  {1,2}: {1,2} {1,2} {1,2} {1,2} {1,2}
+  {1,2,3}: {1,2} {1,2} {1,2} {1,2} {1,2}
+  {1,2,3,4}: {1,2} {1,2} {1,2} {1,2} {1,2}
+  {1,2,3,5}: {1,2} {1,2} {1,2,3} {1,2,3} {1,2,3}
+  {1,2,3,4,5}: {1,2} {1,2} {1,2,3} {1,2,3} {1,2,3}
+""",
+    ("dot5", "ideals --kind sub"): """\
+sub ideals of FILE (2 found):
+{4}
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind left"): """\
+left ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind right"): """\
+right ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind two-sided"): """\
+two-sided ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind bi"): """\
+bi ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind quasi"): """\
+quasi ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "ideals --kind interior"): """\
+interior ideals of FILE (1 found):
+{1,2,3,4,5}
+""",
+    ("dot5", "closure --elements 3,5 --kind sub"): """\
+sub closure of {3,5}: {1,2,3,4,5}
+""",
+    ("dot5", "closure --elements 3,5 --kind left"): """\
+left closure of {3,5}: {1,2,3,4,5}
+""",
+    ("dot5", "closure --elements 3,5 --kind right"): """\
+right closure of {3,5}: {1,2,3,4,5}
+""",
+    ("dot5", "closure --elements 3,5 --kind two-sided"): """\
+two-sided closure of {3,5}: {1,2,3,4,5}
+""",
+    ("dot5", "semilattice"): """\
+regular: true
+two-sided ideals (1): {1,2,3,4,5}
+closed: true
+commutative: true
+associative: true
+idempotent: true
+product table:
+  {1,2,3,4,5}: {1,2,3,4,5}
+""",
+}
+
+
+@pytest.mark.parametrize("fixture,request_", list(_TEXT_PINS), ids=" ".join)
+def test_text_reports_are_pinned(fixture, request_, capsys):
+    path = str(gl.fixture_path(fixture))
+    command, *options = request_.split()
+    run([command, path, *options])
+    assert capsys.readouterr().out == _TEXT_PINS[fixture, request_].replace("FILE", path)
+
+
 # ---------------------------------------------------------------------------
 # verify / semilattice
 
@@ -430,6 +582,30 @@ def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, caps
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == "error: subset enumeration over 21 elements refused beyond 20\n", argv
+
+
+def _diagonal(tmp_path, n):
+    # x·y = x if x = y, else 1: every subset holding 1 is a two-sided ideal
+    doc = tmp_path / f"diagonal{n}.gag"
+    rows = (" ".join(str(x + 1) if x == y else "1" for y in range(n)) for x in range(n))
+    doc.write_text(f"order {n}\ngammas 1\ngamma g\n" + "\n".join(rows) + "\n",
+                   encoding="utf-8")
+    return str(doc)
+
+
+def test_pairing_two_sided_ideals_refuses_beyond_the_bound_at_once(tmp_path, capsys):
+    # order 8 has 128 two-sided ideals, whose triples would take minutes
+    for argv in (["verify", "--lemma", "t-semilattice"], ["semilattice"]):
+        argv = argv[:1] + [_diagonal(tmp_path, 8)] + argv[1:]
+        t0 = time.perf_counter()
+        code = run(argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2, argv
+        assert capsys.readouterr() == (
+            "", "error: pairing 128 two-sided ideals refused beyond 64\n"), argv
+    # order 7 has 64, at the bound
+    assert run(["verify", _diagonal(tmp_path, 7), "--lemma", "t-semilattice"]) == 0
+    assert capsys.readouterr().out == "t-semilattice: holds\n"
 
 
 @pytest.mark.parametrize("argv", [

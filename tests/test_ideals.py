@@ -7,6 +7,7 @@ import gaglab as gl
 from gaglab import ideals
 from gaglab.ideals import (
     MAX_ENUM_ORDER,
+    MAX_PAIRED_IDEALS,
     IdealKind,
     LEFT_ABSORB,
     NON_EMPTY,
@@ -19,6 +20,7 @@ from gaglab.ideals import (
     is_idempotent,
     is_prime,
     is_semiprime,
+    paired_ideals,
     principal_left,
 )
 
@@ -131,6 +133,23 @@ def test_enumeration_limit(monkeypatch):
     with pytest.raises(gl.LimitExceededError,
                        match=r"^subset enumeration over 21 elements refused beyond 20$"):
         enumerate_ideals(gl.GammaGroupoid.from_tables([[[0] * n] * n]), IdealKind.LEFT)
+
+
+def test_pairing_two_sided_ideals_is_refused_beyond_the_bound():
+    # x·y = x if x = y, else 0: every subset holding 0 is a two-sided ideal, so
+    # order n has 2**(n - 1); every path that pairs them refuses them at order 8
+    def diagonal(n):
+        return gl.GammaGroupoid.from_tables(
+            [[[x if x == y else 0 for y in range(n)] for x in range(n)]])
+    assert len(paired_ideals(diagonal(7))) == MAX_PAIRED_IDEALS == 64
+    G = diagonal(8)
+    for call in (partial(is_prime, G, G.carrier), partial(build_ideal_semilattice, G),
+                 *(partial(gl.verify, G, lid) for lid in (
+                     gl.LemmaId.T_SEMILATTICE, gl.LemmaId.L_COMM_IDEALS_REGULAR,
+                     gl.LemmaId.L_SEMIPRIME_REGULAR))):
+        with pytest.raises(gl.LimitExceededError,
+                           match=r"^pairing 128 two-sided ideals refused beyond 64$"):
+            call()
 
 
 def _oracle_is_ideal(G, S, kind):

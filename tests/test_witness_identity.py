@@ -187,10 +187,14 @@ def test_check_law_matches_reference_across_the_crossover():
 
 
 def test_holds_takes_the_vector_pass_from_the_crossover_on():
-    for n, vector in ((VECTOR_ORDER - 1, False), (VECTOR_ORDER, True)):
-        G = gl.GammaGroupoid.from_tables([[[0] * n] * n])
-        assert Law.MEDIAL.holds(G)
-        assert ("bytes" in G.__dict__.get("_facts", {})) is vector, n
+    # the vector pass builds only the byte tables it reads: commutative reads a
+    # row and a column of each table, never a 256-byte translation table
+    for law, tables in ((Law.MEDIAL, {"R", "RT"}), (Law.COMMUTATIVE, {"R", "C"})):
+        for n, vector in ((VECTOR_ORDER - 1, False), (VECTOR_ORDER, True)):
+            G = gl.GammaGroupoid.from_tables([[[0] * n] * n])
+            assert law.holds(G)
+            built = {"R", "C", "RT", "CT"} & G.__dict__.get("_facts", {}).keys()
+            assert built == (tables if vector else set()), (law, n)
 
 
 def test_check_law_matches_reference_when_only_a_late_gamma_fails():
