@@ -2,7 +2,8 @@
 structure search and counterexample hunts over .gag files.
 
 Exit codes: 0 all checks passed / results emitted, 1 a property failed or a
-counterexample was found, 2 usage, parse or OS error.
+counterexample was found, 2 usage, parse or OS error, or a check refused by
+a limit with no counterexample found.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, enumerat
     ideal_closure
 from .io import ParseError, parse_file, serialize, write_file
 from .search import Filter, SearchSpec, count, enumerate_structures
-from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify
+from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify, verify_all
 
 
 def _witness_json(G: GammaGroupoid, at) -> list | None:
@@ -111,16 +112,24 @@ def _text_closure(r):
 
 def _cmd_verify(args) -> tuple[dict, int]:
     G = parse_file(args.file)
+    if args.lemma:  # a refusal is an error here; the whole catalog reports it as a verdict
+        lid = LemmaId(args.lemma)
+        verdicts = {lid: verify(G, lid)}
+    else:
+        verdicts = verify_all(G)
     entries = []
-    for lid in [LemmaId(args.lemma)] if args.lemma else LemmaId:
-        v = verify(G, lid)
+    for lid, v in verdicts.items():
         entry = {"lemma": lid.value, "status": v.status.value}
         if v.status is LemmaStatus.NOT_APPLICABLE:
             entry["hypothesis_failed"] = v.hypothesis_failed
         elif v.status is LemmaStatus.COUNTEREXAMPLE:
             entry["witness"] = _lemma_witness_json(G, v.witness)
+        elif v.status is LemmaStatus.REFUSED:
+            entry["refusal"] = v.refusal
         entries.append(entry)
-    code = 1 if any(e["status"] == LemmaStatus.COUNTEREXAMPLE.value for e in entries) else 0
+    statuses = {v.status for v in verdicts.values()}
+    code = 1 if LemmaStatus.COUNTEREXAMPLE in statuses else \
+        2 if LemmaStatus.REFUSED in statuses else 0
     return {"command": "verify", "file": args.file, "lemmas": entries, "exit_code": code}, code
 
 
@@ -131,6 +140,8 @@ def _text_verify(r):
             line += f" (hypothesis {e['hypothesis_failed']} failed)"
         if "witness" in e:
             line += " " + _fmt_lemma_witness(e["witness"])
+        if "refusal" in e:
+            line += f" ({e['refusal']})"
         yield line
 
 
@@ -194,22 +205,27 @@ def _cmd_hunt(args) -> tuple[dict, int]:
         filters |= set(lid.hypotheses)
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large)
-    found = hunt(enumerate_structures(spec), lid)
-    if found is None:
-        return {"command": "hunt", "lemma": lid.value, "counterexample": None}, 0
-    G, v = found
-    return {"command": "hunt", "lemma": lid.value,
-            "counterexample": {"structure": serialize(G),
-                               "witness": _lemma_witness_json(G, v.witness),
-                               "note": None}}, 1
+    refused = []
+    found = hunt(enumerate_structures(spec), lid, refused)
+    report = {"command": "hunt", "lemma": lid.value, "counterexample": None}
+    if found is not None:
+        G, v = found
+        report["counterexample"] = {"structure": serialize(G),
+                                    "witness": _lemma_witness_json(G, v.witness),
+                                    "note": None}
+    if refused:  # the key only when some check was refused, so a clean report is unchanged
+        report["refused"] = len(refused)
+    return report, 1 if found is not None else 2 if refused else 0
 
 
 def _text_hunt(r):
     found = r["counterexample"]
-    if found is None:
-        return ["no counterexample"]
-    return [f"counterexample to {r['lemma']}:", found["structure"].rstrip("\n"),
-            f"witness: {_fmt_lemma_witness(found['witness'])}"]
+    lines = ["no counterexample"] if found is None else [
+        f"counterexample to {r['lemma']}:", found["structure"].rstrip("\n"),
+        f"witness: {_fmt_lemma_witness(found['witness'])}"]
+    if "refused" in r:
+        lines.append(f"structures refused: {r['refused']}")
+    return lines
 
 
 _TEXT = {"check": _text_check, "ideals": _text_ideals, "closure": _text_closure,

@@ -134,13 +134,19 @@ def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     return IdealVerdict(True)
 
 
+def check_enum_order(G: GammaGroupoid) -> None:
+    """Refuse a carrier of more than ``MAX_ENUM_ORDER`` elements, whose subsets
+    are not enumerated."""
+    if G.order > MAX_ENUM_ORDER:
+        raise LimitExceededError(
+            f"subset enumeration over {G.order} elements refused beyond {MAX_ENUM_ORDER}")
+
+
 def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
     """All subsets passing ``kind``, ascending by bitmask value; found once per
     structure and kind from its powerset kernel, with the order bound checked
     first and a new list on every call."""
-    if G.order > MAX_ENUM_ORDER:
-        raise LimitExceededError(
-            f"subset enumeration over {G.order} elements refused beyond {MAX_ENUM_ORDER}")
+    check_enum_order(G)
     return list(_fact(G, kind, lambda: array("Q", kind.scan(
         *_fact(G, "powerset", lambda: _powerset_kernel(G)),
         partial(subset_product, G), G.carrier, 1 << G.order))))

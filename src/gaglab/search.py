@@ -22,14 +22,25 @@ the leaf, so pruning is an optimization, never trusted.
 
 A canonical form is the least relabelling.  One table per shape lists, for each
 relabelling, the old cell each new cell reads; a walk stops at its first difference.
+An ``up_to_iso`` search keeps a leaf only when it is its own canonical form, and
+prunes by lex-leader symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR
+1996) on the way down (``_lex_leader``): after each successful propagate step
+that leaves the table partial, every other relabelling of that table is walked
+in flat order while both cells are assigned, and the node is cut when one is
+already smaller at its first difference, as no leaf below it is then the least
+of its orbit.  The walks resume in the subtree where they stopped, and a
+relabelling found larger is dropped for the subtree.  Complete tables are left
+to the leaf's check, so the stream is the one a leaf filter alone keeps; the
+order-5 left-invertive census, 31,913 classes, counts in seconds.
 """
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice, permutations, product, repeat
 from math import factorial
 from typing import Iterator, Optional
 
@@ -127,6 +138,8 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     laws = tuple(f.law for f in prunable)
     propagate = compile_propagate(tuple(law.terms for law in laws))(
         tables, waiting, n, moved, forced)
+    if spec.up_to_iso:
+        propagate = _lex_leader(propagate, tables, n, m, spec.iso_include_gamma)
 
     def undo(n_moved, n_forced):
         for bucket in moved[n_moved:]:
@@ -158,6 +171,56 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
 
     if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
         yield from rec(0)
+
+
+def _lex_leader(propagate, tables, n, m, include_gamma):
+    """``propagate``, also failing when the table it leaves is partial and some
+    relabelling of it is already smaller, so that no leaf below is the least of
+    its orbit (lex-leader symmetry breaking).
+
+    A relabelling is walked in flat order while both the cell and the cell it
+    reads are assigned; unassigned cells hold n, which ``sigma`` keeps.  At the
+    first difference it prunes the node if smaller and is dropped for the
+    subtree if larger; with none it resumes there in the subtree.  It joins at
+    the first node whose first unassigned cell lies beyond the cell it reads
+    first, as skipping a relabelling only prunes less.  A complete table is
+    left to the leaf's ``canonical_form``.
+    """
+    rows = [t[r] for t in tables for r in range(n)]  # flat cell k is rows[k // n][k % n]
+    table = sorted(_relabellings(n, m, include_gamma)[1:], key=lambda entry: entry[1][0])
+    firsts = [cells[0] for _, cells in table]
+    # one entry per partial node on the current path: its first unassigned cell
+    # k, which its children assign, the relabellings undecided there and where
+    # each walk resumes; once k is unassigned again the search has left it
+    stack = []
+
+    def step(batch):
+        while stack and rows[stack[-1][0] // n][stack[-1][0] % n] == n:
+            stack.pop()
+        if not propagate(batch):
+            return False
+        flat = [v for row in rows for v in row[:n]]
+        if n not in flat:
+            return True
+        k = flat.index(n)
+        start, ts, ats = stack[-1] if stack else (0, (), ())
+        joining = range(bisect_left(firsts, start), bisect_left(firsts, k))
+        # 16 bits hold both: at most MAX_RELABELLINGS relabellings and MAX_SEARCH_CELLS cells
+        undecided, resume = array("H"), array("H")
+        for t, i in chain(zip(ts, ats), zip(joining, repeat(0))):
+            sigma, cells = table[t]
+            u = flat[i]
+            while u != n and sigma[flat[cells[i]]] == u:
+                i += 1
+                u = flat[i]
+            if u == n or (v := sigma[flat[cells[i]]]) == n:
+                undecided.append(t)
+                resume.append(i)
+            elif v < u:
+                return False
+        stack.append((k, undecided, resume))
+        return True
+    return step
 
 
 @lru_cache(maxsize=None)
@@ -257,9 +320,11 @@ def count(spec: SearchSpec) -> int:
 
 @lru_cache(maxsize=2)
 def _relabellings(n: int, m: int, include_gamma: bool) -> list:
-    """Every relabelling of the (n, m) shape, in permutation order, as ``(sigma,
-    cells)``: relabelled cell i is ``sigma[flat[cells[i]]]`` over the old cells.
-    Refused beyond the bounds before a factorial passes them; kept for two shapes."""
+    """Every relabelling of the (n, m) shape, in permutation order from the
+    identity, as ``(sigma, cells)``: relabelled cell i is ``sigma[flat[cells[i]]]``
+    over the old cells.  ``sigma`` also maps n to n, the search's unassigned
+    cell.  Refused beyond the bounds before a factorial passes them; kept for
+    two shapes."""
     total = 1
     for k in chain(range(2, n + 1), range(2, m + 1) if include_gamma else ()):
         total *= k
@@ -274,7 +339,7 @@ def _relabellings(n: int, m: int, include_gamma: bool) -> list:
     for gammas in permutations(range(m)) if include_gamma else [range(m)]:
         for sigma in permutations(range(n)):
             elements = sorted(range(n), key=sigma.__getitem__)
-            table.append((sigma, array("I", [g * n * n + a * n + b for g in gammas
+            table.append((sigma + (n,), array("I", [g * n * n + a * n + b for g in gammas
                                              for a in elements for b in elements])))
     return table
 

@@ -3,8 +3,12 @@
 ``verify`` returns a LemmaVerdict: NOT_APPLICABLE when the structure fails
 the statement's hypotheses (with the failed hypothesis named), HOLDS when the
 exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
-witness otherwise.  ``hunt`` scans a stream of structures for the first
-counterexample to a given entry.
+witness otherwise; it raises ``LimitExceededError`` when a limit refuses the
+check.  ``verify_all`` reports that refusal as a REFUSED verdict
+carrying the limit's message, so one refused entry leaves the others decided,
+but still refuses a carrier above the enumeration bound whole.
+``hunt`` scans a stream of structures for the first counterexample to a given
+entry, passing over the structures whose check is refused.
 
 Witnesses are dicts whose values follow a small vocabulary: the keys in
 ``MASK_KEYS`` hold subset bitmasks, "element" holds an element index,
@@ -22,6 +26,7 @@ from typing import Iterable, Optional
 from .core import (
     GammaGroupoid,
     Law,
+    LimitExceededError,
     check_law,
     identities,
     is_regular,
@@ -31,6 +36,7 @@ from .core import (
 from .ideals import (
     IdealKind,
     build_ideal_semilattice,
+    check_enum_order,
     enumerate_ideals,
     is_ideal,
     is_idempotent,
@@ -48,6 +54,7 @@ class LemmaStatus(Enum):
     HOLDS = "holds"
     COUNTEREXAMPLE = "counterexample"
     NOT_APPLICABLE = "not-applicable"
+    REFUSED = "refused"
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,7 @@ class LemmaVerdict:
     status: LemmaStatus
     hypothesis_failed: Optional[str] = None
     witness: Optional[dict] = None
+    refusal: Optional[str] = None  # the message of the limit that refused the check
 
 
 _HOLDS = LemmaVerdict(LemmaStatus.HOLDS)
@@ -329,15 +337,33 @@ def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
     return lid.verifier(G)
 
 
+def _decide(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
+    """``verify``, with a check that a limit refuses reported as REFUSED."""
+    try:
+        return verify(G, lid)
+    except LimitExceededError as exc:
+        return LemmaVerdict(LemmaStatus.REFUSED, refusal=str(exc))
+
+
 def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:
-    return {lid: verify(G, lid) for lid in LemmaId}
+    """Every entry's verdict, a refused check reported as REFUSED.  A carrier
+    above the enumeration bound, which refuses the catalog's ideal scans, is
+    refused whole before any entry runs."""
+    check_enum_order(G)
+    return {lid: _decide(G, lid) for lid in LemmaId}
 
 
-def hunt(source: Iterable[GammaGroupoid], lid: LemmaId
+def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] = None
          ) -> Optional[tuple[GammaGroupoid, LemmaVerdict]]:
-    """First structure in the stream whose verdict is a counterexample, if any."""
+    """First structure in the stream whose verdict is a counterexample, if any.
+    A structure whose check is refused is passed over, and appended to
+    ``refused`` when a list is given; one above the enumeration bound is
+    refused as in ``verify_all``, ending the hunt."""
     for G in source:
-        v = verify(G, lid)
+        check_enum_order(G)
+        v = _decide(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:
             return G, v
+        if v.status is LemmaStatus.REFUSED and refused is not None:
+            refused.append(G)
     return None

@@ -608,6 +608,62 @@ def test_pairing_two_sided_ideals_refuses_beyond_the_bound_at_once(tmp_path, cap
     assert capsys.readouterr().out == "t-semilattice: holds\n"
 
 
+def test_verify_reports_refused_entries_and_decides_the_rest(tmp_path, capsys):
+    path = _diagonal(tmp_path, 8)
+    t0 = time.perf_counter()
+    text_code = run(["verify", path])
+    assert time.perf_counter() - t0 < 1.0
+    text, err = capsys.readouterr()
+    json_code = run(["verify", path, "--json"])
+    payload = _json_out(capsys)
+    # a refused entry and no counterexample: exit 2, with every entry reported
+    assert text_code == json_code == payload["exit_code"] == 2
+    assert err == ""
+    refusal = "pairing 128 two-sided ideals refused beyond 64"
+    refused = [e for e in payload["lemmas"] if e["status"] == "refused"]
+    assert refused == [{"lemma": lid, "status": "refused", "refusal": refusal} for lid in
+                       ("l-semiprime-regular", "t-semilattice", "l-comm-ideals-regular")]
+    assert len(payload["lemmas"]) - len(refused) == 21
+    # text and JSON agree, one line per entry
+    lines = text.splitlines()
+    assert len(lines) == 24
+    for entry, line in zip(payload["lemmas"], lines):
+        assert line.startswith(f"{entry['lemma']}: {entry['status']}")
+    assert "t-semilattice: refused (pairing 128 two-sided ideals refused beyond 64)" in lines
+
+
+def test_verify_exits_1_on_a_counterexample_beside_a_refused_entry(monkeypatch, capsys):
+    real = cli.verify_all
+
+    def with_a_refusal(G):
+        verdicts = real(G)
+        verdicts[gl.LemmaId.T_SEMILATTICE] = gl.LemmaVerdict(gl.LemmaStatus.REFUSED,
+                                                             refusal="refused here")
+        return verdicts
+    monkeypatch.setattr(cli, "verify_all", with_a_refusal)
+    assert run(["verify", str(gl.fixture_path("interior_not_right3"))]) == 1
+    assert "t-semilattice: refused (refused here)" in capsys.readouterr().out
+
+
+def test_hunt_counts_refused_structures_and_goes_on(tmp_path, monkeypatch, capsys):
+    G = gl.parse_file(_diagonal(tmp_path, 8))
+    monkeypatch.setattr(cli, "enumerate_structures", lambda spec: iter([G, G]))
+    argv = ["hunt", "--order", "8", "--gammas", "1", "--lemma", "t-semilattice"]
+    text_code = run(argv)
+    text = capsys.readouterr().out
+    json_code = run(argv + ["--json"])
+    payload = _json_out(capsys)
+    assert text_code == json_code == 2
+    assert payload == {"command": "hunt", "lemma": "t-semilattice", "counterexample": None,
+                       "refused": 2}
+    assert text == "no counterexample\nstructures refused: 2\n"
+    cx = gl.load_fixture("interior_not_right3")
+    monkeypatch.setattr(cli, "enumerate_structures", lambda spec: iter([G, cx]))
+    assert run(["hunt", "--order", "8", "--gammas", "1", "--lemma", "l-interior-iff-right",
+                "--json"]) == 1
+    assert "refused" not in _json_out(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["ideals", "FILE", "--kind", "left"],
     ["verify", "FILE"],

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -548,6 +549,119 @@ def test_up_to_iso_counts_and_coverage():
     rep_tables = {G.tables for G in reps}
     for G in raw:
         assert canonical_form(G).tables in rep_tables
+
+
+# ---------------------------------------------------------------------------
+# up to isomorphism: lex-leader pruning against two independent oracles
+
+# every pinned shape, the unfiltered (2,2) and the (4,1) and (3,2) left-invertive census
+ISO_SHAPES = [*PINNED, (2, 2, ()), (4, 1, ("li",)), (3, 2, ("li",))]
+
+
+@cache
+def _filtered_stream(n, m, laws, include_gamma):
+    """The labelled stream kept where canonical_form fixes the leaf: no pruning by symmetry."""
+    return [G.tables for G in enumerate_structures(_spec(n, m, laws))
+            if canonical_form(G, include_gamma).tables == G.tables]
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 5])
+@pytest.mark.parametrize("include_gamma", [True, False])
+@pytest.mark.parametrize("n,m,laws", ISO_SHAPES)
+def test_up_to_iso_stream_equals_the_filtered_labelled_stream(n, m, laws, include_gamma, limit):
+    spec = _spec(n, m, laws, up_to_iso=True, iso_include_gamma=include_gamma, limit=limit)
+    got = [G.tables for G in enumerate_structures(spec)]
+    assert got == _filtered_stream(n, m, laws, include_gamma)[:limit]
+
+
+def _cycle_type(sigma):
+    seen, lengths = set(), []
+    for start in range(len(sigma)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = sigma[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _fixes(T, sigma, tau):
+    """Whether relabelling the carrier by sigma and the gammas by tau maps T onto itself."""
+    R = range(len(sigma))
+    return all(T[tau[g]][sigma[a]][sigma[b]] == sigma[T[g][a][b]]
+               for g in range(len(tau)) for a in R for b in R)
+
+
+@cache
+def _burnside(n, m, laws, include_gamma):
+    """The orbit count (1/|G|)·Σ Fix(σ) over the labelled stream, and Fix per group element."""
+    taus = permutations(range(m)) if include_gamma else [tuple(range(m))]
+    group = [(sigma, tau) for tau in taus for sigma in permutations(range(n))]
+    fixed = Counter({g: 0 for g in group})
+    for G in enumerate_structures(_spec(n, m, laws)):
+        fixed.update(g for g in group if _fixes(G.tables, *g))
+    total = sum(fixed.values())
+    assert total % len(group) == 0
+    return total // len(group), fixed
+
+
+@pytest.mark.parametrize("n,m,laws,include_gamma,classes", [
+    (4, 1, ("li",), True, 331),
+    (3, 2, ("li",), True, 112),
+    (3, 2, ("li",), False, 187),
+    (2, 2, (), True, 76),
+    (2, 2, (), False, 136),
+])
+def test_up_to_iso_count_equals_burnside(n, m, laws, include_gamma, classes):
+    # no canonical_form and no lex-leader code: Burnside's lemma on the labelled stream
+    orbits, _ = _burnside(n, m, laws, include_gamma)
+    assert orbits == classes
+    assert count(_spec(n, m, laws, up_to_iso=True, iso_include_gamma=include_gamma)) == classes
+
+
+def test_burnside_fixed_counts_per_cycle_type_at_order_4():
+    # conjugate permutations fix equally many tables
+    _, fixed = _burnside(4, 1, ("li",), True)
+    per_type = {}
+    for (sigma, _), k in fixed.items():
+        per_type.setdefault(_cycle_type(sigma), set()).add(k)
+    assert per_type == {(1, 1, 1, 1): {7336}, (1, 1, 2): {88}, (1, 3): {7}, (2, 2): {8},
+                        (4,): {0}}
+
+
+def test_lex_leader_prunes_partial_tables_and_leaves_complete_ones_to_canonical_form(
+        monkeypatch):
+    calls = []
+    real = search.canonical_form
+
+    def counting(G, include_gamma=True):
+        calls.append(G.tables)
+        return real(G, include_gamma)
+    monkeypatch.setattr(search, "canonical_form", counting)
+    # the one non-identity relabelling of (2,1) reads the last cell first, so no
+    # partial table is pruned and all six labelled leaves reach canonical_form
+    assert count(_spec(2, 1, ("li",), up_to_iso=True)) == 3
+    assert len(calls) == 6
+    calls.clear()
+    assert count(_spec(4, 1, ("li",), up_to_iso=True)) == 331
+    assert 331 <= len(calls) < 7336 // 10
+
+
+def test_the_lex_leader_state_fits_its_16_bit_arrays():
+    # relabelling indexes and walk positions are kept as array("H")
+    assert search.MAX_RELABELLINGS <= 2 ** 16
+    assert search.MAX_SEARCH_CELLS <= 2 ** 16
+
+
+def test_a_labelled_search_builds_no_lex_leader_step(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lex-leader step built for a labelled search")
+    monkeypatch.setattr(search, "_lex_leader", refuse)
+    assert count(_spec(3, 1, ("li",))) == PINNED[(3, 1, ("li",))]
+    with pytest.raises(AssertionError, match="lex-leader"):
+        count(_spec(3, 1, ("li",), up_to_iso=True))
 
 
 def test_up_to_iso_carrier_only_is_coarser_or_equal():

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -462,3 +463,57 @@ def test_always_holding_entries_hold_on_every_bundle(cx_streams):
         for G in stream:
             for lid in ALWAYS_HOLD:
                 assert lid.verifier(G).status is LemmaStatus.HOLDS, (lid, shape, G.tables)
+
+
+# ---------------------------------------------------------------------------
+# refused checks
+
+PAIRING_REFUSAL = "pairing 128 two-sided ideals refused beyond 64"
+# the entries that pair the two-sided ideals
+PAIRING = [LemmaId.L_SEMIPRIME_REGULAR, LemmaId.T_SEMILATTICE, LemmaId.L_COMM_IDEALS_REGULAR]
+
+
+def _diagonal(n):
+    # x·y = x if x = y, else 0: every subset holding 0 is a two-sided ideal
+    return GammaGroupoid.from_tables([[[x if x == y else 0 for y in range(n)]
+                                       for x in range(n)]])
+
+
+def test_a_refused_entry_is_a_verdict_and_every_other_entry_is_decided():
+    G = _diagonal(8)
+    t0 = time.perf_counter()
+    verdicts = verify_all(G)
+    assert time.perf_counter() - t0 < 1.0
+    refused = LemmaVerdict(LemmaStatus.REFUSED, refusal=PAIRING_REFUSAL)
+    assert [lid for lid, v in verdicts.items() if v == refused] == PAIRING
+    decided = {lid: v for lid, v in verdicts.items() if lid not in PAIRING}
+    assert len(decided) == 21
+    # each decided as on its own, on a structure that kept no facts
+    assert decided == {lid: verify(fresh(G), lid) for lid in decided}
+    for lid in PAIRING:
+        assert theorems._decide(G, lid) == refused
+        with pytest.raises(gl.LimitExceededError, match=f"^{PAIRING_REFUSAL}$"):
+            verify(G, lid)
+
+
+def test_verify_all_refuses_a_carrier_above_the_enumeration_bound_whole():
+    G = GammaGroupoid.from_tables([[[0] * 21 for _ in range(21)]])
+    with pytest.raises(gl.LimitExceededError,
+                       match="^subset enumeration over 21 elements refused beyond 20$"):
+        verify_all(G)
+    # one entry alone reports it as its verdict; a hunt stops at it
+    assert theorems._decide(G, LemmaId.C_IDEAL_BI).status is LemmaStatus.REFUSED
+    with pytest.raises(gl.LimitExceededError, match="^subset enumeration over 21"):
+        hunt(iter([G]), LemmaId.L_MEDIAL, [])
+
+
+def test_hunt_passes_over_refused_structures(gamma5):
+    G = _diagonal(8)
+    refused = []
+    assert hunt(iter([G, gamma5, G]), LemmaId.T_SEMILATTICE, refused) is None
+    assert refused == [G, G]
+    assert hunt(iter([G]), LemmaId.T_SEMILATTICE) is None
+    cx = gl.load_fixture("interior_not_right3")
+    refused = []
+    found = hunt(iter([G, cx, G]), LemmaId.L_INTERIOR_IFF_RIGHT, refused)
+    assert found is not None and found[0] is cx and refused == []
