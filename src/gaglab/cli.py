@@ -14,8 +14,8 @@ from functools import cache
 from pathlib import Path
 
 from .core import GammaGroupoid, Law, check_law, law_sides
-from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, enumerate_ideals, \
-    ideal_closure
+from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, check_enum_order, \
+    enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize, write_file
 from .search import Filter, SearchSpec, count, enumerate_structures
 from .theorems import MASK_KEYS, LemmaId, LemmaStatus, hunt, verify, verify_all
@@ -205,8 +205,10 @@ def _cmd_hunt(args) -> tuple[dict, int]:
         filters |= set(lid.hypotheses)
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large)
+    structures = enumerate_structures(spec)  # the search's own limits come first
+    check_enum_order(spec.order)  # each structure would be refused whole, so search none
     refused = []
-    found = hunt(enumerate_structures(spec), lid, refused)
+    found = hunt(structures, lid, refused)
     report = {"command": "hunt", "lemma": lid.value, "counterexample": None}
     if found is not None:
         G, v = found

@@ -24,14 +24,15 @@ A canonical form is the least relabelling.  One table per shape lists, for each
 relabelling, the old cell each new cell reads; a walk stops at its first difference.
 An ``up_to_iso`` search keeps a leaf only when it is its own canonical form, and
 prunes by lex-leader symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR
-1996) on the way down (``_lex_leader``): after each successful propagate step
-that leaves the table partial, every other relabelling of that table is walked
-in flat order while both cells are assigned, and the node is cut when one is
-already smaller at its first difference, as no leaf below it is then the least
-of its orbit.  The walks resume in the subtree where they stopped, and a
-relabelling found larger is dropped for the subtree.  Complete tables are left
-to the leaf's check, so the stream is the one a leaf filter alone keeps; the
-order-5 left-invertive census, 31,913 classes, counts in seconds.
+1996) on the way down (``_lex_leader``): at each node whose table is partial,
+every other relabelling is walked in flat order while both cells are assigned,
+and the node is cut when one is already smaller at its first difference, as no
+leaf below it is then the least of its orbit.  Each node hands its walks, the
+relabellings still undecided and where each stopped, down the recursion to its
+children, which resume them; a relabelling found larger is dropped for the
+subtree.  Complete tables are left to the leaf's check, so the stream is the
+one a leaf filter alone keeps; the order-5 left-invertive census, 31,913
+classes, counts in seconds.
 """
 from __future__ import annotations
 
@@ -138,8 +139,7 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     laws = tuple(f.law for f in prunable)
     propagate = compile_propagate(tuple(law.terms for law in laws))(
         tables, waiting, n, moved, forced)
-    if spec.up_to_iso:
-        propagate = _lex_leader(propagate, tables, n, m, spec.iso_include_gamma)
+    lex = _lex_leader(tables, n, m, spec.iso_include_gamma) if spec.up_to_iso else None
 
     def undo(n_moved, n_forced):
         for bucket in moved[n_moved:]:
@@ -149,7 +149,7 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             row[c] = n
         del forced[n_forced:]
 
-    def rec(pos):
+    def rec(pos, walks):
         while pos < len(cells) and cells[pos][0][cells[pos][1]] != n:
             pos += 1  # assigned by propagation
         if pos == len(cells):
@@ -160,50 +160,45 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
                     or canonical_form(G, include_gamma=spec.iso_include_gamma).tables == G.tables):
                 yield G
             return
+        if lex and (walks := lex(pos, walks)) is None:
+            return  # some relabelling is already smaller
         row, c, bucket = cells[pos]
         marks = len(moved), len(forced)
         for v in range(n):
             row[c] = v
             if propagate(bucket):
-                yield from rec(pos + 1)
+                yield from rec(pos + 1, walks)
             undo(*marks)
         row[c] = n
 
     if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
-        yield from rec(0)
+        yield from rec(0, (0, (), ()))
 
 
-def _lex_leader(propagate, tables, n, m, include_gamma):
-    """``propagate``, also failing when the table it leaves is partial and some
-    relabelling of it is already smaller, so that no leaf below is the least of
-    its orbit (lex-leader symmetry breaking).
+def _lex_leader(tables, n, m, include_gamma):
+    """The lex-leader step of an ``up_to_iso`` search over ``tables``: at a
+    node whose first unassigned cell is k, ``step(k, walks)`` takes the
+    parent's walks and returns the node's, which its children take, or None
+    when some relabelling of the partial table is already smaller, so that no
+    leaf below is the least of its orbit (lex-leader symmetry breaking).
 
-    A relabelling is walked in flat order while both the cell and the cell it
-    reads are assigned; unassigned cells hold n, which ``sigma`` keeps.  At the
-    first difference it prunes the node if smaller and is dropped for the
-    subtree if larger; with none it resumes there in the subtree.  It joins at
-    the first node whose first unassigned cell lies beyond the cell it reads
+    Walks are ``(k, undecided, resume)``: a node's cell k, the relabellings
+    still undecided there and where each walk resumes; the root takes
+    ``(0, (), ())``.  A relabelling is walked in flat order while both the cell
+    and the cell it reads are assigned; unassigned cells hold n, which
+    ``sigma`` keeps.  At the first difference it cuts the node if smaller and
+    is dropped for the subtree if larger; with none it resumes there below.
+    It joins at the first node whose cell k lies beyond the cell it reads
     first, as skipping a relabelling only prunes less.  A complete table is
     left to the leaf's ``canonical_form``.
     """
     rows = [t[r] for t in tables for r in range(n)]  # flat cell k is rows[k // n][k % n]
     table = sorted(_relabellings(n, m, include_gamma)[1:], key=lambda entry: entry[1][0])
     firsts = [cells[0] for _, cells in table]
-    # one entry per partial node on the current path: its first unassigned cell
-    # k, which its children assign, the relabellings undecided there and where
-    # each walk resumes; once k is unassigned again the search has left it
-    stack = []
 
-    def step(batch):
-        while stack and rows[stack[-1][0] // n][stack[-1][0] % n] == n:
-            stack.pop()
-        if not propagate(batch):
-            return False
+    def step(k, walks):
+        start, ts, ats = walks
         flat = [v for row in rows for v in row[:n]]
-        if n not in flat:
-            return True
-        k = flat.index(n)
-        start, ts, ats = stack[-1] if stack else (0, (), ())
         joining = range(bisect_left(firsts, start), bisect_left(firsts, k))
         # 16 bits hold both: at most MAX_RELABELLINGS relabellings and MAX_SEARCH_CELLS cells
         undecided, resume = array("H"), array("H")
@@ -217,9 +212,8 @@ def _lex_leader(propagate, tables, n, m, include_gamma):
                 undecided.append(t)
                 resume.append(i)
             elif v < u:
-                return False
-        stack.append((k, undecided, resume))
-        return True
+                return None
+        return k, undecided, resume
     return step
 
 

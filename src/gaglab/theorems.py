@@ -349,7 +349,7 @@ def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:
     """Every entry's verdict, a refused check reported as REFUSED.  A carrier
     above the enumeration bound, which refuses the catalog's ideal scans, is
     refused whole before any entry runs."""
-    check_enum_order(G)
+    check_enum_order(G.order)
     return {lid: _decide(G, lid) for lid in LemmaId}
 
 
@@ -360,7 +360,7 @@ def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] 
     ``refused`` when a list is given; one above the enumeration bound is
     refused as in ``verify_all``, ending the hunt."""
     for G in source:
-        check_enum_order(G)
+        check_enum_order(G.order)
         v = _decide(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:
             return G, v

@@ -584,6 +584,27 @@ def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, caps
         assert err == "error: subset enumeration over 21 elements refused beyond 20\n", argv
 
 
+def test_hunt_refuses_an_order_above_the_kernel_ceiling_before_searching(monkeypatch, capsys):
+    # every structure of order 21 would be refused whole, and a leaf-only filter
+    # may keep the first one from coming for minutes, so none is searched
+    real = cli.enumerate_structures
+
+    def unsearched(spec):
+        real(spec)  # the search's own limits are still checked at once
+        return (pytest.fail("the order-21 stream was searched") for _ in [None])
+    monkeypatch.setattr(cli, "enumerate_structures", unsearched)
+    argv = ["hunt", "--order", "21", "--gammas", "1", "--lemma", "l-gg-regular",
+            "--hypotheses", "--allow-large"]
+    for extra in ([], ["--json"]):
+        assert run(argv + extra) == 2
+        assert capsys.readouterr() == (
+            "", "error: subset enumeration over 21 elements refused beyond 20\n")
+    # without --allow-large the search's own refusal comes first
+    assert run(argv[:-1]) == 2
+    assert capsys.readouterr() == ("", "error: search over order 21 with 1 gammas refused; "
+                                       "set allow_large to override\n")
+
+
 def _diagonal(tmp_path, n):
     # x·y = x if x = y, else 1: every subset holding 1 is a two-sided ideal
     doc = tmp_path / f"diagonal{n}.gag"

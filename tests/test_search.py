@@ -649,6 +649,29 @@ def test_lex_leader_prunes_partial_tables_and_leaves_complete_ones_to_canonical_
     assert 331 <= len(calls) < 7336 // 10
 
 
+def test_the_lex_leader_step_is_a_pure_function_of_the_table_and_the_walks():
+    n = 3
+    tables = [[[n] * (n + 1) for _ in range(n + 1)]]  # (3,1), every cell unassigned
+    step = search._lex_leader(tables, n, 1, True)
+    root = (0, (), ())
+    # swapping 1 and 2 reads cell 0 first and relabels T[0][0] = 2 as 1: smaller
+    tables[0][0][0] = 2
+    assert step(1, root) is None
+    # with T[0][0] = 0 the swap agrees up to the unassigned cell 1, where it
+    # resumes; the other four relabellings read cell 4 or 8 first and have not joined
+    tables[0][0][0] = 0
+    walks = step(1, root)
+    k, undecided, resume = walks
+    table = sorted(search._relabellings(n, 1, True)[1:], key=lambda entry: entry[1][0])
+    assert k == 1
+    assert [table[t][0] for t in undecided] == [(0, 2, 1, n)]
+    assert list(resume) == [1]
+    # the step keeps no state of its own: the same call gives the same walks
+    assert step(1, root) == walks
+    tables[0][0][0] = 2
+    assert step(1, root) is None
+
+
 def test_the_lex_leader_state_fits_its_16_bit_arrays():
     # relabelling indexes and walk positions are kept as array("H")
     assert search.MAX_RELABELLINGS <= 2 ** 16
