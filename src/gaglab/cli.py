@@ -203,8 +203,10 @@ def _cmd_hunt(args) -> tuple[dict, int]:
     filters = {Filter(f) for f in args.filter or []}
     if args.hypotheses:
         filters |= set(lid.hypotheses)
+    # every filter and verdict is invariant under relabelling, so the first
+    # labelled counterexample is the least of its class and survives the pruning
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
-                      allow_large=args.allow_large)
+                      allow_large=args.allow_large, lex_pruned=True)
     structures = enumerate_structures(spec)  # the search's own limits come first
     check_enum_order(spec.order)  # each structure would be refused whole, so search none
     refused = []

@@ -33,6 +33,13 @@ children, which resume them; a relabelling found larger is dropped for the
 subtree.  Complete tables are left to the leaf's check, so the stream is the
 one a leaf filter alone keeps; the order-5 left-invertive census, 31,913
 classes, counts in seconds.
+
+A ``lex_pruned`` search takes the same step without the leaf's check: its
+stream is a subsequence of the labelled stream that holds the least member
+of every class, and perhaps other members.  A hunt runs on it, since the
+first labelled counterexample is always the least of its class (the least
+member is a counterexample too, and comes no later).  Its table is built
+lazily, and a shape whose table is refused streams every labelled table.
 """
 from __future__ import annotations
 
@@ -93,6 +100,7 @@ class SearchSpec:
     limit: Optional[int] = None
     allow_large: bool = False
     iso_include_gamma: bool = True
+    lex_pruned: bool = False  # lex-leader pruning without the leaf's canonical_form check
 
     def __post_init__(self):
         object.__setattr__(self, "filters", frozenset(self.filters))
@@ -139,7 +147,12 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     laws = tuple(f.law for f in prunable)
     propagate = compile_propagate(tuple(law.terms for law in laws))(
         tables, waiting, n, moved, forced)
-    lex = _lex_leader(tables, n, m, spec.iso_include_gamma) if spec.up_to_iso else None
+    lex = None
+    if spec.up_to_iso or spec.lex_pruned:
+        try:  # enumerate_structures has refused an oversized up_to_iso table
+            lex = _lex_leader(tables, n, m, spec.iso_include_gamma)
+        except LimitExceededError:
+            pass  # pruning is an optimization: lex_pruned streams every labelled table
 
     def undo(n_moved, n_forced):
         for bucket in moved[n_moved:]:
@@ -176,11 +189,11 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
 
 
 def _lex_leader(tables, n, m, include_gamma):
-    """The lex-leader step of an ``up_to_iso`` search over ``tables``: at a
-    node whose first unassigned cell is k, ``step(k, walks)`` takes the
-    parent's walks and returns the node's, which its children take, or None
-    when some relabelling of the partial table is already smaller, so that no
-    leaf below is the least of its orbit (lex-leader symmetry breaking).
+    """The lex-leader step of an ``up_to_iso`` or ``lex_pruned`` search over
+    ``tables``: at a node whose first unassigned cell is k, ``step(k, walks)``
+    takes the parent's walks and returns the node's, which its children take,
+    or None when some relabelling of the partial table is already smaller, so
+    that no leaf below is the least of its orbit (lex-leader symmetry breaking).
 
     Walks are ``(k, undecided, resume)``: a node's cell k, the relabellings
     still undecided there and where each walk resumes; the root takes
@@ -190,7 +203,8 @@ def _lex_leader(tables, n, m, include_gamma):
     is dropped for the subtree if larger; with none it resumes there below.
     It joins at the first node whose cell k lies beyond the cell it reads
     first, as skipping a relabelling only prunes less.  A complete table is
-    left to the leaf's ``canonical_form``.
+    left to the leaf: ``up_to_iso`` checks it with ``canonical_form``,
+    ``lex_pruned`` keeps it.
     """
     rows = [t[r] for t in tables for r in range(n)]  # flat cell k is rows[k // n][k % n]
     table = sorted(_relabellings(n, m, include_gamma)[1:], key=lambda entry: entry[1][0])

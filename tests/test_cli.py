@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -489,6 +490,53 @@ def test_hunt_json_matches_the_benchmark_pin(lemma, capsys):
     payload = _json_out(capsys)
     assert payload == pin["output"]
     assert payload["counterexample"]["note"] is None
+
+
+# the hunt against its oracle: the same hunt over the labelled stream
+
+HUNT_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]  # the benchmark's sweep
+
+
+def _hunt_and_labelled_hunt(monkeypatch, capsys, argv):
+    """The hunt's (exit code, stdout) and those of the same hunt over the labelled
+    stream, the spec without lex_pruned, reported by the same code."""
+    real = cli.enumerate_structures
+    specs = []
+
+    def spying(spec):
+        specs.append(spec)
+        return real(spec)
+    monkeypatch.setattr(cli, "enumerate_structures", spying)
+    got = run(argv), capsys.readouterr().out
+    assert [spec.lex_pruned for spec in specs] == [True]
+    monkeypatch.setattr(cli, "enumerate_structures",
+                        lambda spec: real(replace(spec, lex_pruned=False)))
+    return got, (run(argv), capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("lemma", [lid.value for lid in gl.LemmaId])
+def test_hunt_equals_the_labelled_hunt_over_the_benchmark_sizes(lemma, monkeypatch, capsys):
+    for n, m in HUNT_SIZES:
+        argv = ["hunt", "--order", str(n), "--gammas", str(m), "--lemma", lemma,
+                "--hypotheses", "--json"]
+        got, labelled = _hunt_and_labelled_hunt(monkeypatch, capsys, argv)
+        assert got == labelled, (n, m)
+
+
+@pytest.mark.parametrize("argv,code", [
+    # the order-4 and order-5 refutations of the catalog entries as written
+    ("--order 4 --gammas 1 --lemma l-principal-left-agss --hypotheses", 1),
+    ("--order 5 --gammas 1 --lemma t1-union-construction --hypotheses --allow-large", 1),
+    *((f"--order {n} --gammas {m} --lemma {lemma} --hypotheses --filter {f}", None)
+      for n, m in ((2, 2), (3, 1))
+      for lemma in ("l-medial", "l-interior-iff-right", "l-gg-bi", "t-semilattice")
+      for f in ("no-left-identity", "non-associative")),
+])
+def test_hunt_equals_the_labelled_hunt(argv, code, monkeypatch, capsys):
+    got, labelled = _hunt_and_labelled_hunt(monkeypatch, capsys,
+                                            ["hunt", *argv.split(), "--json"])
+    assert got == labelled
+    assert code is None or got[0] == code
 
 
 # ---------------------------------------------------------------------------

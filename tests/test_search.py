@@ -1,6 +1,7 @@
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -685,6 +686,79 @@ def test_a_labelled_search_builds_no_lex_leader_step(monkeypatch):
     assert count(_spec(3, 1, ("li",))) == PINNED[(3, 1, ("li",))]
     with pytest.raises(AssertionError, match="lex-leader"):
         count(_spec(3, 1, ("li",), up_to_iso=True))
+
+
+# ---------------------------------------------------------------------------
+# the lex-pruned stream: lex-leader pruning without the leaf's canonical_form check
+
+LEX_SHAPES = [(2, 2, ()), (3, 1, ()), (3, 2, ("li",)), (4, 1, ("li",))]
+
+
+@cache
+def _leaf_stream(n, m, laws, leaf, **kw):
+    filters = {_FILTER_OF[law] for law in laws} | {leaf}
+    return [G.tables for G in enumerate_structures(SearchSpec(n, m, filters, **kw))]
+
+
+def _is_subsequence(part, whole):
+    rest = iter(whole)
+    return all(x in rest for x in part)  # each membership test consumes rest up to x
+
+
+@pytest.mark.parametrize("include_gamma", [True, False])
+@pytest.mark.parametrize("leaf", [Filter.REGULAR, Filter.HAS_LEFT_IDENTITY])
+@pytest.mark.parametrize("n,m,laws", LEX_SHAPES)
+def test_the_lex_pruned_stream_lies_between_the_class_stream_and_the_labelled_stream(
+        n, m, laws, leaf, include_gamma):
+    labelled = _leaf_stream(n, m, laws, leaf)
+    pruned = _leaf_stream(n, m, laws, leaf, lex_pruned=True, iso_include_gamma=include_gamma)
+    classes = _leaf_stream(n, m, laws, leaf, up_to_iso=True, iso_include_gamma=include_gamma)
+    # the least member of every class, found without the lex-leader step
+    least = [T for T in labelled
+             if canonical_form(GammaGroupoid.from_tables(T), include_gamma).tables == T]
+    assert classes == least
+    # in labelled order, and holding the least member of every class
+    assert _is_subsequence(pruned, labelled)
+    assert _is_subsequence(least, pruned)
+
+
+def test_the_lex_pruned_stream_prunes():
+    labelled = _leaf_stream(4, 1, ("li",), Filter.REGULAR)
+    pruned = _leaf_stream(4, 1, ("li",), Filter.REGULAR, lex_pruned=True)
+    classes = _leaf_stream(4, 1, ("li",), Filter.REGULAR, up_to_iso=True)
+    assert len(classes) < len(pruned) < len(labelled) // 4
+
+
+def test_a_lex_pruned_search_never_calls_canonical_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical_form called by a lex_pruned search")
+    monkeypatch.setattr(search, "canonical_form", refuse)
+    for n, m, laws in LEX_SHAPES:
+        assert count(_spec(n, m, laws, lex_pruned=True)) > 0
+    with pytest.raises(AssertionError, match="canonical_form"):
+        count(_spec(2, 1, ("li",), up_to_iso=True))
+
+
+@pytest.mark.parametrize("n,m,include_gamma", [(9, 1, True), (8, 4, False)])
+def test_a_lex_pruned_search_over_a_refused_table_streams_the_labelled_tables(
+        n, m, include_gamma):
+    # 9! relabellings, and 8! relabellings of 256 cells each, are refused
+    with pytest.raises(gl.LimitExceededError, match="^canonical form over"):
+        search._relabellings(n, m, include_gamma)
+    spec = SearchSpec(n, m, limit=3, allow_large=True, iso_include_gamma=include_gamma)
+    pruned = replace(spec, lex_pruned=True)
+    labelled = [G.tables for G in enumerate_structures(spec)]
+    assert [G.tables for G in enumerate_structures(pruned)] == labelled
+    assert len(labelled) == 3
+
+
+def test_a_lex_pruned_search_builds_its_table_only_once_it_streams(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("relabelling table built")
+    monkeypatch.setattr(search, "_relabellings", refuse)
+    stream = enumerate_structures(_spec(3, 1, ("li",), lex_pruned=True))
+    with pytest.raises(AssertionError, match="relabelling table built"):
+        next(stream)
 
 
 def test_up_to_iso_carrier_only_is_coarser_or_equal():

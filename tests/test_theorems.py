@@ -216,6 +216,37 @@ def test_hunt_regular_iff_idempotent_left_finds_the_shipped_fixture():
     assert v.witness == {"regular": True, "subset": 0b011, "product": 0b001}
 
 
+@pytest.mark.parametrize("lid,refusals", [(LemmaId.L_INTERIOR_IFF_RIGHT, (3, 3)),
+                                          (LemmaId.L_MEDIAL, (26, 63))])
+def test_a_lex_pruned_hunt_refuses_the_same_classes_as_the_labelled_hunt(
+        lid, refusals, monkeypatch):
+    # refuse every commutative structure, a property that relabelling keeps, as a
+    # limit refuses checks; l-interior-iff-right has a counterexample at (3,1),
+    # l-medial none
+    real = lid.verifier
+
+    def refusing(G):
+        if core.check_law(G, Law.COMMUTATIVE).holds:
+            raise core.LimitExceededError("commutative refused")
+        return real(G)
+    monkeypatch.setattr(lid, "verifier", refusing)
+    filters = frozenset(lid.hypotheses)
+    labelled, pruned = [], []
+    want = hunt(gl.enumerate_structures(gl.SearchSpec(3, 1, filters)), lid, labelled)
+    got = hunt(gl.enumerate_structures(gl.SearchSpec(3, 1, filters, lex_pruned=True)),
+               lid, pruned)
+    assert (want is None) is (lid is LemmaId.L_MEDIAL)
+    assert got == want
+    # every class refused before the counterexample has its least member among
+    # the pruned stream's refusals, so the count is nonzero exactly when it was
+    # before, but it counts the structures of the pruned stream: (pruned, labelled)
+    assert {gl.canonical_form(G).tables for G in pruned} \
+        == {gl.canonical_form(G).tables for G in labelled}
+    refused_tables = [G.tables for G in labelled]
+    assert all(G.tables in refused_tables for G in pruned)
+    assert (len(pruned), len(labelled)) == refusals
+
+
 # ---------------------------------------------------------------------------
 # the shipped counterexamples re-verify with raw set arithmetic
 
