@@ -112,7 +112,7 @@ def _text_closure(r):
 
 def _cmd_verify(args) -> tuple[dict, int]:
     G = parse_file(args.file)
-    if args.lemma:  # a refusal is an error here; the whole catalog reports it as a verdict
+    if args.lemma:
         lid = LemmaId(args.lemma)
         verdicts = {lid: verify(G, lid)}
     else:

@@ -3,10 +3,10 @@
 ``verify`` returns a LemmaVerdict: NOT_APPLICABLE when the structure fails
 the statement's hypotheses (with the failed hypothesis named), HOLDS when the
 exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
-witness otherwise; it raises ``LimitExceededError`` when a limit refuses the
-check.  ``verify_all`` reports that refusal as a REFUSED verdict
-carrying the limit's message, so one refused entry leaves the others decided,
-but still refuses a carrier above the enumeration bound whole.
+witness otherwise, and REFUSED, carrying the limit's message, when a limit
+refuses the check.  ``verify_all`` runs every entry, so one refused entry
+leaves the others decided, but refuses a carrier above the enumeration bound
+whole.
 ``hunt`` scans a stream of structures for the first counterexample to a given
 entry, passing over the structures whose check is refused.
 
@@ -330,27 +330,22 @@ _HYPOTHESIS_LABELS = {Filter.HAS_LEFT_IDENTITY: "left-identity"}
 
 
 def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
-    """Check one catalog entry on a structure."""
-    for f in lid.hypotheses:
-        if not f.holds(G):
-            return _na(_HYPOTHESIS_LABELS.get(f, f.value))
-    return lid.verifier(G)
-
-
-def _decide(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
-    """``verify``, with a check that a limit refuses reported as REFUSED."""
+    """Check one catalog entry on a structure; a check that a limit refuses,
+    in the hypotheses or in the verifier, is reported as REFUSED."""
     try:
-        return verify(G, lid)
+        for f in lid.hypotheses:
+            if not f.holds(G):
+                return _na(_HYPOTHESIS_LABELS.get(f, f.value))
+        return lid.verifier(G)
     except LimitExceededError as exc:
         return LemmaVerdict(LemmaStatus.REFUSED, refusal=str(exc))
 
 
 def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:
-    """Every entry's verdict, a refused check reported as REFUSED.  A carrier
-    above the enumeration bound, which refuses the catalog's ideal scans, is
-    refused whole before any entry runs."""
+    """Every entry's verdict.  A carrier above the enumeration bound, which
+    refuses the catalog's ideal scans, is refused whole before any entry runs."""
     check_enum_order(G.order)
-    return {lid: _decide(G, lid) for lid in LemmaId}
+    return {lid: verify(G, lid) for lid in LemmaId}
 
 
 def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] = None
@@ -358,10 +353,13 @@ def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] 
     """First structure in the stream whose verdict is a counterexample, if any.
     A structure whose check is refused is passed over, and appended to
     ``refused`` when a list is given; one above the enumeration bound is
-    refused as in ``verify_all``, ending the hunt."""
+    refused as in ``verify_all``, ending the hunt.  A stream cannot tell its
+    order before its first structure, so a caller hunting
+    ``enumerate_structures(spec)`` checks ``check_enum_order(spec.order)``
+    first, as ``gaglab hunt`` does."""
     for G in source:
         check_enum_order(G.order)
-        v = _decide(G, lid)
+        v = verify(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:
             return G, v
         if v.status is LemmaStatus.REFUSED and refused is not None:

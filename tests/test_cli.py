@@ -539,6 +539,18 @@ def test_hunt_equals_the_labelled_hunt(argv, code, monkeypatch, capsys):
     assert code is None or got[0] == code
 
 
+@pytest.mark.parametrize("fixture,lemma,shape", [
+    ("principal_left_not_left4", "l-principal-left-agss", "--order 4 --gammas 1"),
+    ("union_not_ideal5", "t1-union-construction", "--order 5 --gammas 1 --allow-large"),
+])
+def test_hunt_finds_the_shipped_refutation_fixture(fixture, lemma, shape, capsys):
+    assert run(["hunt", *shape.split(), "--lemma", lemma, "--hypotheses", "--json"]) == 1
+    found = _json_out(capsys)["counterexample"]
+    assert gl.parse(found["structure"]) == gl.load_fixture(fixture)
+    assert run(["verify", str(gl.fixture_path(fixture)), "--lemma", lemma, "--json"]) == 1
+    assert _json_out(capsys)["lemmas"][0]["witness"] == found["witness"]
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -556,11 +568,16 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "parse error: line 4" in capsys.readouterr().err
 
 
-def test_check_refuses_an_oversized_law_scan(tmp_path, capsys):
+def _wide(tmp_path):
+    # one element under 300 gammas: medial and paramedial have 300**3 instances
     doc = tmp_path / "wide.gag"
     doc.write_text("order 1\ngammas 300\n" + "".join(f"gamma g{i}\n1\n" for i in range(300)),
                    encoding="utf-8")
-    assert run(["check", str(doc)]) == 2
+    return str(doc)
+
+
+def test_check_refuses_an_oversized_law_scan(tmp_path, capsys):
+    assert run(["check", _wide(tmp_path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: medial scan over 27000000 instances refused beyond 16777216\n"
@@ -664,14 +681,21 @@ def _diagonal(tmp_path, n):
 
 def test_pairing_two_sided_ideals_refuses_beyond_the_bound_at_once(tmp_path, capsys):
     # order 8 has 128 two-sided ideals, whose triples would take minutes
-    for argv in (["verify", "--lemma", "t-semilattice"], ["semilattice"]):
-        argv = argv[:1] + [_diagonal(tmp_path, 8)] + argv[1:]
+    refusal = "pairing 128 two-sided ideals refused beyond 64"
+    path = _diagonal(tmp_path, 8)
+    for argv, want in (
+            # one refused entry is reported as its verdict
+            (["verify", path, "--lemma", "t-semilattice"],
+             (f"t-semilattice: refused ({refusal})\n", "")),
+            (["semilattice", path], ("", f"error: {refusal}\n"))):
         t0 = time.perf_counter()
         code = run(argv)
         assert time.perf_counter() - t0 < 1.0, argv
         assert code == 2, argv
-        assert capsys.readouterr() == (
-            "", "error: pairing 128 two-sided ideals refused beyond 64\n"), argv
+        assert capsys.readouterr() == want, argv
+    assert run(["verify", path, "--lemma", "t-semilattice", "--json"]) == 2
+    assert _json_out(capsys)["lemmas"] == [
+        {"lemma": "t-semilattice", "status": "refused", "refusal": refusal}]
     # order 7 has 64, at the bound
     assert run(["verify", _diagonal(tmp_path, 7), "--lemma", "t-semilattice"]) == 0
     assert capsys.readouterr().out == "t-semilattice: holds\n"
@@ -699,6 +723,33 @@ def test_verify_reports_refused_entries_and_decides_the_rest(tmp_path, capsys):
     for entry, line in zip(payload["lemmas"], lines):
         assert line.startswith(f"{entry['lemma']}: {entry['status']}")
     assert "t-semilattice: refused (pairing 128 two-sided ideals refused beyond 64)" in lines
+
+
+@pytest.mark.parametrize("document,refused", [
+    (lambda tmp_path: _diagonal(tmp_path, 8),
+     ["l-semiprime-regular", "t-semilattice", "l-comm-ideals-regular"]),
+    (_wide, ["l-medial", "l-paramedial"]),
+], ids=["diagonal8", "wide300"])
+def test_a_refused_entry_reads_the_same_alone_and_in_the_whole_catalog(
+        document, refused, tmp_path, capsys):
+    path = document(tmp_path)
+    verdicts = gl.verify_all(gl.parse_file(path))
+    assert [lid.value for lid, v in verdicts.items()
+            if v.status is gl.LemmaStatus.REFUSED] == refused
+    assert run(["verify", path]) == 2
+    text = capsys.readouterr().out.splitlines()
+    assert run(["verify", path, "--json"]) == 2
+    entries = _json_out(capsys)["lemmas"]
+    lines = {e["lemma"]: line for e, line in zip(entries, text)}
+    entries = {e["lemma"]: e for e in entries}
+    for lemma in refused:
+        lid = gl.LemmaId(lemma)
+        assert gl.verify(gl.parse_file(path), lid) == verdicts[lid]
+        assert run(["verify", path, "--lemma", lemma]) == 2
+        assert capsys.readouterr() == (lines[lemma] + "\n", "")
+        assert run(["verify", path, "--lemma", lemma, "--json"]) == 2
+        assert _json_out(capsys) == {"command": "verify", "file": path,
+                                     "lemmas": [entries[lemma]], "exit_code": 2}
 
 
 def test_verify_exits_1_on_a_counterexample_beside_a_refused_entry(monkeypatch, capsys):

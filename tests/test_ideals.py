@@ -143,13 +143,14 @@ def test_pairing_two_sided_ideals_is_refused_beyond_the_bound():
             [[[x if x == y else 0 for y in range(n)] for x in range(n)]])
     assert len(paired_ideals(diagonal(7))) == MAX_PAIRED_IDEALS == 64
     G = diagonal(8)
-    for call in (partial(is_prime, G, G.carrier), partial(build_ideal_semilattice, G),
-                 *(partial(gl.verify, G, lid) for lid in (
-                     gl.LemmaId.T_SEMILATTICE, gl.LemmaId.L_COMM_IDEALS_REGULAR,
-                     gl.LemmaId.L_SEMIPRIME_REGULAR))):
-        with pytest.raises(gl.LimitExceededError,
-                           match=r"^pairing 128 two-sided ideals refused beyond 64$"):
+    message = "pairing 128 two-sided ideals refused beyond 64"
+    for call in (partial(is_prime, G, G.carrier), partial(build_ideal_semilattice, G)):
+        with pytest.raises(gl.LimitExceededError, match=f"^{message}$"):
             call()
+    # the catalog reports the refusal as the entry's verdict
+    for lid in (gl.LemmaId.T_SEMILATTICE, gl.LemmaId.L_COMM_IDEALS_REGULAR,
+                gl.LemmaId.L_SEMIPRIME_REGULAR):
+        assert gl.verify(G, lid) == gl.LemmaVerdict(gl.LemmaStatus.REFUSED, refusal=message)
 
 
 def _oracle_is_ideal(G, S, kind):

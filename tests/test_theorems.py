@@ -286,6 +286,43 @@ def test_principal_left_not_left9_fixture_reverifies():
                          "at": (1, 1, 8), "element": 1}
 
 
+def _oracle_left_invertive_and_agss(G):
+    """Both defining laws, by direct substitution into the tables."""
+    T, n, gs = G.tables, range(G.order), range(G.gamma_count)
+    return all(T[d][T[g][a][b]][c] == T[d][T[g][c][b]][a] and
+               T[g][a][T[d][b][c]] == T[g][b][T[d][a][c]]
+               for g in gs for d in gs for a in n for b in n for c in n)
+
+
+def test_principal_left_not_left4_fixture_reverifies():
+    G = gl.load_fixture("principal_left_not_left4")
+    assert _oracle_left_invertive_and_agss(G)
+    full = set(range(4))
+    lefts = [oracle_product(G, full, {a}) for a in range(4)]
+    # Ga is a left ideal for a = 1, 2, 3, but not for a = 4 (0-based 3)
+    assert [oracle_product(G, full, Ga) <= Ga for Ga in lefts] == [True] * 3 + [False]
+    assert lefts[3] == {0, 2}                         # {1,3}
+    assert 1 in oracle_product(G, full, lefts[3])     # 4·3 = 2 escapes
+    v = verify(G, LemmaId.L_PRINCIPAL_LEFT_AGSS)
+    assert v.witness == {"subset": 0b101, "clause": "LeftAbsorb", "at": (3, 0, 2),
+                         "element": 3}
+
+
+def test_union_not_ideal5_fixture_reverifies():
+    G = gl.load_fixture("union_not_ideal5")
+    assert _oracle_left_invertive_and_agss(G)
+    full = set(range(5))
+    R = {0, 3}                                        # {1,4}
+    assert oracle_product(G, R, full) <= R            # a right ideal
+    union = R | oracle_product(G, full, R)
+    assert union == {0, 2, 3}                         # {1,3,4}
+    assert oracle_product(G, union, full) <= union    # a right ideal,
+    assert 1 in oracle_product(G, full, union)        # not a left one: 5·3 = 2
+    v = verify(G, LemmaId.T1_UNION_CONSTRUCTION)
+    assert v.witness == {"subset": 0b1001, "clause": "LeftAbsorb", "at": (4, 0, 2),
+                         "union": 0b1101, "side": "right"}
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -328,8 +365,8 @@ def test_lemma_id_strings_are_stable():
 
 def test_interior_iff_right_refuses_large_carrier():
     G = GammaGroupoid.from_tables([[[0] * 26 for _ in range(26)]])
-    with pytest.raises(gl.LimitExceededError):
-        verify(G, LemmaId.L_INTERIOR_IFF_RIGHT)
+    assert verify(G, LemmaId.L_INTERIOR_IFF_RIGHT) == LemmaVerdict(
+        LemmaStatus.REFUSED, refusal="subset enumeration over 26 elements refused beyond 20")
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +558,8 @@ def test_a_refused_entry_is_a_verdict_and_every_other_entry_is_decided():
     assert len(decided) == 21
     # each decided as on its own, on a structure that kept no facts
     assert decided == {lid: verify(fresh(G), lid) for lid in decided}
-    for lid in PAIRING:
-        assert theorems._decide(G, lid) == refused
-        with pytest.raises(gl.LimitExceededError, match=f"^{PAIRING_REFUSAL}$"):
-            verify(G, lid)
+    # each refused as on its own
+    assert [verify(fresh(G), lid) for lid in PAIRING] == [refused] * 3
 
 
 def test_verify_all_refuses_a_carrier_above_the_enumeration_bound_whole():
@@ -533,9 +568,19 @@ def test_verify_all_refuses_a_carrier_above_the_enumeration_bound_whole():
                        match="^subset enumeration over 21 elements refused beyond 20$"):
         verify_all(G)
     # one entry alone reports it as its verdict; a hunt stops at it
-    assert theorems._decide(G, LemmaId.C_IDEAL_BI).status is LemmaStatus.REFUSED
+    assert verify(G, LemmaId.C_IDEAL_BI) == LemmaVerdict(
+        LemmaStatus.REFUSED, refusal="subset enumeration over 21 elements refused beyond 20")
     with pytest.raises(gl.LimitExceededError, match="^subset enumeration over 21"):
         hunt(iter([G]), LemmaId.L_MEDIAL, [])
+
+
+def test_a_hypothesis_refused_by_a_limit_is_a_refused_verdict():
+    # one element under 4,097 gammas: the left-invertive gate that every entry
+    # checks first has 4097**2 instances, above core.MAX_LAW_INSTANCES
+    G = GammaGroupoid.from_tables([[[0]]] * 4097)
+    refused = LemmaVerdict(LemmaStatus.REFUSED, refusal="left-invertive scan over "
+                           "16785409 instances refused beyond 16777216")
+    assert list(verify_all(G).values()) == [refused] * 24
 
 
 def test_hunt_passes_over_refused_structures(gamma5):
