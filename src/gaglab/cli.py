@@ -208,7 +208,9 @@ def _cmd_hunt(args) -> tuple[dict, int]:
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large, lex_pruned=True)
     structures = enumerate_structures(spec)  # the search's own limits come first
-    check_enum_order(spec.order)  # each structure would be refused whole, so search none
+    # a hunt-scope limit: every ideal entry would refuse every structure, and a
+    # leaf-only filter can hold back the first one for minutes, so search none
+    check_enum_order(spec.order)
     refused = []
     found = hunt(structures, lid, refused)
     report = {"command": "hunt", "lemma": lid.value, "counterexample": None}

@@ -91,7 +91,7 @@ def parse(text: str) -> GammaGroupoid:
         labels = default_labels(n)
     index = {t: i for i, t in enumerate(labels)}
 
-    gamma_names: list[str] = []
+    gamma_names: dict[str, None] = {}  # a dict keeps the order and checks names in O(1)
     tables = []
     for _ in range(m):
         lineno, tokens = cur.take("'gamma <name>'")
@@ -102,7 +102,7 @@ def parse(text: str) -> GammaGroupoid:
         name = tokens[1]
         if name in gamma_names:
             raise ParseError(lineno, f"duplicate gamma name {name!r}")
-        gamma_names.append(name)
+        gamma_names[name] = None
         rows = []
         for r in range(n):
             lineno, tokens = cur.take(f"row {r + 1} of table {name!r}")

@@ -4,9 +4,9 @@
 the statement's hypotheses (with the failed hypothesis named), HOLDS when the
 exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
 witness otherwise, and REFUSED, carrying the limit's message, when a limit
-refuses the check.  ``verify_all`` runs every entry, so one refused entry
-leaves the others decided, but refuses a carrier above the enumeration bound
-whole.
+refuses the check.  ``verify_all`` runs every entry, so a refused entry leaves
+the others decided: above the enumeration bound, the entries that enumerate
+ideals are refused and the rest are decided.
 ``hunt`` scans a stream of structures for the first counterexample to a given
 entry, passing over the structures whose check is refused.
 
@@ -36,7 +36,6 @@ from .core import (
 from .ideals import (
     IdealKind,
     build_ideal_semilattice,
-    check_enum_order,
     enumerate_ideals,
     is_ideal,
     is_idempotent,
@@ -342,9 +341,7 @@ def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
 
 
 def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:
-    """Every entry's verdict.  A carrier above the enumeration bound, which
-    refuses the catalog's ideal scans, is refused whole before any entry runs."""
-    check_enum_order(G.order)
+    """Every entry's verdict, each as ``verify`` gives it."""
     return {lid: verify(G, lid) for lid in LemmaId}
 
 
@@ -352,13 +349,11 @@ def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] 
          ) -> Optional[tuple[GammaGroupoid, LemmaVerdict]]:
     """First structure in the stream whose verdict is a counterexample, if any.
     A structure whose check is refused is passed over, and appended to
-    ``refused`` when a list is given; one above the enumeration bound is
-    refused as in ``verify_all``, ending the hunt.  A stream cannot tell its
-    order before its first structure, so a caller hunting
-    ``enumerate_structures(spec)`` checks ``check_enum_order(spec.order)``
-    first, as ``gaglab hunt`` does."""
+    ``refused`` when a list is given.  Above the enumeration bound every
+    structure is refused for an entry that enumerates ideals, so a caller who
+    wants such a hunt refused before it searches checks the spec's order
+    against ``ideals.MAX_ENUM_ORDER`` first, as ``gaglab hunt`` does."""
     for G in source:
-        check_enum_order(G.order)
         v = verify(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:
             return G, v

@@ -19,6 +19,28 @@ def singleton():
     return gl.GammaGroupoid.from_tables([[[0]]])
 
 
+@pytest.fixture(scope="session")
+def product24():
+    """principal_left_not_left4 times the constant order-6 table: the cell
+    ((a1,a2),(b1,b2)) is (a1·b1, 1), and (a1,a2) has label (a1-1)·6 + a2."""
+    T = gl.load_fixture("principal_left_not_left4").tables[0]
+    return gl.GammaGroupoid.from_tables([[[T[x // 6][y // 6] * 6 for y in range(24)]
+                                          for x in range(24)]])
+
+
+# the catalog entries whose verifier enumerates ideals, so that above
+# ideals.MAX_ENUM_ORDER each of them is refused once its hypotheses hold
+ENUMERATING = [lid for lid in gl.LemmaId if lid.value in {
+    "t1-union-construction", "l-one-sided-quasi", "l-rlb-one-sided-bi", "c-ideal-bi",
+    "l-bi-product", "l-idem-quasi-bi", "l-ideal-interior", "l-interior-iff-right",
+    "l-absorption-regular", "l-bgb-regular", "l-left-iff-right-regular",
+    "t-regular-iff-idempotent-left", "l-semiprime-regular", "t-semilattice",
+    "l-comm-ideals-regular", "l-idem-ideals-regular"}]
+# those of them whose hypotheses a left-invertive, AG**, non-regular structure meets
+ENUMERATING_UNLESS_REGULAR = [lid for lid in ENUMERATING
+                              if gl.Filter.REGULAR not in lid.hypotheses]
+
+
 def fresh(G):
     """A copy of G that shares none of the facts kept on G."""
     return gl.GammaGroupoid(G.tables, G.labels, G.gamma_names)

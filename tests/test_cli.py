@@ -14,6 +14,8 @@ from gaglab import cli
 from gaglab.cli import run
 from gaglab.ideals import _CLOSURE_KINDS, IdealKind
 
+from conftest import ENUMERATING_UNLESS_REGULAR
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -633,13 +635,13 @@ def test_search_refuses_a_law_filtered_shape_by_its_cells_at_once(capsys):
     assert err == "error: search over 36864 table cells refused beyond 900\n"
 
 
-def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, capsys):
-    # every command that enumerates refuses an order above MAX_ENUM_ORDER before
-    # the powerset kernel (24·2**21 bytes here) is built
+def test_above_the_kernel_ceiling_ideals_are_refused_and_verify_refuses_each_enumerating_entry(
+        tmp_path, capsys):
+    # ideals and semilattice refuse an order above MAX_ENUM_ORDER before the
+    # powerset kernel (24·2**21 bytes here) is built; verify reports each entry
     doc = tmp_path / "order21.gag"
     doc.write_text("order 21\ngammas 1\ngamma g\n" + ("1 " * 20 + "1\n") * 21, encoding="utf-8")
-    for argv in (["ideals", str(doc), "--kind", "left"], ["verify", str(doc)],
-                 ["semilattice", str(doc)]):
+    for argv in (["ideals", str(doc), "--kind", "left"], ["semilattice", str(doc)]):
         t0 = time.perf_counter()
         code = run(argv)
         assert time.perf_counter() - t0 < 1.0, argv
@@ -647,11 +649,59 @@ def test_ideals_refuses_an_order_above_the_kernel_ceiling_at_once(tmp_path, caps
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err == "error: subset enumeration over 21 elements refused beyond 20\n", argv
+    t0 = time.perf_counter()
+    code = run(["verify", str(doc)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [lid.value for lid in gl.LemmaId]
+    assert [line for line in lines if "refused" in line] == [
+        f"{lid.value}: refused (subset enumeration over 21 elements refused beyond 20)"
+        for lid in ENUMERATING_UNLESS_REGULAR]
+    assert not any("counterexample" in line for line in lines)
+
+
+def test_verify_reports_the_order_24_counterexample_beside_the_refused_entries(
+        tmp_path, capsys, product24):
+    doc = str(tmp_path / "product24.gag")
+    gl.write_file(doc, product24)
+    line = ("l-principal-left-agss: counterexample subset={1,13} clause=LeftAbsorb "
+            "at=(19 g1 13) element=19")
+    assert run(["verify", doc, "--lemma", "l-principal-left-agss"]) == 1
+    assert capsys.readouterr() == (line + "\n", "")
+    assert run(["verify", doc]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 24 and line in lines
+    assert [x for x in lines if "refused" in x] == [
+        f"{lid.value}: refused (subset enumeration over 24 elements refused beyond 20)"
+        for lid in ENUMERATING_UNLESS_REGULAR]
+    assert run(["ideals", doc, "--kind", "left"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: subset enumeration over 24 elements refused beyond 20\n")
+
+
+def test_a_16000_gamma_document_is_parsed_and_refused_quickly(tmp_path, capsys):
+    doc = tmp_path / "wide16000.gag"
+    doc.write_text("order 1\ngammas 16000\n" +
+                   "".join(f"gamma g{i}\n1\n" for i in range(16000)), encoding="utf-8")
+    t0 = time.perf_counter()
+    G = gl.parse_file(doc)
+    assert time.perf_counter() - t0 < 1.0
+    assert G.gamma_names == tuple(f"g{i}" for i in range(16000))
+    assert run(["verify", str(doc)]) == 2
+    assert capsys.readouterr() == ("".join(
+        f"{lid.value}: refused (left-invertive scan over 256000000 instances "
+        "refused beyond 16777216)\n" for lid in gl.LemmaId), "")
 
 
 def test_hunt_refuses_an_order_above_the_kernel_ceiling_before_searching(monkeypatch, capsys):
-    # every structure of order 21 would be refused whole, and a leaf-only filter
-    # may keep the first one from coming for minutes, so none is searched
+    # every ideal entry would refuse every structure of order 21, and a
+    # leaf-only filter may keep the first one from coming for minutes, so none
+    # is searched
     real = cli.enumerate_structures
 
     def unsearched(spec):

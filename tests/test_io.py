@@ -69,6 +69,7 @@ def test_serialize_is_canonical(singleton):
     ("order 2\ngammas 1\ngamma g\n1 3\n1 2\n", 4, "unknown label '3'"),
     ("order 2\ngammas 2\ngamma g\n1 2\n2 1\n", 6, "unexpected end of document"),
     ("order 2\ngammas 2\ngamma g\n1 2\n2 1\ngamma g\n1 1\n2 2\n", 6, "duplicate gamma name"),
+    ("order 1\ngammas 3\ngamma a\n1\ngamma b\n1\ngamma a\n1\n", 7, "duplicate gamma name 'a'"),
     ("order 2\ngammas 1\ngamma g\n1 2\n2 1\njunk\n", 6, "expected end of document"),
     ("order 2\ngammas 1\nrows g\n1 2\n2 1\n", 3, "expected 'gamma <name>'"),
 ])

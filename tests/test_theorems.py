@@ -19,7 +19,8 @@ from gaglab.theorems import (
     verify_all,
 )
 
-from conftest import fresh, oracle_members, oracle_product, structures
+from conftest import (ENUMERATING, ENUMERATING_UNLESS_REGULAR, fresh, oracle_members,
+                      oracle_product, structures)
 
 
 REGULAR_ONLY = {
@@ -562,16 +563,49 @@ def test_a_refused_entry_is_a_verdict_and_every_other_entry_is_decided():
     assert [verify(fresh(G), lid) for lid in PAIRING] == [refused] * 3
 
 
-def test_verify_all_refuses_a_carrier_above_the_enumeration_bound_whole():
+ENUM_REFUSAL = "subset enumeration over {} elements refused beyond 20"
+
+
+def test_above_the_enumeration_bound_only_the_entries_that_enumerate_are_refused():
+    # x·y = 1 at order 21: left-invertive and AG**, not regular
     G = GammaGroupoid.from_tables([[[0] * 21 for _ in range(21)]])
-    with pytest.raises(gl.LimitExceededError,
-                       match="^subset enumeration over 21 elements refused beyond 20$"):
-        verify_all(G)
-    # one entry alone reports it as its verdict; a hunt stops at it
-    assert verify(G, LemmaId.C_IDEAL_BI) == LemmaVerdict(
-        LemmaStatus.REFUSED, refusal="subset enumeration over 21 elements refused beyond 20")
-    with pytest.raises(gl.LimitExceededError, match="^subset enumeration over 21"):
-        hunt(iter([G]), LemmaId.L_MEDIAL, [])
+    verdicts = verify_all(G)
+    assert verdicts == {lid: verify(fresh(G), lid) for lid in LemmaId}
+    refused = LemmaVerdict(LemmaStatus.REFUSED, refusal=ENUM_REFUSAL.format(21))
+    assert [lid for lid, v in verdicts.items() if v == refused] == ENUMERATING_UNLESS_REGULAR
+    assert all(v.status is not LemmaStatus.REFUSED for lid, v in verdicts.items()
+               if lid not in ENUMERATING)
+    # a hunt decides an entry that does not enumerate and passes over one that does
+    r = []
+    assert hunt(iter([G]), LemmaId.L_MEDIAL, r) is None and r == []
+    assert hunt(iter([G]), LemmaId.C_IDEAL_BI, r) is None and r == [G]
+    # Z64 under x∘y = y - x is left-invertive, AG** and regular: every entry that
+    # enumerates is refused, and the other 8 are decided
+    Z = GammaGroupoid.from_tables([[[(y - x) % 64 for y in range(64)] for x in range(64)]])
+    verdicts = verify_all(Z)
+    refused = LemmaVerdict(LemmaStatus.REFUSED, refusal=ENUM_REFUSAL.format(64))
+    assert [lid for lid, v in verdicts.items() if v == refused] == ENUMERATING
+    assert all(verdicts[lid].status is not LemmaStatus.REFUSED
+               for lid in LemmaId if lid not in ENUMERATING)
+
+
+def test_the_whole_catalog_finds_the_order_24_counterexample(product24):
+    G = product24
+    assert _oracle_left_invertive_and_agss(G)
+    full = set(range(24))
+    G19 = oracle_product(G, full, {18})
+    assert G19 == {0, 12}                             # G·19 = {1,13}
+    assert oracle_product(G, full, G19) == {0, 6}     # 19·13 = 7 escapes
+    cx = verify(G, LemmaId.L_PRINCIPAL_LEFT_AGSS)
+    assert cx.witness == {"subset": 1 | 1 << 12, "clause": "LeftAbsorb",
+                          "at": (18, 0, 12), "element": 18}
+    verdicts = verify_all(G)
+    assert verdicts[LemmaId.L_PRINCIPAL_LEFT_AGSS] == cx
+    refused = LemmaVerdict(LemmaStatus.REFUSED, refusal=ENUM_REFUSAL.format(24))
+    assert [lid for lid, v in verdicts.items() if v == refused] == ENUMERATING_UNLESS_REGULAR
+    assert sum(v.status is LemmaStatus.REFUSED for v in verdicts.values()) == 9
+    found = hunt(iter([G]), LemmaId.L_PRINCIPAL_LEFT_AGSS)
+    assert found == (G, cx) and found[0] is G
 
 
 def test_a_hypothesis_refused_by_a_limit_is_a_refused_verdict():
