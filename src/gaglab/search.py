@@ -81,6 +81,7 @@ class Filter(Enum):
     REGULAR = "regular", lambda G: is_regular(G)
     HAS_LEFT_IDENTITY = "has-left-identity", lambda G: bool(identities(G, "left"))
     NO_LEFT_IDENTITY = "no-left-identity", lambda G: not identities(G, "left")
+    HAS_RIGHT_IDENTITY = "has-right-identity", lambda G: bool(identities(G, "right"))
     NON_ASSOCIATIVE = "non-associative", lambda G: not check_law(G, Law.ASSOCIATIVE).holds
 
     def __new__(cls, value, check):

@@ -1,12 +1,14 @@
 """Executable catalog of the ideal-theoretic statements, one ``LemmaId`` row per entry.
 
-``verify`` returns a LemmaVerdict: NOT_APPLICABLE when the structure fails
-the statement's hypotheses (with the failed hypothesis named), HOLDS when the
-exhaustively checked conclusion is true, COUNTEREXAMPLE with a structured
-witness otherwise, and REFUSED, carrying the limit's message, when a limit
-refuses the check.  ``verify_all`` runs every entry, so a refused entry leaves
-the others decided: above the enumeration bound, the entries that enumerate
-ideals are refused and the rest are decided.
+Each verifier returns the witness dict of its first counterexample, or None
+when the entry holds, and ``verify`` alone turns that into a LemmaVerdict:
+NOT_APPLICABLE when the structure fails the statement's hypotheses (the
+failed filter named without its ``has-`` prefix), HOLDS when the exhaustively
+checked conclusion is true, COUNTEREXAMPLE with the witness otherwise, and
+REFUSED, carrying the limit's message, when a limit refuses the check, in the
+hypotheses or in the verifier.  ``verify_all`` runs every entry, so a refused
+entry leaves the others decided: above the enumeration bound, the entries
+that enumerate ideals are refused and the rest are decided.
 ``hunt`` scans a stream of structures for the first counterexample to a given
 entry, passing over the structures whose check is refused.
 
@@ -64,15 +66,7 @@ class LemmaVerdict:
     refusal: Optional[str] = None  # the message of the limit that refused the check
 
 
-_HOLDS = LemmaVerdict(LemmaStatus.HOLDS)
-
-
-def _na(which: str):
-    return LemmaVerdict(LemmaStatus.NOT_APPLICABLE, hypothesis_failed=which)
-
-
-def _cx(witness: dict):
-    return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE, witness=witness)
+_HOLDS = LemmaVerdict(LemmaStatus.HOLDS)  # shared, so an entry that holds allocates nothing
 
 
 def _all_ideals(kind: IdealKind, candidates):
@@ -86,8 +80,7 @@ def _all_ideals(kind: IdealKind, candidates):
         for S, tested, extra in candidates(G):
             v = is_ideal(G, tested, kind)
             if not v.holds:
-                return _cx({"subset": S, "clause": v.failed_clause, "at": v.witness, **extra})
-        return _HOLDS
+                return {"subset": S, "clause": v.failed_clause, "at": v.witness, **extra}
     return run
 
 
@@ -143,19 +136,15 @@ def _verify_l1(G):
     base = G.tables[0]
     for g, a, b in product(range(1, G.gamma_count), range(G.order), range(G.order)):
         if G.tables[g][a][b] != base[a][b]:
-            return _cx({"gamma": 0, "gamma_b": g, "at": (a, g, b)})
+            return {"gamma": 0, "gamma_b": g, "at": (a, g, b)}
     # collapsed table is left invertive because the bundle already is
-    return _HOLDS
 
 
 def _verify_right_identity(G):
-    rights = identities(G, "right")
-    if not rights:
-        return _na("right-identity")
     lefts = identities(G, "left")
-    for e in sorted(rights):
+    for e in sorted(identities(G, "right")):
         if e not in lefts:
-            return _cx({"element": e, "side": "left"})
+            return {"element": e, "side": "left"}
     return _law_lemma(Law.COMMUTATIVE, Law.ASSOCIATIVE)(G)
 
 
@@ -164,8 +153,7 @@ def _law_lemma(*laws: Law):
         for law in laws:
             v = check_law(G, law)
             if not v.holds:
-                return _cx({"law": law.value, "at": v.witness})
-        return _HOLDS
+                return {"law": law.value, "at": v.witness}
     return run
 
 
@@ -179,9 +167,8 @@ def _verify_bi_product(G):
             if P in passed:
                 continue
             if subset_product(G, subset_product(G, P, full), P) & ~P:
-                return _cx({"subset": B1, "subset_b": B2, "product": P})
+                return {"subset": B1, "subset_b": B2, "product": P}
             passed.add(P)
-    return _HOLDS
 
 
 def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
@@ -189,10 +176,9 @@ def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):
     def run(G):
         a = set(enumerate_ideals(G, kind_a))
         b = set(enumerate_ideals(G, kind_b))
-        if a == b:
-            return _HOLDS
-        S = min(a ^ b)
-        return _cx({"subset": S, kind_a.value: S in a, kind_b.value: S in b})
+        if a != b:
+            S = min(a ^ b)
+            return {"subset": S, kind_a.value: S in a, kind_b.value: S in b}
     return run
 
 
@@ -205,16 +191,14 @@ def _equal_products(*checks):
             for S in enumerate_ideals(G, kind):
                 p = product_of(G, S)
                 if p != S:
-                    return _cx({"subset": S, "product": p, **extra})
-        return _HOLDS
+                    return {"subset": S, "product": p, **extra}
     return run
 
 
 def _verify_gg_regular(G):
     p = subset_product(G, G.carrier, G.carrier)
     if p != G.carrier:
-        return _cx({"product": p})
-    return _HOLDS
+        return {"product": p}
 
 
 def _verify_regular_iff_idempotent_left(G):
@@ -225,28 +209,24 @@ def _verify_regular_iff_idempotent_left(G):
             bad = L
             break
     if regular and bad is not None:
-        return _cx({"regular": True, "subset": bad,
-                    "product": subset_product(G, bad, bad)})
+        return {"regular": True, "subset": bad, "product": subset_product(G, bad, bad)}
     if not regular and bad is None:
         elem = next(a for a in range(G.order) if regular_witness(G, a) is None)
-        return _cx({"regular": False, "element": elem})
-    return _HOLDS
+        return {"regular": False, "element": elem}
 
 
 def _verify_semiprime_regular(G):
     for P in paired_ideals(G):
         v = is_semiprime(G, P)
         if not v.holds:
-            return _cx({"subset": P, "subset_b": v.witness[0]})
-    return _HOLDS
+            return {"subset": P, "subset_b": v.witness[0]}
 
 
 def _verify_semilattice(G):
     rep = build_ideal_semilattice(G)
-    if rep.closed and rep.commutative and rep.associative and rep.idempotent:
-        return _HOLDS
-    return _cx({"closed": rep.closed, "commutative": rep.commutative,
-                "associative": rep.associative, "idempotent": rep.idempotent})
+    if not (rep.closed and rep.commutative and rep.associative and rep.idempotent):
+        return {"closed": rep.closed, "commutative": rep.commutative,
+                "associative": rep.associative, "idempotent": rep.idempotent}
 
 
 def _verify_comm_ideals_regular(G):
@@ -256,9 +236,7 @@ def _verify_comm_ideals_regular(G):
             ab = subset_product(G, A, B)
             ba = subset_product(G, B, A)
             if ab != ba:
-                return _cx({"subset": A, "subset_b": B,
-                            "left_side": ab, "right_side": ba})
-    return _HOLDS
+                return {"subset": A, "subset_b": B, "left_side": ab, "right_side": ba}
 
 
 _LI = (Filter.LEFT_INVERTIVE,)
@@ -272,12 +250,14 @@ class LemmaId(Enum):
 
     The hypotheses are search filters in gate order: ``verify`` reports the
     first that fails as not-applicable and otherwise runs the verifier,
-    ``HUNT_FILTERS`` restricts a hunt stream to them.  Adding a lemma is one
-    row here.
+    ``HUNT_FILTERS`` restricts a hunt stream to them.  The verifier takes a
+    structure and returns its first counterexample's witness, or None.
+    Adding a lemma is one row here.
     """
     L1_LEFT_IDENTITY_COLLAPSE = ("l1-left-identity-collapse",
                                  _LI + (Filter.HAS_LEFT_IDENTITY,), _verify_l1)
-    L_RIGHT_IDENTITY = "l-right-identity", _LI, _verify_right_identity
+    L_RIGHT_IDENTITY = ("l-right-identity", _LI + (Filter.HAS_RIGHT_IDENTITY,),
+                        _verify_right_identity)
     T1_UNION_CONSTRUCTION = ("t1-union-construction", _AGSS,
                              _all_ideals(IdealKind.TWO_SIDED, _t1_unions))
     L_MEDIAL = "l-medial", _LI, _law_lemma(Law.MEDIAL)
@@ -324,20 +304,19 @@ class LemmaId(Enum):
 HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
     lid: tuple(f.value for f in lid.hypotheses) for lid in LemmaId}
 
-# hypothesis names reported where they differ from the filter's name
-_HYPOTHESIS_LABELS = {Filter.HAS_LEFT_IDENTITY: "left-identity"}
-
 
 def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
-    """Check one catalog entry on a structure; a check that a limit refuses,
-    in the hypotheses or in the verifier, is reported as REFUSED."""
+    """Check one catalog entry on a structure: the only builder of a verdict."""
     try:
         for f in lid.hypotheses:
             if not f.holds(G):
-                return _na(_HYPOTHESIS_LABELS.get(f, f.value))
-        return lid.verifier(G)
+                return LemmaVerdict(LemmaStatus.NOT_APPLICABLE,
+                                    hypothesis_failed=f.value.removeprefix("has-"))
+        witness = lid.verifier(G)
     except LimitExceededError as exc:
         return LemmaVerdict(LemmaStatus.REFUSED, refusal=str(exc))
+    return _HOLDS if witness is None else LemmaVerdict(LemmaStatus.COUNTEREXAMPLE,
+                                                      witness=witness)
 
 
 def verify_all(G: GammaGroupoid) -> dict[LemmaId, LemmaVerdict]:

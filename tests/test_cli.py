@@ -322,7 +322,7 @@ def test_verify_decodes_element_and_at_witness_keys(capsys):
 def test_gamma_witness_keys_decode_to_gamma_names():
     G = gl.GammaGroupoid((((0, 0), (0, 0)), ((0, 0), (0, 1))), ("a", "b"), ("α", "β"))
     w = {"gamma": 0, "gamma_b": 1, "at": (1, 1, 1)}
-    assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G).witness == w
+    assert gl.LemmaId.L1_LEFT_IDENTITY_COLLAPSE.verifier(G) == w
     assert cli._lemma_witness_json(G, w) == {"gamma": "α", "gamma_b": "β",
                                              "at": ["b", "β", "b"]}
     assert cli._fmt_lemma_witness(cli._lemma_witness_json(G, w)) == \

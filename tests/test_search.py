@@ -130,8 +130,8 @@ def test_leaf_checks_run_in_a_fixed_order(monkeypatch):
         monkeypatch.setattr(f, "holds", lambda G, f=f: calls.append(f) or True)
     filters = frozenset(Filter) - {Filter.HAS_LEFT_IDENTITY}
     assert count(SearchSpec(order=1, gammas=1, filters=filters)) == 1
-    assert calls == [Filter.REGULAR, Filter.NO_LEFT_IDENTITY, Filter.NON_ASSOCIATIVE,
-                     Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR]
+    assert calls == [Filter.REGULAR, Filter.NO_LEFT_IDENTITY, Filter.HAS_RIGHT_IDENTITY,
+                     Filter.NON_ASSOCIATIVE, Filter.LEFT_INVERTIVE, Filter.AG_STAR_STAR]
 
 
 def test_emission_is_lexicographic_and_starts_at_zero_tables():
@@ -181,6 +181,19 @@ def test_left_identity_filters_partition_the_stream():
                                             Filter.NO_LEFT_IDENTITY}))
     assert count(with_id) + count(without) == count(base) == 14
     assert count(without) == 10
+
+
+@pytest.mark.parametrize("n,m,kept", [(2, 2, 4), (3, 1, 27)])
+def test_right_identity_filter_keeps_the_bundles_with_a_right_identity(n, m, kept):
+    # the oracle reads the right identity straight off the naive tables
+    spec = _spec(n, m, ("li",))
+    got = [G.tables for G in enumerate_structures(
+        replace(spec, filters=spec.filters | {Filter.HAS_RIGHT_IDENTITY}))]
+    want = [T for T in _naive_stream(n, m, ("li",))
+            if any(all(T[g][x][e] == x for g in range(m) for x in range(n))
+                   for e in range(n))]
+    assert got == want
+    assert len(got) == kept
 
 
 def test_left_identity_free_bundles_exist_beyond_single_gamma():

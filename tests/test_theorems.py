@@ -127,22 +127,22 @@ def test_products_of_bi_ideals_are_sub_groupoids():
 
 def _reference_verify_bi_product(G):
     """l-bi-product as it was before repeated products were skipped: all
-    three products for every ordered pair of bi-ideals."""
+    three products for every ordered pair of bi-ideals; the first
+    counterexample's witness, or None."""
     full = G.carrier
     bis = ideals.enumerate_ideals(G, ideals.IdealKind.BI)
     for B1 in bis:
         for B2 in bis:
             P = core.subset_product(G, B1, B2)
             if core.subset_product(G, core.subset_product(G, P, full), P) & ~P:
-                return LemmaVerdict(LemmaStatus.COUNTEREXAMPLE,
-                                    witness={"subset": B1, "subset_b": B2, "product": P})
-    return LemmaVerdict(LemmaStatus.HOLDS)
+                return {"subset": B1, "subset_b": B2, "product": P}
+    return None
 
 
 @settings(max_examples=150, deadline=None)
 @given(structures())
 def test_bi_product_verifier_matches_the_three_product_loop(G):
-    # no hypotheses are imposed, so both verdicts and first witnesses occur
+    # no hypotheses are imposed, so both outcomes and first witnesses occur
     assert LemmaId.L_BI_PRODUCT.verifier(G) == _reference_verify_bi_product(G)
 
 
@@ -154,7 +154,7 @@ def test_bi_product_verifier_checks_each_distinct_product_once(monkeypatch, gamm
         calls.append((A, B))
         return core.subset_product(G, A, B)
     monkeypatch.setattr(theorems, "subset_product", counting_product)
-    assert LemmaId.L_BI_PRODUCT.verifier(G).status is LemmaStatus.HOLDS
+    assert LemmaId.L_BI_PRODUCT.verifier(G) is None
     bis = ideals.enumerate_ideals(G, ideals.IdealKind.BI)
     products = {core.subset_product(G, B1, B2) for B1 in bis for B2 in bis}
     assert len(products) < len(bis) ** 2
@@ -330,6 +330,7 @@ def test_union_not_ideal5_fixture_reverifies():
 def test_hunt_filters_table():
     assert HUNT_FILTERS[LemmaId.L1_LEFT_IDENTITY_COLLAPSE] == \
         ("left-invertive", "has-left-identity")
+    assert HUNT_FILTERS[LemmaId.L_RIGHT_IDENTITY] == ("left-invertive", "has-right-identity")
     assert HUNT_FILTERS[LemmaId.L_MEDIAL] == ("left-invertive",)
     assert set(HUNT_FILTERS[LemmaId.C_AG_BI_REGULAR]) == \
         {"left-invertive", "ag-star-star", "regular"}
@@ -341,14 +342,10 @@ def test_hunt_filters_table():
 
 @pytest.mark.parametrize("lid", list(LemmaId), ids=lambda lid: lid.value)
 def test_hunt_filters_pass_the_gate(lid):
-    # a stream restricted to a lemma's hypotheses never reaches a failed gate;
-    # l-right-identity checks its right identity inside the verifier
+    # a stream restricted to a lemma's hypotheses never reaches a failed gate
     for G in _stream([(2, 2), (3, 1)], HUNT_FILTERS[lid]):
         v = verify(G, lid)
-        if lid is LemmaId.L_RIGHT_IDENTITY and v.status is LemmaStatus.NOT_APPLICABLE:
-            assert v.hypothesis_failed == "right-identity"
-        else:
-            assert v.status is not LemmaStatus.NOT_APPLICABLE, v.hypothesis_failed
+        assert v.status is not LemmaStatus.NOT_APPLICABLE, v.hypothesis_failed
 
 
 def test_lemma_id_strings_are_stable():
@@ -514,10 +511,10 @@ def test_every_fallible_verifier_is_pinned():
 
 @pytest.mark.parametrize("lid", list(FIRST_CX), ids=lambda lid: lid.value)
 def test_first_counterexample_of_each_verifier(cx_streams, lid):
-    found = next((shape, i, v.witness)
+    found = next((shape, i, w)
                  for shape in CX_SHAPES for i, G in enumerate(cx_streams[shape])
-                 for v in (lid.verifier(G),)
-                 if v.status is LemmaStatus.COUNTEREXAMPLE)
+                 for w in (lid.verifier(G),)
+                 if w is not None)
     assert found == FIRST_CX[lid]
     shape, i, w = found
     G = cx_streams[shape][i]
@@ -531,7 +528,7 @@ def test_always_holding_entries_hold_on_every_bundle(cx_streams):
     for shape, stream in cx_streams.items():
         for G in stream:
             for lid in ALWAYS_HOLD:
-                assert lid.verifier(G).status is LemmaStatus.HOLDS, (lid, shape, G.tables)
+                assert lid.verifier(G) is None, (lid, shape, G.tables)
 
 
 # ---------------------------------------------------------------------------
