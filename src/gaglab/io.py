@@ -8,9 +8,11 @@ Grammar, one directive per line, ``#`` starts a comment, blank lines ignored::
     gamma <name>             # m blocks, each followed by n rows
     <t> <t> ... <t>          # row a, column b gives a<name>b
 
-Every table token must be one of the declared labels.  Output of
-``serialize`` is canonical: single spaces, newline-terminated, no comments,
-labels line always present.
+Every table token must be one of the declared labels.  ``parse`` reads the
+lines in one pass and refuses a document at its first bad line: only the
+lines up to that one are split into tokens.  Output of ``serialize`` is
+canonical: single spaces, newline-terminated, no comments, labels line always
+present.
 """
 from __future__ import annotations
 
@@ -29,33 +31,6 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
-def _significant_lines(text: str):
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if tokens:
-            out.append((i, tokens))
-    return out
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = _significant_lines(text)
-        self.pos = 0
-        self.eof_line = len(text.splitlines()) + 1  # lines are numbered as splitlines counts them
-
-    def peek(self):
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self, what: str):
-        item = self.peek()
-        if item is None:
-            raise ParseError(self.eof_line, f"unexpected end of document, expected {what}")
-        self.pos += 1
-        return item
-
-
 def _int_field(lineno, tokens, keyword) -> int:
     if tokens[0] != keyword or len(tokens) != 2:
         raise ParseError(lineno, f"expected '{keyword} <number>'")
@@ -70,33 +45,43 @@ def _int_field(lineno, tokens, keyword) -> int:
 
 def parse(text: str) -> GammaGroupoid:
     """Parse a document into a structure, raising ParseError with a line number."""
-    cur = _Cursor(text)
-    lineno, tokens = cur.take("'order <n>'")
+    physical = text.splitlines()  # lines are numbered as splitlines counts them
+    lines = ((i, raw.split("#", 1)[0].split()) for i, raw in enumerate(physical, start=1))
+
+    def take(what: str):
+        for lineno, tokens in lines:
+            if tokens:
+                return lineno, tokens
+        raise ParseError(len(physical) + 1, f"unexpected end of document, expected {what}")
+
+    lineno, tokens = take("'order <n>'")
     n = _int_field(lineno, tokens, "order")
     if n > MAX_ORDER:
         raise ParseError(lineno, f"carrier size {n} exceeds supported maximum {MAX_ORDER}")
-    lineno, tokens = cur.take("'gammas <m>'")
+    lineno, tokens = take("'gammas <m>'")
     m = _int_field(lineno, tokens, "gammas")
 
-    labels = None
-    item = cur.peek()
-    if item is not None and item[1][0] == "labels":
-        lineno, tokens = cur.take("labels")
+    lineno, tokens = take("'gamma <name>'")
+    has_labels = tokens[0] == "labels"
+    if has_labels:
         if len(tokens) != n + 1:
             raise ParseError(lineno, f"'labels' needs exactly {n} names, got {len(tokens) - 1}")
         labels = tuple(tokens[1:])
         if len(set(labels)) != n:
             raise ParseError(lineno, "duplicate element label")
-    if labels is None:
+        lineno, tokens = take("'gamma <name>'")
+    else:
         labels = default_labels(n)
     index = {t: i for i, t in enumerate(labels)}
 
     gamma_names: dict[str, None] = {}  # a dict keeps the order and checks names in O(1)
     tables = []
-    for _ in range(m):
-        lineno, tokens = cur.take("'gamma <name>'")
+    for g in range(m):
+        if g:
+            lineno, tokens = take("'gamma <name>'")
         if tokens[0] == "labels":
-            raise ParseError(lineno, "duplicate 'labels' line")
+            raise ParseError(lineno, "duplicate 'labels' line" if has_labels
+                             else "'labels' must come right after 'gammas'")
         if tokens[0] != "gamma" or len(tokens) != 2:
             raise ParseError(lineno, "expected 'gamma <name>'")
         name = tokens[1]
@@ -105,7 +90,7 @@ def parse(text: str) -> GammaGroupoid:
         gamma_names[name] = None
         rows = []
         for r in range(n):
-            lineno, tokens = cur.take(f"row {r + 1} of table {name!r}")
+            lineno, tokens = take(f"row {r + 1} of table {name!r}")
             if len(tokens) != n:
                 raise ParseError(lineno, f"expected {n} entries in row, got {len(tokens)}")
             row = []
@@ -116,9 +101,9 @@ def parse(text: str) -> GammaGroupoid:
             rows.append(tuple(row))
         tables.append(tuple(rows))
 
-    extra = cur.peek()
-    if extra is not None:
-        raise ParseError(extra[0], "expected end of document")
+    for lineno, tokens in lines:
+        if tokens:
+            raise ParseError(lineno, "expected end of document")
     try:
         return GammaGroupoid(tuple(tables), labels, tuple(gamma_names))
     except ValueError as exc:

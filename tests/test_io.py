@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,7 @@ def test_serialize_is_canonical(singleton):
     ("order 2\ngammas 1\nlabels a\ngamma g\na a\na a\n", 3, "exactly 2 names"),
     ("order 2\ngammas 1\nlabels a a\ngamma g\na a\na a\n", 3, "duplicate element label"),
     ("order 2\ngammas 1\nlabels a b\nlabels a b\ngamma g\na a\na a\n", 4, "duplicate 'labels' line"),
+    ("order 1\ngammas 2\ngamma a\n1\nlabels x\ngamma b\n1\n", 5, "'labels' must come right after 'gammas'"),
     ("order 2\ngammas 1\ngamma g\n1 2\n1\n", 5, "expected 2 entries"),
     ("order 2\ngammas 1\ngamma g\n1 2\n1 2 1\n", 5, "expected 2 entries"),
     ("order 2\ngammas 1\ngamma g\n1 3\n1 2\n", 4, "unknown label '3'"),
@@ -94,6 +97,26 @@ def test_end_of_document_is_the_line_after_the_last(sep, lines, line):
             parse(sep.join(lines) + end)
         assert exc.value.line == line
         assert "unexpected end of document" in exc.value.message
+
+
+@pytest.mark.parametrize("head,line,fragment", [
+    ("order 65\n", 1, "carrier size 65 exceeds supported maximum 64"),
+    ("order 2\ngammas 1\ngamma g\n1 2\n2 1\n", 6, "expected end of document"),
+])
+def test_bad_document_fails_before_the_lines_after_it_are_split(head, line, fragment):
+    # 100,000 lines of 16 labels, about 3.9 MB: splitting them all into tokens
+    # takes about 20 times the text's size
+    text = head + (" ".join(map(str, range(1, 17))) + "\n") * 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == line
+    assert fragment in exc.value.message
+    assert peak < 4 * len(text)
 
 
 def test_round_trip_fixtures(gamma5, dot5, singleton):
