@@ -3,7 +3,9 @@ structure search and counterexample hunts over .gag files.
 
 Exit codes: 0 all checks passed / results emitted, 1 a property failed or a
 counterexample was found, 2 usage, parse or OS error, or a check refused by
-a limit with no counterexample found.
+a limit with no counterexample found.  ``--json`` reports are written by
+``_json``, the exact bytes of ``json.dumps(report, ensure_ascii=False,
+indent=2)`` without that call's pure-Python encoder.
 """
 from __future__ import annotations
 
@@ -41,6 +43,31 @@ def _lemma_witness_json(G: GammaGroupoid, w: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+_string = json.encoder.encode_basestring
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, indent="\n") -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)`` writes it, for
+    str-keyed dicts, lists, tuples, str, bool, None, int and float at line ``indent``."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):  # json spells nan, inf and -inf its own way
+        return _NON_FINITE.get(text := float.__repr__(value), text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, dict):  # encoding a key that is not a str raises TypeError
+        items = [_string(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # Each _cmd_* returns its report, the payload that --json prints, and its exit
@@ -314,7 +341,7 @@ def run(argv=None) -> int:
     try:
         report, code = args.func(args)
         if args.json:
-            print(json.dumps(report, ensure_ascii=False, indent=2))
+            print(_json(report))
         else:
             for line in _TEXT[report["command"]](report):
                 print(line)

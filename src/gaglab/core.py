@@ -142,12 +142,15 @@ def default_gamma_names(m: int) -> tuple[str, ...]:
     return tuple(f"g{i + 1}" for i in range(m))
 
 
-def _fact(G: GammaGroupoid, key, compute):
+def _fact(G: GammaGroupoid, key, compute=None):
     """The fact ``key`` of G's immutable tables, from ``compute()`` on first use and
-    then kept in a dict on G, made lazily so that building G costs nothing more."""
+    then kept in a dict on G, made lazily so that building G costs nothing more;
+    without ``compute``, the fact if G holds it, else None."""
     try:
         return G.__dict__["_facts"][key]
     except KeyError:
+        if compute is None:
+            return None
         value = G.__dict__.setdefault("_facts", {})[key] = compute()
         return value
 
@@ -165,14 +168,13 @@ def subset_of(indices: Iterable[int]) -> int:
 # members reads a mask a byte at a time: _BYTE_MEMBERS[k][byte] is the tuple of
 # elements 8k + i for the set bits i of byte, over the MAX_ORDER // 8 bytes of a
 # mask.  Its 2,048 tuples are built on first use, not at import, where they would
-# add about 4 ms to every start.
-_BYTE_MEMBERS: tuple = ()
+# add about 4 ms to every start, and fill this one list in place: never rebound.
+_BYTE_MEMBERS: list = []
 
 
-def _byte_members() -> tuple:
-    global _BYTE_MEMBERS
-    _BYTE_MEMBERS = tuple(tuple(tuple(8 * k + i for i in range(8) if byte >> i & 1)
-                                for byte in range(256)) for k in range(MAX_ORDER // 8))
+def _byte_members() -> list:
+    _BYTE_MEMBERS[:] = (tuple(tuple(8 * k + i for i in range(8) if byte >> i & 1)
+                              for byte in range(256)) for k in range(MAX_ORDER // 8))
     return _BYTE_MEMBERS
 
 
@@ -461,16 +463,17 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     order of first appearance in the law's left-hand term and ascending, so
     the reported witness is reproducible.  The law's verdict pass runs first,
     and the scan only when that pass fails.  A check over more than
-    ``MAX_LAW_INSTANCES`` instances is refused before it starts.
+    ``MAX_LAW_INSTANCES`` instances is refused before it starts.  The verdict is
+    a fact of G, so each call on one structure and law returns one object.
     """
-    def scan():
+    def verdict():
         instances = prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables)
         if instances > MAX_LAW_INSTANCES:
             raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
                                      f"beyond {MAX_LAW_INSTANCES}")
-        return None if law.holds(G) else law.scan(G)
-    witness = _fact(G, law, scan)
-    return LawVerdict(witness is None, witness)
+        witness = None if law.holds(G) else law.scan(G)
+        return LawVerdict(witness is None, witness)
+    return _fact(G, law, verdict)
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:

@@ -5,11 +5,11 @@ which clause broke and a first witness in a fixed scan order (element
 variables outer, gamma variables inner, all ascending).
 
 Each clause is stated once, as a term like a law's, compiled into its witness
-scan and into a product of S and the carrier G, read through ``subset_product``
-for one subset and, to enumerate, from the structure's powerset kernel
-(24·2ⁿ bytes), refused above ``MAX_ENUM_ORDER`` elements.  Whatever pairs or
-triples the two-sided ideals, primeness and the semilattice, refuses more than
-``MAX_PAIRED_IDEALS`` of them.
+scan and into one form of its product of S and the carrier G, read from the
+structure's powerset kernel (24·2ⁿ bytes) when it holds one, else from lookups
+through ``subset_product``; only enumeration builds the kernel, refused above
+``MAX_ENUM_ORDER`` elements.  Whatever pairs or triples the two-sided ideals,
+primeness and the semilattice, refuses more than ``MAX_PAIRED_IDEALS`` of them.
 """
 from __future__ import annotations
 
@@ -58,26 +58,26 @@ _QUASI = ((QUASI_INTERSECTION, (("x", "g", "s"), "&", ("s", "g", "x")), "s"),)
 _INTERIOR = ((INTERIOR_ABSORB, (("x", "g", "s"), "d", "y"), "s"),)
 
 
-def _source(term, over_s, kernel: bool) -> str:
+def _source(term, over_s) -> str:
     """Python source of the mask of ``term``'s values, each variable of ``over_s``
-    read as S and every other element variable as the carrier F, a product read
-    from the powerset kernel's GS, SG and SS where ``kernel`` allows, else through P."""
+    read as S and every other element variable as the carrier F: a product of F
+    or of S with itself is read from GS, SG or SS, any other through P."""
     if isinstance(term, str):
         return "S" if term in over_s else "F"
-    a, b = (_source(t, over_s, kernel) for t in term[::2])
+    a, b = (_source(t, over_s) for t in term[::2])
     if term[1] == "&":
         return f"{a} & {b}"
-    if not kernel or "F" not in (a, b) and (a, b) != ("S", "S"):
+    if "F" not in (a, b) and (a, b) != ("S", "S"):
         return f"P({a}, {b})"
     return f"GS[{b}]" if a == "F" else f"SG[{a}]" if b == "F" else "SS[S]"
 
 
 class IdealKind(Enum):
     """A kind of ideal, given by its clauses in report order.  Per clause, ``inside``
-    is ``f(P, F, S)``, the mask that must lie inside S, and ``witness`` is ``f(G, S)``,
-    the first instance of the term valued outside S (None for an intersection);
-    ``scan`` is ``f(GS, SG, SS, P, F, N)``, every S in 1..N-1 that passes,
-    ascending.  All three compile from the clause terms on first use."""
+    is ``f(GS, SG, SS, P, S)``, the mask that must lie inside S, and ``witness`` is
+    ``f(G, S)``, the first instance of the term valued outside S (None for an
+    intersection); ``scan`` is ``f(GS, SG, SS, P, N)``, every S in 1..N-1 that
+    passes, ascending.  All three compile from the clause terms on first use."""
     SUB_GROUPOID = "sub", _SUB
     LEFT = "left", _LEFT
     RIGHT = "right", _RIGHT
@@ -94,7 +94,7 @@ class IdealKind(Enum):
 
     @cached_property
     def inside(self):
-        return tuple(eval(f"lambda P, F, S: {_source(*c, False)}") for _, *c in self.clauses)
+        return tuple(eval(f"lambda GS, SG, SS, P, S: {_source(*c)}") for _, *c in self.clauses)
 
     @cached_property
     def witness(self):
@@ -103,8 +103,8 @@ class IdealKind(Enum):
 
     @cached_property
     def scan(self):
-        passes = " and ".join(f"not ({_source(*c, True)}) & ~S" for _, *c in self.clauses)
-        return eval(f"lambda GS, SG, SS, P, F, N: [S for S in range(1, N) if {passes}]")
+        passes = " and ".join(f"not ({_source(*c)}) & ~S" for _, *c in self.clauses)
+        return eval(f"lambda GS, SG, SS, P, N: [S for S in range(1, N) if {passes}]")
 
 
 @dataclass(frozen=True)
@@ -121,17 +121,39 @@ class IdealVerdict:
     witness: Optional[tuple] = None
 
 
+_HOLDS = IdealVerdict(True)  # shared, so a subset that passes allocates nothing
+
+
+class _Products(dict):
+    """GS, SG or SS without the powerset kernel: ``product(S)`` of each S read."""
+
+    def __init__(self, product):
+        self.product = product
+
+    def __missing__(self, S):
+        return self.product(S)
+
+
+def _products(G: GammaGroupoid) -> tuple:
+    """``(GS, SG, SS, P)`` for ``IdealKind.inside``: G's powerset kernel if G holds
+    it, else lookups through ``subset_product``, so one subset builds no kernel."""
+    P, F = partial(subset_product, G), G.carrier
+    kernel = _fact(G, "powerset") or (
+        _Products(partial(P, F)), _Products(lambda S: P(S, F)), _Products(lambda S: P(S, S)))
+    return (*kernel, P)
+
+
 def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
     """Check the clauses defining ``kind`` for subset S; empty subsets are rejected."""
     _check_width(G, S)
     if S == 0:
         return IdealVerdict(False, NON_EMPTY)
-    P = partial(subset_product, G)
+    products = _products(G)
     for (label, _, _), inside, scan in zip(kind.clauses, kind.inside, kind.witness):
-        if outside := inside(P, G.carrier, S) & ~S:
+        if outside := inside(*products, S) & ~S:
             witness = scan(G, S) if scan else ((outside & -outside).bit_length() - 1,)
             return IdealVerdict(False, label, witness)
-    return IdealVerdict(True)
+    return _HOLDS
 
 
 def check_enum_order(order: int) -> None:
@@ -149,7 +171,7 @@ def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
     check_enum_order(G.order)
     return list(_fact(G, kind, lambda: array("Q", kind.scan(
         *_fact(G, "powerset", lambda: _powerset_kernel(G)),
-        partial(subset_product, G), G.carrier, 1 << G.order))))
+        partial(subset_product, G), 1 << G.order))))
 
 
 def paired_ideals(G: GammaGroupoid) -> list[int]:
@@ -172,12 +194,12 @@ def ideal_closure(G: GammaGroupoid, A: int, kind: IdealKind) -> int:
     _check_width(G, A)
     if A == 0:
         raise ValueError("closure of the empty subset is undefined")
-    P = partial(subset_product, G)
+    products = _products(G)
     S, new = 0, A
     while new != S:
         S = new
         for inside in kind.inside:
-            new |= inside(P, G.carrier, S)
+            new |= inside(*products, S)
     return S
 
 
@@ -204,7 +226,7 @@ def is_prime(G: GammaGroupoid, P: int) -> IdealVerdict:
         for B in ideals:
             if B & ~P and subset_product(G, A, B) & ~P == 0:
                 return IdealVerdict(False, PRIME, (A, B))
-    return IdealVerdict(True)
+    return _HOLDS
 
 
 def is_semiprime(G: GammaGroupoid, P: int) -> IdealVerdict:
@@ -215,7 +237,7 @@ def is_semiprime(G: GammaGroupoid, P: int) -> IdealVerdict:
     for A in enumerate_ideals(G, IdealKind.TWO_SIDED):
         if A & ~P and subset_product(G, A, A) & ~P == 0:
             return IdealVerdict(False, SEMIPRIME, (A,))
-    return IdealVerdict(True)
+    return _HOLDS
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,9 @@ class LemmaVerdict:
     refusal: Optional[str] = None  # the message of the limit that refused the check
 
 
-_HOLDS = LemmaVerdict(LemmaStatus.HOLDS)  # shared, so an entry that holds allocates nothing
+_HOLDS = LemmaVerdict(LemmaStatus.HOLDS)  # shared, as is each filter's not-applicable verdict
+_NOT_APPLICABLE = {f: LemmaVerdict(LemmaStatus.NOT_APPLICABLE, f.value.removeprefix("has-"))
+                   for f in Filter}
 
 
 def _all_ideals(kind: IdealKind, candidates):
@@ -310,8 +312,7 @@ def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
     try:
         for f in lid.hypotheses:
             if not f.holds(G):
-                return LemmaVerdict(LemmaStatus.NOT_APPLICABLE,
-                                    hypothesis_failed=f.value.removeprefix("has-"))
+                return _NOT_APPLICABLE[f]
         witness = lid.verifier(G)
     except LimitExceededError as exc:
         return LemmaVerdict(LemmaStatus.REFUSED, refusal=str(exc))

@@ -8,6 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaglab as gl
 from gaglab import cli
@@ -337,6 +339,43 @@ def test_semilattice_exit_codes(gamma5_path, dot5_path, capsys):
     out = capsys.readouterr().out
     assert "commutative: false" in out
     assert "product table:" in out
+
+
+# ---------------------------------------------------------------------------
+# the --json writer
+
+_CHARS = st.characters() | st.sampled_from('"\\/\u2028\u2029\x00\x1f\x7fé')
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([10 ** 99, -10 ** 99])
+            | st.floats() | st.text(_CHARS, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_SCALARS, lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+                    | st.dictionaries(st.text(_CHARS, max_size=8), inner), max_leaves=12))
+def test_json_writer_equals_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    for value in ({1, 2}, object(), {"a": [b"x"]}):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+_FIXTURES = sorted(p.stem for p in gl.fixture_path("gamma5").parent.glob("*.gag"))
+
+
+@pytest.mark.parametrize("request_", ["verify", "check", "ideals --kind bi", "semilattice"])
+@pytest.mark.parametrize("fixture", _FIXTURES)
+def test_json_reports_are_the_bytes_of_json_dumps(fixture, request_, capsys):
+    command, *options = request_.split()
+    argv = [command, str(gl.fixture_path(fixture)), *options, "--json"]
+    args = cli._parser().parse_args(argv)
+    report, code = args.func(args)
+    assert run(argv) == code
+    assert capsys.readouterr().out == json.dumps(report, ensure_ascii=False, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,12 @@ def test_dot5_laws(dot5):
     assert not gl.check_law(dot5, Law.COMMUTATIVE).holds
 
 
+def test_a_law_verdict_is_kept_on_the_structure(gamma5):
+    G = fresh(gamma5)
+    for law in Law:
+        assert gl.check_law(G, law) is gl.check_law(G, law)
+
+
 def test_singleton_satisfies_everything(singleton):
     for law in Law:
         assert gl.check_law(singleton, law).holds
@@ -409,6 +415,6 @@ def test_members_refuses_a_mask_wider_than_64_bits():
 
 def test_importing_gaglab_builds_no_byte_table():
     # members builds its 2,048-tuple table on first use, not at every start
-    code = "import gaglab.core as c; assert c._BYTE_MEMBERS == (); c.members(1); assert c._BYTE_MEMBERS"
+    code = "import gaglab.core as c; assert not c._BYTE_MEMBERS; c.members(1); assert c._BYTE_MEMBERS"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(Path(gl.__file__).parents[1])})

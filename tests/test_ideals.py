@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 import gaglab as gl
 from gaglab import ideals
 from gaglab.ideals import (
+    _CLOSURE_KINDS,
     MAX_ENUM_ORDER,
     MAX_PAIRED_IDEALS,
     IdealKind,
@@ -66,11 +68,11 @@ def test_width_mismatch_rejected(gamma5):
 def test_witness_scan_finds_nothing_exactly_when_the_product_lies_inside(data):
     # the witness scan and the mask check are compiled from one clause term
     G, S = data
-    P = partial(gl.subset_product, G)
+    products = ideals._products(G)
     for kind in IdealKind:
         for (_, term, _), inside, witness in zip(kind.clauses, kind.inside, kind.witness):
             if term[1] != "&":
-                assert (witness(G, S) is None) == (inside(P, G.carrier, S) & ~S == 0), kind
+                assert (witness(G, S) is None) == (inside(*products, S) & ~S == 0), kind
 
 
 def test_clause_witnesses_reverify(gamma5):
@@ -186,6 +188,95 @@ def test_enumeration_and_is_ideal_equal_a_set_oracle(G):
 
 def test_enumeration_and_is_ideal_equal_a_set_oracle_at_order_9():
     _assert_kernel_paths_equal_the_oracle(fresh(gl.load_fixture("principal_left_not_left9")))
+
+
+def _oracle_verdict(G, S, kind):
+    """``is_ideal``'s (holds, failed clause, witness) by set arithmetic and a
+    brute-force scan: each clause's first instance valued outside S, element
+    variables outer, gamma variables inner, all ascending; the quasi clause
+    names the least element of its intersection outside S."""
+    if not S:
+        return False, NON_EMPTY, None
+    T, E, M = G.tables, range(G.order), range(G.gamma_count)
+    inside, full = oracle_members(S), set(E)
+    SE = sorted(inside)
+
+    def first(instances, value):
+        return next((w for w in instances if value(*w) not in inside), None)
+    clauses = {
+        "SubGroupoid": lambda: first(((a, g, b) for a in SE for b in SE for g in M),
+                                     lambda a, g, b: T[g][a][b]),
+        "LeftAbsorb": lambda: first(((x, g, s) for x in E for s in SE for g in M),
+                                    lambda x, g, s: T[g][x][s]),
+        "RightAbsorb": lambda: first(((s, g, x) for s in SE for x in E for g in M),
+                                     lambda s, g, x: T[g][s][x]),
+        "BiAbsorb": lambda: first(((s, g, x, d, t) for s in SE for x in E for t in SE
+                                   for g in M for d in M),
+                                  lambda s, g, x, d, t: T[d][T[g][s][x]][t]),
+        "InteriorAbsorb": lambda: first(((x, g, s, d, y) for x in E for s in SE for y in E
+                                         for g in M for d in M),
+                                        lambda x, g, s, d, y: T[d][T[g][x][s]][y]),
+        "QuasiIntersection": lambda: next(
+            ((e,) for e in sorted(oracle_product(G, full, SE) & oracle_product(G, SE, full))
+             if e not in SE), None),
+    }
+    for label, _, _ in kind.clauses:
+        if (witness := clauses[label]()) is not None:
+            return False, label, witness
+    return True, None, None
+
+
+def _random_structure(order, gammas, seed):
+    """Each entry the least of three uniform draws, so that small subsets absorb
+    often enough for every clause of every kind to both pass and fail."""
+    rng = random.Random(seed)
+    return gl.GammaGroupoid.from_tables([[[min(rng.randrange(order) for _ in range(3))
+                                           for _ in range(order)] for _ in range(order)]
+                                         for _ in range(gammas)])
+
+
+@pytest.mark.parametrize("name", ["gamma5", "random6"])
+def test_is_ideal_and_closure_read_the_kernel_or_lookups_alike(name):
+    # one clause form, read from the powerset kernel when the structure holds it
+    # and otherwise from lookups: each path alone must equal the set oracle
+    G = gl.load_fixture("gamma5") if name == "gamma5" else _random_structure(6, 2, 0)
+    subsets = range(1 << G.order)
+    verdicts = {(kind, S): _oracle_verdict(G, S, kind) for kind in IdealKind for S in subsets}
+    closures = {(kind, A): _oracle_closure(G, oracle_members(A), kind)
+                for kind in _CLOSURE_KINDS for A in subsets[1:]}
+    kernel = fresh(G)
+    enumerate_ideals(kernel, IdealKind.SUB_GROUPOID)
+    for H, holds_kernel in ((fresh(G), False), (kernel, True)):
+        for (kind, S), want in verdicts.items():
+            v = is_ideal(H, S, kind)
+            assert (v.holds, v.failed_clause, v.witness) == want, (kind, S, holds_kernel)
+        for (kind, A), want in closures.items():
+            assert oracle_members(ideal_closure(H, A, kind)) == want, (kind, A, holds_kernel)
+        assert ("powerset" in H.__dict__.get("_facts", {})) == holds_kernel
+    if name == "random6":  # every clause of every kind both passes and fails
+        assert {(kind, label) for kind in IdealKind for label, _, _ in kind.clauses} <= \
+            {(kind, want[1]) for (kind, _), want in verdicts.items()}
+        assert all(sum(want[0] for (k, _), want in verdicts.items() if k is kind) > 1
+                   for kind in IdealKind)
+
+
+def test_one_subset_above_the_enumeration_bound_builds_no_kernel():
+    # x·y = 1 at order 21: one is_ideal and one closure are decided through
+    # subset_product, although enumeration is refused at this order
+    G = gl.GammaGroupoid.from_tables([[[0] * 21 for _ in range(21)]])
+    assert is_ideal(G, 1, IdealKind.LEFT).holds
+    assert is_ideal(G, 1 << 5, IdealKind.TWO_SIDED) == \
+        ideals.IdealVerdict(False, LEFT_ABSORB, (0, 0, 5))
+    assert ideal_closure(G, 1 << 5, IdealKind.LEFT) == 1 | 1 << 5
+    assert "powerset" not in G.__dict__.get("_facts", {})
+
+
+def test_a_holding_verdict_is_shared(gamma5):
+    full = gamma5.carrier
+    v = is_ideal(gamma5, full, IdealKind.LEFT)
+    assert v == ideals.IdealVerdict(True)
+    assert is_ideal(gamma5, full, IdealKind.BI) is is_prime(gamma5, full) is \
+        is_semiprime(gamma5, full) is v
 
 
 def test_enumerate_ideals_returns_a_new_list_each_call(gamma5):

@@ -82,8 +82,8 @@ def test_gating_non_invertive_structure():
     assert not gl.check_law(G, gl.Law.LEFT_INVERTIVE).holds
     for lid in LemmaId:
         v = verify(G, lid)
-        assert v.status is LemmaStatus.NOT_APPLICABLE
-        assert v.hypothesis_failed == "left-invertive"
+        assert v == LemmaVerdict(LemmaStatus.NOT_APPLICABLE, hypothesis_failed="left-invertive")
+        assert v is verify(fresh(G), LemmaId.L_MEDIAL)  # one verdict per failed filter
 
 
 def test_right_identity_lemma_applies_somewhere():
