@@ -8,8 +8,8 @@ Each clause is stated once, as a term like a law's, compiled into its witness
 scan and into one form of its product of S and the carrier G, read from the
 structure's powerset kernel (24·2ⁿ bytes) when it holds one, else from lookups
 through ``subset_product``; only enumeration builds the kernel, refused above
-``MAX_ENUM_ORDER`` elements.  Whatever pairs or triples the two-sided ideals,
-primeness and the semilattice, refuses more than ``MAX_PAIRED_IDEALS`` of them.
+``MAX_ENUM_ORDER`` elements.  Primeness, the semilattice and the catalog read one
+kept table of the products of two-sided ideals, refused beyond ``MAX_PAIRED_IDEALS``.
 """
 from __future__ import annotations
 
@@ -174,14 +174,17 @@ def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
         partial(subset_product, G), 1 << G.order))))
 
 
-def paired_ideals(G: GammaGroupoid) -> list[int]:
-    """The two-sided ideals, for a caller that pairs or triples them: more than
-    ``MAX_PAIRED_IDEALS`` are refused before the first product."""
-    ideals = enumerate_ideals(G, IdealKind.TWO_SIDED)
-    if len(ideals) > MAX_PAIRED_IDEALS:
-        raise LimitExceededError(f"pairing {len(ideals)} two-sided ideals refused "
-                                 f"beyond {MAX_PAIRED_IDEALS}")
-    return ideals
+def paired_ideals(G: GammaGroupoid) -> tuple:
+    """``(ideals, products)``: the two-sided ideals, ascending, and ``products[i][j]``,
+    the product of ideal i with ideal j, as tuples built once per structure; more
+    than ``MAX_PAIRED_IDEALS`` ideals are refused before the first product."""
+    def pair():
+        ideals = tuple(enumerate_ideals(G, IdealKind.TWO_SIDED))
+        if len(ideals) > MAX_PAIRED_IDEALS:
+            raise LimitExceededError(f"pairing {len(ideals)} two-sided ideals refused "
+                                     f"beyond {MAX_PAIRED_IDEALS}")
+        return ideals, tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
+    return _fact(G, "paired", pair)
 
 
 _CLOSURE_KINDS = (IdealKind.SUB_GROUPOID, IdealKind.LEFT, IdealKind.RIGHT, IdealKind.TWO_SIDED)
@@ -219,12 +222,10 @@ def is_prime(G: GammaGroupoid, P: int) -> IdealVerdict:
     base = is_ideal(G, P, IdealKind.TWO_SIDED)
     if not base.holds:
         return base
-    ideals = paired_ideals(G)
-    for A in ideals:
-        if A & ~P == 0:
-            continue
-        for B in ideals:
-            if B & ~P and subset_product(G, A, B) & ~P == 0:
+    ideals, products = paired_ideals(G)
+    for A, row in zip(ideals, products):
+        for B, AB in zip(ideals, row):
+            if A & ~P and B & ~P and AB & ~P == 0:
                 return IdealVerdict(False, PRIME, (A, B))
     return _HOLDS
 
@@ -258,8 +259,7 @@ class SemilatticeReport:
 
 
 def build_ideal_semilattice(G: GammaGroupoid) -> SemilatticeReport:
-    ideals = paired_ideals(G)
-    products = tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
+    ideals, products = paired_ideals(G)
     closed = {p for row in products for p in row} <= set(ideals)
     k = len(ideals)
     commutative = all(products[i][j] == products[j][i] for i in range(k) for j in range(k))
@@ -268,5 +268,5 @@ def build_ideal_semilattice(G: GammaGroupoid) -> SemilatticeReport:
         subset_product(G, products[i][j], ideals[l]) ==
         subset_product(G, ideals[i], products[j][l])
         for i in range(k) for j in range(k) for l in range(k))
-    return SemilatticeReport(tuple(ideals), products, closed,
+    return SemilatticeReport(ideals, products, closed,
                              commutative, associative, idempotent, is_regular(G))

@@ -121,7 +121,7 @@ def serialize(G: GammaGroupoid) -> str:
 
 
 def parse_file(path) -> GammaGroupoid:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_file(path, G: GammaGroupoid) -> None:

@@ -41,7 +41,6 @@ from .ideals import (
     enumerate_ideals,
     is_ideal,
     is_idempotent,
-    is_semiprime,
     paired_ideals,
     principal_left,
 )
@@ -218,10 +217,11 @@ def _verify_regular_iff_idempotent_left(G):
 
 
 def _verify_semiprime_regular(G):
-    for P in paired_ideals(G):
-        v = is_semiprime(G, P)
-        if not v.holds:
-            return {"subset": P, "subset_b": v.witness[0]}
+    ideals, products = paired_ideals(G)
+    for P in ideals:
+        for i, A in enumerate(ideals):
+            if A & ~P and products[i][i] & ~P == 0:
+                return {"subset": P, "subset_b": A}
 
 
 def _verify_semilattice(G):
@@ -232,11 +232,10 @@ def _verify_semilattice(G):
 
 
 def _verify_comm_ideals_regular(G):
-    ideals = paired_ideals(G)
-    for A in ideals:
-        for B in ideals:
-            ab = subset_product(G, A, B)
-            ba = subset_product(G, B, A)
+    ideals, products = paired_ideals(G)
+    for i, A in enumerate(ideals):
+        for j, B in enumerate(ideals):
+            ab, ba = products[i][j], products[j][i]
             if ab != ba:
                 return {"subset": A, "subset_b": B, "left_side": ab, "right_side": ba}
 

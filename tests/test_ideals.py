@@ -11,6 +11,7 @@ from gaglab.ideals import (
     MAX_ENUM_ORDER,
     MAX_PAIRED_IDEALS,
     IdealKind,
+    IdealVerdict,
     LEFT_ABSORB,
     NON_EMPTY,
     PRIME,
@@ -137,15 +138,23 @@ def test_enumeration_limit(monkeypatch):
         enumerate_ideals(gl.GammaGroupoid.from_tables([[[0] * n] * n]), IdealKind.LEFT)
 
 
-def test_pairing_two_sided_ideals_is_refused_beyond_the_bound():
+def test_pairing_two_sided_ideals_is_refused_beyond_the_bound(monkeypatch):
     # x·y = x if x = y, else 0: every subset holding 0 is a two-sided ideal, so
     # order n has 2**(n - 1); every path that pairs them refuses them at order 8
     def diagonal(n):
         return gl.GammaGroupoid.from_tables(
             [[[x if x == y else 0 for y in range(n)] for x in range(n)]])
-    assert len(paired_ideals(diagonal(7))) == MAX_PAIRED_IDEALS == 64
+    assert len(paired_ideals(diagonal(7))[0]) == MAX_PAIRED_IDEALS == 64
     G = diagonal(8)
     message = "pairing 128 two-sided ideals refused beyond 64"
+    # refused before the first product, and the refusal is not kept as the fact
+    calls = []
+    monkeypatch.setattr(ideals, "subset_product",
+                        lambda *args: calls.append(args) or gl.subset_product(*args))
+    for _ in range(2):
+        with pytest.raises(gl.LimitExceededError, match=f"^{message}$"):
+            paired_ideals(G)
+    assert calls == []
     for call in (partial(is_prime, G, G.carrier), partial(build_ideal_semilattice, G)):
         with pytest.raises(gl.LimitExceededError, match=f"^{message}$"):
             call()
@@ -427,6 +436,62 @@ def test_semilattice_dot5(dot5):
     assert rep.ideals == (dot5.carrier,)
     assert rep.closed and rep.commutative and rep.associative and rep.idempotent
     assert rep.regular
+
+
+# ---------------------------------------------------------------------------
+# the kept table of products of two-sided ideals, against set-based restatements
+
+def _mask(elements):
+    return sum(1 << x for x in elements)
+
+
+def _pairing_cases():
+    """Every shipped fixture and every left-invertive regular structure at (2,2)
+    and (3,1)."""
+    for path in sorted(gl.fixture_path("gamma5").parent.glob("*.gag")):
+        yield gl.load_fixture(path.stem)
+    for n, m in ((2, 2), (3, 1)):
+        yield from gl.enumerate_structures(gl.SearchSpec(order=n, gammas=m, filters=frozenset(
+            {gl.Filter.LEFT_INVERTIVE, gl.Filter.REGULAR})))
+
+
+def test_paired_products_and_their_readers_match_set_oracles():
+    cases = 0
+    for G in _pairing_cases():
+        cases += 1
+        full = set(range(G.order))
+        sets = [s for s in map(oracle_members, range(1, 1 << G.order))
+                if oracle_product(G, full, s) | oracle_product(G, s, full) <= s]
+        prod = [[oracle_product(G, a, b) for b in sets] for a in sets]
+        ideals, products = paired_ideals(G)
+        assert ideals == tuple(map(_mask, sets))
+        assert products == tuple(tuple(map(_mask, row)) for row in prod)
+        pairs = [(i, j) for i in range(len(sets)) for j in range(len(sets))]
+        comm = next(({"subset": ideals[i], "subset_b": ideals[j], "left_side": _mask(prod[i][j]),
+                      "right_side": _mask(prod[j][i])}
+                     for i, j in pairs if prod[i][j] != prod[j][i]), None)
+        semiprime = next(({"subset": ideals[p], "subset_b": ideals[a]} for p, a in pairs
+                          if not sets[a] <= sets[p] and prod[a][a] <= sets[p]), None)
+        for lid, witness in ((gl.LemmaId.L_COMM_IDEALS_REGULAR, comm),
+                             (gl.LemmaId.L_SEMIPRIME_REGULAR, semiprime)):
+            assert lid.verifier(G) == witness, lid
+            if all(f.holds(G) for f in lid.hypotheses):
+                assert gl.verify(G, lid) == gl.LemmaVerdict(
+                    gl.LemmaStatus.HOLDS if witness is None else gl.LemmaStatus.COUNTEREXAMPLE,
+                    witness=witness)
+        for P, p in zip(ideals, sets):
+            AB = next(((ideals[i], ideals[j]) for i, j in pairs if not sets[i] <= p
+                       and not sets[j] <= p and prod[i][j] <= p), None)
+            assert is_prime(G, P) == (IdealVerdict(True) if AB is None
+                                      else IdealVerdict(False, PRIME, AB))
+    assert cases > 7
+
+
+def test_paired_products_are_kept_once(gamma5):
+    G = fresh(gamma5)
+    assert paired_ideals(G) is paired_ideals(G)
+    assert build_ideal_semilattice(G).products is paired_ideals(G)[1]
+    assert build_ideal_semilattice(G).ideals is paired_ideals(G)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -150,3 +150,14 @@ def test_fixture_path_and_file_io(tmp_path, gamma5):
     target = tmp_path / "copy.gag"
     gl.write_file(target, gamma5)
     assert gl.parse_file(target) == gamma5
+
+
+@pytest.mark.parametrize("path", sorted(gl.fixture_path("gamma5").parent.glob("*.gag")),
+                         ids=lambda p: p.stem)
+def test_a_file_with_a_byte_order_mark_parses_as_without(tmp_path, path):
+    target = tmp_path / path.name
+    target.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert gl.parse_file(target) == gl.parse_file(path)
+    # parse takes text, in which a byte-order mark is not a blank
+    with pytest.raises(ParseError, match=r"^line 1: expected 'order <number>'"):
+        parse(target.read_text(encoding="utf-8"))
