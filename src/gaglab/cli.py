@@ -196,6 +196,10 @@ def _text_semilattice(r):
 
 
 def _cmd_search(args) -> tuple[dict, int]:
+    if args.emit and args.count:
+        raise ValueError("--emit and --count cannot be given together")
+    if args.iso_carrier_only and not args.canonical:
+        raise ValueError("--iso-carrier-only needs --canonical")
     spec = SearchSpec(order=args.order, gammas=args.gammas,
                       filters=frozenset(Filter(f) for f in args.filter or []),
                       up_to_iso=args.canonical, limit=args.limit,

@@ -276,7 +276,10 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # pass's vector form drops the loop over the last element variable: each
 # lookup that reads it is a bytes vector of its values over that variable,
 # made by bytes.translate through a row or column of the structure, so each
-# instance of the other variables is one comparison of two vectors.
+# instance of the other variables is one comparison of two vectors.  A row or
+# column translated through a row picked by a looked-up value (medial, paramedial)
+# is read from a table of all such translations, made once per pair of gammas; a
+# row picked by a loop variable is translated in the loop, as a table costs as much.
 
 # Law.holds takes the vector form from this order on.  The structure's byte rows
 # and columns, built once per structure, cost more than the vector form saves on
@@ -369,6 +372,20 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         if isinstance(term, str):
             return "v_" + term, depth_of[term], False
         left, g, right = term
+        on_left = (lanes, False) in _reading(left)
+        vec, index = (left, right) if on_left else (right, left)
+        if isinstance(vec, tuple) and lanes in vec[::2] and not isinstance(index, str):
+            # a row or column translated through a row picked by a looked-up value:
+            # every such translation, tabulated per pair of gammas, [value][row index]
+            row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
+            by = ("C" if on_left else "R") + "T"
+            tables.update((rows, by))
+            at, depth = bind(f"[[v.translate(r) for v in {rows}[v_{vec[1]}]] for r in {by}[v_{g}]]",
+                             max(depth_of[vec[1]], depth_of[g]))
+            for part in index, row:
+                part, part_depth, _ = value(part)
+                at, depth = bind(f"{at}[{part}]", max(depth, part_depth))
+            return at, depth, True
         (a, a_depth, a_lanes), (b, b_depth, b_lanes) = value(left), value(right)
         if not (a_lanes or b_lanes):
             at, depth = bind(f"T[v_{g}]", depth_of[g])

@@ -31,8 +31,8 @@ from .core import (
 )
 
 MAX_ENUM_ORDER = 20  # the powerset kernel takes 24·2**20 bytes, about 25 MB
-# the semilattice's associativity check takes two products per triple of ideals,
-# 2·64³ at this bound, about 1 s
+# the semilattice's associativity check computes the products that are not in the
+# paired table, at most two per triple of ideals: 2·64³ at this bound, about 1 s
 MAX_PAIRED_IDEALS = 64
 
 # clause labels used in verdicts
@@ -260,13 +260,17 @@ class SemilatticeReport:
 
 def build_ideal_semilattice(G: GammaGroupoid) -> SemilatticeReport:
     ideals, products = paired_ideals(G)
-    closed = {p for row in products for p in row} <= set(ideals)
+    index = {A: i for i, A in enumerate(ideals)}
+    closed = {p for row in products for p in row} <= index.keys()
     k = len(ideals)
     commutative = all(products[i][j] == products[j][i] for i in range(k) for j in range(k))
     idempotent = all(products[i][i] == ideals[i] for i in range(k))
-    associative = all(
-        subset_product(G, products[i][j], ideals[l]) ==
-        subset_product(G, ideals[i], products[j][l])
-        for i in range(k) for j in range(k) for l in range(k))
+
+    def times(A, B):  # read from the table when both factors are ideals
+        if A in index and B in index:
+            return products[index[A]][index[B]]
+        return subset_product(G, A, B)
+    associative = all(times(products[i][j], ideals[l]) == times(ideals[i], products[j][l])
+                      for i in range(k) for j in range(k) for l in range(k))
     return SemilatticeReport(ideals, products, closed,
                              commutative, associative, idempotent, is_regular(G))

@@ -32,6 +32,7 @@ from .core import (
     check_law,
     identities,
     is_regular,
+    members,
     regular_witness,
     subset_product,
 )
@@ -163,8 +164,11 @@ def _verify_bi_product(G):
     bis = enumerate_ideals(G, IdealKind.BI)
     passed = set()  # products already checked, each of which passed
     for B1 in bis:
+        by = [subset_product(G, B1, 1 << b) for b in range(G.order)]  # B1Γb for each b
         for B2 in bis:
-            P = subset_product(G, B1, B2)
+            P = 0
+            for b in members(B2):
+                P |= by[b]
             if P in passed:
                 continue
             if subset_product(G, subset_product(G, P, full), P) & ~P:

@@ -430,6 +430,28 @@ def test_search_emit_to_a_file_exits_2_before_the_search(tmp_path, monkeypatch, 
     assert started == [] and target.read_text(encoding="utf-8") == "kept"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--emit", "DIR", "--count"], "--emit and --count cannot be given together"),
+    (["--iso-carrier-only", "--count"], "--iso-carrier-only needs --canonical"),
+    (["--iso-carrier-only", "--emit", "DIR"], "--iso-carrier-only needs --canonical"),
+])
+def test_search_refuses_an_ignored_flag_before_the_search(
+        tmp_path, monkeypatch, capsys, extra, message):
+    # each pair used to run the search and drop one flag: --emit DIR --count
+    # printed the count and made no DIR, --iso-carrier-only alone counted labelled
+    def never(*args):
+        raise AssertionError("the search started")
+    monkeypatch.setattr(cli, "count", never)
+    monkeypatch.setattr(cli, "enumerate_structures", never)
+    out_dir = tmp_path / "out"
+    argv = ["search", "--order", "2", "--gammas", "1", "--filter", "left-invertive",
+            *(str(out_dir) if arg == "DIR" else arg for arg in extra)]
+    for json_flag in ([], ["--json"]):
+        assert run(argv + json_flag) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_search_streams_each_structure(tmp_path, monkeypatch, capsys):
     spec = gl.SearchSpec(order=2, gammas=1, limit=3)
     structs = list(gl.enumerate_structures(spec))

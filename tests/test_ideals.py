@@ -487,6 +487,33 @@ def test_paired_products_and_their_readers_match_set_oracles():
     assert cases > 7
 
 
+def test_semilattice_associativity_matches_a_set_oracle(monkeypatch):
+    # a structure of each class at (3,1): closed and associative, closed and not
+    # associative, and not closed (some product of two ideals is no ideal)
+    calls = []
+    monkeypatch.setattr(ideals, "subset_product", lambda G, A, B: calls.append((A, B))
+                        or gl.subset_product(G, A, B))
+    kinds = set()
+    for G in gl.enumerate_structures(gl.SearchSpec(order=3, gammas=1, up_to_iso=True)):
+        full = set(range(G.order))
+        sets = [s for s in map(oracle_members, range(1, 1 << G.order))
+                if oracle_product(G, full, s) | oracle_product(G, s, full) <= s]
+        prod = [[oracle_product(G, a, b) for b in sets] for a in sets]
+        closed = all(p in sets for row in prod for p in row)
+        associative = all(oracle_product(G, prod[i][j], c) == oracle_product(G, a, prod[j][l])
+                          for i, a in enumerate(sets) for j in range(len(sets))
+                          for l, c in enumerate(sets))
+        paired_ideals(G)
+        calls.clear()
+        rep = build_ideal_semilattice(G)
+        assert (rep.closed, rep.associative) == (closed, associative), G.tables
+        # the products of two ideals are read from the paired table
+        assert all(A not in rep.ideals or B not in rep.ideals for A, B in calls)
+        assert not closed or calls == []
+        kinds.add((closed, associative))
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
 def test_paired_products_are_kept_once(gamma5):
     G = fresh(gamma5)
     assert paired_ideals(G) is paired_ideals(G)

@@ -158,7 +158,9 @@ def test_bi_product_verifier_checks_each_distinct_product_once(monkeypatch, gamm
     bis = ideals.enumerate_ideals(G, ideals.IdealKind.BI)
     products = {core.subset_product(G, B1, B2) for B1 in bis for B2 in bis}
     assert len(products) < len(bis) ** 2
-    assert len(calls) == len(bis) ** 2 + 2 * len(products)
+    # one row B1Γb per bi-ideal B1 and element b, then two products per distinct B1ΓB2
+    assert len(calls) == len(bis) * G.order + 2 * len(products)
+    assert calls[:G.order] == [(bis[0], 1 << b) for b in range(G.order)]
 
 
 # ---------------------------------------------------------------------------
