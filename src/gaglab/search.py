@@ -34,17 +34,23 @@ subtree.  Complete tables are left to the leaf's check, so the stream is the
 one a leaf filter alone keeps; the order-5 left-invertive census, 31,913
 classes, counts in seconds.
 
-A ``lex_pruned`` search takes the same step without the leaf's check: its
-stream is a subsequence of the labelled stream that holds the least member
-of every class, and perhaps other members.  A hunt runs on it, since the
-first labelled counterexample is always the least of its class (the least
-member is a counterexample too, and comes no later).  Its table is built
-lazily, and a shape whose table is refused streams every labelled table.
+A ``lex_pruned`` search lets the walks decide each complete table instead
+of ``canonical_form``: the leaf resumes every undecided walk and walks every
+relabelling not yet joined, and a sentinel n after the table stops a walk
+that meets no difference (an automorphism) as undecided.  It keeps a table
+when none is smaller, so its stream is the ``up_to_iso`` stream, one
+structure per class.  A hunt runs on this class stream, since the first
+labelled counterexample is always the least of its class (the least member
+is a counterexample too, and comes no later).  Its table is built lazily; a
+shape whose full table is refused prunes by carrier permutations alone, one
+structure per carrier class, and one whose carrier table is refused too
+streams every labelled table.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -101,7 +107,7 @@ class SearchSpec:
     limit: Optional[int] = None
     allow_large: bool = False
     iso_include_gamma: bool = True
-    lex_pruned: bool = False  # lex-leader pruning without the leaf's canonical_form check
+    lex_pruned: bool = False  # lex-leader pruning whose walks, not canonical_form, decide the leaf
 
     def __post_init__(self):
         object.__setattr__(self, "filters", frozenset(self.filters))
@@ -153,22 +159,21 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         try:  # enumerate_structures has refused an oversized up_to_iso table
             lex = _lex_leader(tables, n, m, spec.iso_include_gamma)
         except LimitExceededError:
-            pass  # pruning is an optimization: lex_pruned streams every labelled table
-
-    def undo(n_moved, n_forced):
-        for bucket in moved[n_moved:]:
-            bucket.pop()
-        del moved[n_moved:]
-        for row, c in forced[n_forced:]:
-            row[c] = n
-        del forced[n_forced:]
+            # pruning is an optimization: lex_pruned prunes by carrier permutations
+            # where their table fits, and else streams every labelled table
+            with suppress(LimitExceededError):
+                lex = _lex_leader(tables, n, m, False)
+    decide = lex if spec.lex_pruned else None  # the walks decide a lex_pruned leaf
+    end = len(cells)
 
     def rec(pos, walks):
-        while pos < len(cells) and cells[pos][0][cells[pos][1]] != n:
+        while pos < end and cells[pos][0][cells[pos][1]] != n:
             pos += 1  # assigned by propagation
-        if pos == len(cells):
-            G = GammaGroupoid._trusted(
-                tuple(tuple(tuple(row[:n]) for row in t[:n]) for t in tables))
+        if pos == end:
+            if decide and decide(end, walks) is None:
+                return  # some relabelling of the complete table is smaller
+            G = GammaGroupoid._trusted(tuple([tuple([tuple(row[:n]) for row in t[:n]])
+                                              for t in tables]))
             if all(f.holds(G) for f in leaf_filters) and (
                     not spec.up_to_iso
                     or canonical_form(G, include_gamma=spec.iso_include_gamma).tables == G.tables):
@@ -177,12 +182,19 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         if lex and (walks := lex(pos, walks)) is None:
             return  # some relabelling is already smaller
         row, c, bucket = cells[pos]
-        marks = len(moved), len(forced)
+        n_moved, n_forced = len(moved), len(forced)
         for v in range(n):
             row[c] = v
             if propagate(bucket):
                 yield from rec(pos + 1, walks)
-            undo(*marks)
+            if len(moved) != n_moved:  # roll back what this value's propagation added
+                for waits in moved[n_moved:]:
+                    waits.pop()
+                del moved[n_moved:]
+            if len(forced) != n_forced:
+                for assigned, at in forced[n_forced:]:
+                    assigned[at] = n
+                del forced[n_forced:]
         row[c] = n
 
     if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
@@ -203,18 +215,25 @@ def _lex_leader(tables, n, m, include_gamma):
     ``sigma`` keeps.  At the first difference it cuts the node if smaller and
     is dropped for the subtree if larger; with none it resumes there below.
     It joins at the first node whose cell k lies beyond the cell it reads
-    first, as skipping a relabelling only prunes less.  A complete table is
-    left to the leaf: ``up_to_iso`` checks it with ``canonical_form``,
-    ``lex_pruned`` keeps it.
+    first, as skipping a relabelling only prunes less.  A node with no walk to
+    resume and none to join returns at once.  At k = N, the cell count, every
+    relabelling not yet joined joins and a walk past the last cell reads the
+    sentinel n, so the step decides a complete table: None exactly when some
+    relabelling is smaller.  ``lex_pruned`` decides its leaf so, and
+    ``up_to_iso`` checks its leaf with ``canonical_form``.
     """
     rows = [t[r] for t in tables for r in range(n)]  # flat cell k is rows[k // n][k % n]
     table = sorted(_relabellings(n, m, include_gamma)[1:], key=lambda entry: entry[1][0])
     firsts = [cells[0] for _, cells in table]
+    joined = [bisect_left(firsts, k) for k in range(n * n * m + 1)]  # relabellings joined by cell k
 
     def step(k, walks):
         start, ts, ats = walks
+        joining = range(joined[start], joined[k])
+        if not ts and not joining:
+            return k, ts, ats
         flat = [v for row in rows for v in row[:n]]
-        joining = range(bisect_left(firsts, start), bisect_left(firsts, k))
+        flat.append(n)  # a walk past the last cell stops there, undecided
         # 16 bits hold both: at most MAX_RELABELLINGS relabellings and MAX_SEARCH_CELLS cells
         undecided, resume = array("H"), array("H")
         for t, i in chain(zip(ts, ats), zip(joining, repeat(0))):

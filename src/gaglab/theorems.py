@@ -163,8 +163,11 @@ def _verify_bi_product(G):
     full = G.carrier
     bis = enumerate_ideals(G, IdealKind.BI)
     passed = set()  # products already checked, each of which passed
+    rows = set()  # the rows of each B1 that passed with every B2: the same products again
     for B1 in bis:
-        by = [subset_product(G, B1, 1 << b) for b in range(G.order)]  # B1Γb for each b
+        by = tuple([subset_product(G, B1, 1 << b) for b in range(G.order)])  # B1Γb for each b
+        if by in rows:
+            continue
         for B2 in bis:
             P = 0
             for b in members(B2):
@@ -174,6 +177,7 @@ def _verify_bi_product(G):
             if subset_product(G, subset_product(G, P, full), P) & ~P:
                 return {"subset": B1, "subset_b": B2, "product": P}
             passed.add(P)
+        rows.add(by)
 
 
 def _same_ideals(kind_a: IdealKind, kind_b: IdealKind):

@@ -686,6 +686,18 @@ def test_the_lex_leader_step_is_a_pure_function_of_the_table_and_the_walks():
     assert step(1, root) is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(structures(max_order=4, max_gammas=2), st.booleans())
+def test_the_lex_leader_step_decides_a_complete_table_as_canonical_form_does(G, include_gamma):
+    # from the root at k = N every relabelling joins and walks the whole table;
+    # an automorphism reaches the sentinel and reads as equal
+    n, m = G.order, G.gamma_count
+    tables = [[[*row, n] for row in t] + [[n] * (n + 1)] for t in G.tables]
+    step = search._lex_leader(tables, n, m, include_gamma)
+    least = canonical_form(G, include_gamma).tables == G.tables
+    assert (step(n * n * m, (0, (), ())) is not None) is least
+
+
 def test_the_lex_leader_state_fits_its_16_bit_arrays():
     # relabelling indexes and walk positions are kept as array("H")
     assert search.MAX_RELABELLINGS <= 2 ** 16
@@ -713,11 +725,6 @@ def _leaf_stream(n, m, laws, leaf, **kw):
     return [G.tables for G in enumerate_structures(SearchSpec(n, m, filters, **kw))]
 
 
-def _is_subsequence(part, whole):
-    rest = iter(whole)
-    return all(x in rest for x in part)  # each membership test consumes rest up to x
-
-
 @pytest.mark.parametrize("include_gamma", [True, False])
 @pytest.mark.parametrize("leaf", [Filter.REGULAR, Filter.HAS_LEFT_IDENTITY])
 @pytest.mark.parametrize("n,m,laws", LEX_SHAPES)
@@ -730,16 +737,17 @@ def test_the_lex_pruned_stream_lies_between_the_class_stream_and_the_labelled_st
     least = [T for T in labelled
              if canonical_form(GammaGroupoid.from_tables(T), include_gamma).tables == T]
     assert classes == least
-    # in labelled order, and holding the least member of every class
-    assert _is_subsequence(pruned, labelled)
-    assert _is_subsequence(least, pruned)
+    # the walks decide each complete table as canonical_form does, so the
+    # pruned stream lies between the two by being the class stream itself
+    assert pruned == classes
 
 
 def test_the_lex_pruned_stream_prunes():
     labelled = _leaf_stream(4, 1, ("li",), Filter.REGULAR)
     pruned = _leaf_stream(4, 1, ("li",), Filter.REGULAR, lex_pruned=True)
     classes = _leaf_stream(4, 1, ("li",), Filter.REGULAR, up_to_iso=True)
-    assert len(classes) < len(pruned) < len(labelled) // 4
+    assert pruned == classes
+    assert len(classes) < len(labelled) // 4
 
 
 def test_a_lex_pruned_search_never_calls_canonical_form(monkeypatch):
@@ -763,6 +771,19 @@ def test_a_lex_pruned_search_over_a_refused_table_streams_the_labelled_tables(
     labelled = [G.tables for G in enumerate_structures(spec)]
     assert [G.tables for G in enumerate_structures(pruned)] == labelled
     assert len(labelled) == 3
+
+
+def test_a_lex_pruned_search_over_a_refused_full_table_prunes_by_carrier_permutations():
+    # 6!·5! relabellings are refused, while the 6! carrier permutations fit
+    with pytest.raises(gl.LimitExceededError, match="^canonical form over"):
+        search._relabellings(6, 5, True)
+    spec = SearchSpec(6, 5, limit=20, allow_large=True)
+    pruned = [G.tables for G in enumerate_structures(replace(spec, lex_pruned=True))]
+    carrier_classes = [G.tables for G in enumerate_structures(
+        replace(spec, up_to_iso=True, iso_include_gamma=False))]
+    assert pruned == carrier_classes
+    assert pruned != [G.tables for G in enumerate_structures(spec)]
+    assert len(pruned) == 20
 
 
 def test_a_lex_pruned_search_builds_its_table_only_once_it_streams(monkeypatch):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaglab as gl
 from gaglab import core, ideals, theorems
@@ -146,6 +147,25 @@ def test_bi_product_verifier_matches_the_three_product_loop(G):
     assert LemmaId.L_BI_PRODUCT.verifier(G) == _reference_verify_bi_product(G)
 
 
+@st.composite
+def near_constant_structures(draw):
+    """A constant table with a few cells changed: most bi-ideals B1 then share
+    their rows B1Γb, and both outcomes occur."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 2))
+    element = st.integers(0, n - 1)
+    tables = [[[c] * n for _ in range(n)] for c in (draw(element) for _ in range(m))]
+    for _ in range(draw(st.integers(0, 3))):
+        tables[draw(st.integers(0, m - 1))][draw(element)][draw(element)] = draw(element)
+    return GammaGroupoid.from_tables(tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_constant_structures())
+def test_bi_product_verifier_matches_the_three_product_loop_where_rows_repeat(G):
+    assert LemmaId.L_BI_PRODUCT.verifier(G) == _reference_verify_bi_product(G)
+
+
 def test_bi_product_verifier_checks_each_distinct_product_once(monkeypatch, gamma5):
     G = fresh(gamma5)
     calls = []
@@ -219,8 +239,8 @@ def test_hunt_regular_iff_idempotent_left_finds_the_shipped_fixture():
     assert v.witness == {"regular": True, "subset": 0b011, "product": 0b001}
 
 
-@pytest.mark.parametrize("lid,refusals", [(LemmaId.L_INTERIOR_IFF_RIGHT, (3, 3)),
-                                          (LemmaId.L_MEDIAL, (26, 63))])
+@pytest.mark.parametrize("lid,refusals", [(LemmaId.L_INTERIOR_IFF_RIGHT, 3),
+                                          (LemmaId.L_MEDIAL, 63)])
 def test_a_lex_pruned_hunt_refuses_the_same_classes_as_the_labelled_hunt(
         lid, refusals, monkeypatch):
     # refuse every commutative structure, a property that relabelling keeps, as a
@@ -241,13 +261,27 @@ def test_a_lex_pruned_hunt_refuses_the_same_classes_as_the_labelled_hunt(
     assert (want is None) is (lid is LemmaId.L_MEDIAL)
     assert got == want
     # every class refused before the counterexample has its least member among
-    # the pruned stream's refusals, so the count is nonzero exactly when it was
-    # before, but it counts the structures of the pruned stream: (pruned, labelled)
-    assert {gl.canonical_form(G).tables for G in pruned} \
-        == {gl.canonical_form(G).tables for G in labelled}
+    # the pruned stream's refusals, and the pruned stream holds one member of
+    # each class, so the pruned hunt counts the refused classes
+    classes = {gl.canonical_form(G).tables for G in labelled}
+    assert {gl.canonical_form(G).tables for G in pruned} == classes
     refused_tables = [G.tables for G in labelled]
     assert all(G.tables in refused_tables for G in pruned)
-    assert (len(pruned), len(labelled)) == refusals
+    assert len(pruned) == len(classes)
+    assert len(labelled) == refusals
+
+
+@pytest.mark.parametrize("lid", list(LemmaId))
+def test_a_lex_pruned_hunt_finds_the_labelled_hunts_counterexample(lid):
+    # the labelled stream is the oracle: its first counterexample is the least
+    # of its class, so the class stream meets it first too
+    for n, m in ((2, 2), (3, 1)):
+        spec = gl.SearchSpec(n, m, frozenset(lid.hypotheses))
+        found = [hunt(gl.enumerate_structures(s), lid)
+                 for s in (spec, gl.SearchSpec(n, m, spec.filters, lex_pruned=True))]
+        want, got = [None if f is None else (f[0].tables, f[1].status, f[1].witness)
+                     for f in found]
+        assert got == want, (n, m)
 
 
 # ---------------------------------------------------------------------------
