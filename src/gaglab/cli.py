@@ -15,7 +15,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .core import GammaGroupoid, Law, check_law, law_sides
+from .core import GammaGroupoid, Law, check_law, check_law_size, law_sides
 from .ideals import _CLOSURE_KINDS, IdealKind, build_ideal_semilattice, check_enum_order, \
     enumerate_ideals, ideal_closure
 from .io import ParseError, parse_file, serialize, write_file
@@ -93,6 +93,8 @@ def _fmt_lemma_witness(w: dict) -> str:
 
 def _cmd_check(args) -> tuple[dict, int]:
     G = parse_file(args.file)
+    for law in Law:  # every law's size is refused before the first law's pass
+        check_law_size(G, law)
     entries = []
     for law in Law:
         v = check_law(G, law)

@@ -24,6 +24,13 @@ class LimitExceededError(ValueError):
     """An exhaustive scan was refused because the input is too large."""
 
 
+def _refuse_beyond(count: int, bound: int, what: str, **fields) -> None:
+    """The one refusal rule: a count above its bound raises "{what} refused beyond
+    {bound}", the template ``what`` formatted, only then, with the count and fields."""
+    if count > bound:
+        raise LimitExceededError(f"{what.format(count, **fields)} refused beyond {bound}")
+
+
 @dataclass(frozen=True)
 class LawVerdict:
     """Result of an exhaustive law check.
@@ -484,13 +491,16 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     a fact of G, so each call on one structure and law returns one object.
     """
     def verdict():
-        instances = prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables)
-        if instances > MAX_LAW_INSTANCES:
-            raise LimitExceededError(f"{law.value} scan over {instances} instances refused "
-                                     f"beyond {MAX_LAW_INSTANCES}")
+        check_law_size(G, law)
         witness = None if law.holds(G) else law.scan(G)
         return LawVerdict(witness is None, witness)
     return _fact(G, law, verdict)
+
+
+def check_law_size(G: GammaGroupoid, law: Law) -> None:
+    """Refuse a scan of ``law`` over G of more than ``MAX_LAW_INSTANCES`` instances."""
+    _refuse_beyond(prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables),
+                   MAX_LAW_INSTANCES, "{law} scan over {} instances", law=law.value)
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:

@@ -21,10 +21,10 @@ from typing import Optional
 
 from .core import (
     GammaGroupoid,
-    LimitExceededError,
     _check_width,
     _fact,
     _powerset_kernel,
+    _refuse_beyond,
     compile_scan,
     is_regular,
     subset_product,
@@ -159,9 +159,7 @@ def is_ideal(G: GammaGroupoid, S: int, kind: IdealKind) -> IdealVerdict:
 def check_enum_order(order: int) -> None:
     """Refuse a carrier of more than ``MAX_ENUM_ORDER`` elements, whose subsets
     are not enumerated."""
-    if order > MAX_ENUM_ORDER:
-        raise LimitExceededError(
-            f"subset enumeration over {order} elements refused beyond {MAX_ENUM_ORDER}")
+    _refuse_beyond(order, MAX_ENUM_ORDER, "subset enumeration over {} elements")
 
 
 def enumerate_ideals(G: GammaGroupoid, kind: IdealKind) -> list[int]:
@@ -180,9 +178,7 @@ def paired_ideals(G: GammaGroupoid) -> tuple:
     than ``MAX_PAIRED_IDEALS`` ideals are refused before the first product."""
     def pair():
         ideals = tuple(enumerate_ideals(G, IdealKind.TWO_SIDED))
-        if len(ideals) > MAX_PAIRED_IDEALS:
-            raise LimitExceededError(f"pairing {len(ideals)} two-sided ideals refused "
-                                     f"beyond {MAX_PAIRED_IDEALS}")
+        _refuse_beyond(len(ideals), MAX_PAIRED_IDEALS, "pairing {} two-sided ideals")
         return ideals, tuple(tuple(subset_product(G, A, B) for B in ideals) for A in ideals)
     return _fact(G, "paired", pair)
 

@@ -41,10 +41,10 @@ that meets no difference (an automorphism) as undecided.  It keeps a table
 when none is smaller, so its stream is the ``up_to_iso`` stream, one
 structure per class.  A hunt runs on this class stream, since the first
 labelled counterexample is always the least of its class (the least member
-is a counterexample too, and comes no later).  Its table is built lazily; a
-shape whose full table is refused prunes by carrier permutations alone, one
-structure per carrier class, and one whose carrier table is refused too
-streams every labelled table.
+is a counterexample too, and comes no later).  Its table is built at the
+stream's first ``next()``; a shape whose full table is refused prunes by
+carrier permutations alone, one structure per carrier class, and one whose
+carrier table is refused too streams every labelled table.
 """
 from __future__ import annotations
 
@@ -58,8 +58,8 @@ from itertools import chain, islice, permutations, product, repeat
 from math import factorial
 from typing import Iterator, Optional
 
-from .core import (GammaGroupoid, Law, LimitExceededError, _define, _variables, check_law,
-                   identities, is_regular)
+from .core import (GammaGroupoid, Law, LimitExceededError, _define, _refuse_beyond, _variables,
+                   check_law, identities, is_regular)
 
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
@@ -127,10 +127,8 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         raise LimitExceededError(
             f"search over order {spec.order} with {spec.gammas} gammas refused; "
             "set allow_large to override")
-    cells = spec.order * spec.order * spec.gammas
-    if cells > MAX_SEARCH_CELLS:
-        raise LimitExceededError(
-            f"search over {cells} table cells refused beyond {MAX_SEARCH_CELLS}")
+    _refuse_beyond(spec.order * spec.order * spec.gammas, MAX_SEARCH_CELLS,
+                   "search over {} table cells")
     if spec.up_to_iso:  # the search's one table, built here to refuse its shape at once
         _relabellings(spec.order, spec.gammas, spec.iso_include_gamma)
     return islice(_generate(spec), spec.limit)
@@ -353,16 +351,12 @@ def _relabellings(n: int, m: int, include_gamma: bool) -> list:
     over the old cells.  ``sigma`` also maps n to n, the search's unassigned
     cell.  Refused beyond the bounds before a factorial passes them; kept for
     two shapes."""
+    what = "canonical form over {n}!" + ("·{m}!" if include_gamma else "") + " relabellings"
     total = 1
     for k in chain(range(2, n + 1), range(2, m + 1) if include_gamma else ()):
         total *= k
-        if total > MAX_RELABELLINGS:
-            shape = f"{n}!·{m}!" if include_gamma else f"{n}!"
-            raise LimitExceededError(
-                f"canonical form over {shape} relabellings refused beyond {MAX_RELABELLINGS}")
-    if total * n * n * m > MAX_TABLE_CELLS:
-        raise LimitExceededError(f"canonical form over {total * n * n * m} relabelled cells "
-                                 f"refused beyond {MAX_TABLE_CELLS}")
+        _refuse_beyond(total, MAX_RELABELLINGS, what, n=n, m=m)
+    _refuse_beyond(total * n * n * m, MAX_TABLE_CELLS, "canonical form over {} relabelled cells")
     table = []
     for gammas in permutations(range(m)) if include_gamma else [range(m)]:
         for sigma in permutations(range(n)):

@@ -114,24 +114,19 @@ def _idempotent_quasi(G):
             if is_idempotent(G, Q))
 
 
-def _gG_and_Gg(G):
-    full = G.carrier
-    for g in range(G.order):
-        for S, side in ((subset_product(G, 1 << g, full), "gG"),
-                        (subset_product(G, full, 1 << g), "Gg")):
-            yield S, S, {"element": g, "side": side}
+def _per_element(*sides):
+    """Candidates: for each element a in turn, the subset ``make(G, a)`` of each
+    (make, side) pair, with a as "element" and the side, unless None, as "side"."""
+    def candidates(G):
+        for a in range(G.order):
+            for make, side in sides:
+                S = make(G, a)
+                yield S, S, {"element": a, "side": side} if side else {"element": a}
+    return candidates
 
 
-def _aG(G):
-    for a in range(G.order):
-        S = subset_product(G, 1 << a, G.carrier)
-        yield S, S, {"element": a}
-
-
-def _principal_lefts(G):
-    for a in range(G.order):
-        S = principal_left(G, a)
-        yield S, S, {"element": a}
+def _aG(G, a):
+    return subset_product(G, 1 << a, G.carrier)
 
 
 def _verify_l1(G):
@@ -284,8 +279,10 @@ class LemmaId(Enum):
     L_ABSORPTION_REGULAR = ("l-absorption-regular", _REG, _equal_products(
         (IdealKind.RIGHT, lambda G, S: subset_product(G, S, G.carrier), {"side": "right"}),
         (IdealKind.LEFT, lambda G, S: subset_product(G, G.carrier, S), {"side": "left"})))
-    L_GG_BI = "l-gg-bi", _AGSS, _all_ideals(IdealKind.BI, _gG_and_Gg)
-    C_AG_BI_REGULAR = "c-ag-bi-regular", _AGSS_REG, _all_ideals(IdealKind.BI, _aG)
+    L_GG_BI = "l-gg-bi", _AGSS, _all_ideals(IdealKind.BI, _per_element(
+        (_aG, "gG"), (lambda G, a: subset_product(G, G.carrier, 1 << a), "Gg")))
+    C_AG_BI_REGULAR = ("c-ag-bi-regular", _AGSS_REG,
+                       _all_ideals(IdealKind.BI, _per_element((_aG, None))))
     L_BGB_REGULAR = ("l-bgb-regular", _REG, _equal_products(
         (IdealKind.BI, lambda G, S: subset_product(G, subset_product(G, S, G.carrier), S), {})))
     L_GG_REGULAR = "l-gg-regular", _REG, _verify_gg_regular
@@ -299,7 +296,7 @@ class LemmaId(Enum):
     L_IDEM_IDEALS_REGULAR = ("l-idem-ideals-regular", _REG, _equal_products(
         (IdealKind.TWO_SIDED, lambda G, S: subset_product(G, S, S), {})))
     L_PRINCIPAL_LEFT_AGSS = ("l-principal-left-agss", _AGSS,
-                             _all_ideals(IdealKind.LEFT, _principal_lefts))
+                             _all_ideals(IdealKind.LEFT, _per_element((principal_left, None))))
 
     def __new__(cls, value, hypotheses, verifier):
         lid = object.__new__(cls)

@@ -631,19 +631,28 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "parse error: line 4" in capsys.readouterr().err
 
 
-def _wide(tmp_path):
-    # one element under 300 gammas: medial and paramedial have 300**3 instances
+def _wide(tmp_path, gammas=300):
+    # one element under many gammas: medial and paramedial have gammas**3 instances
     doc = tmp_path / "wide.gag"
-    doc.write_text("order 1\ngammas 300\n" + "".join(f"gamma g{i}\n1\n" for i in range(300)),
-                   encoding="utf-8")
+    doc.write_text(f"order 1\ngammas {gammas}\n"
+                   + "".join(f"gamma g{i}\n1\n" for i in range(gammas)), encoding="utf-8")
     return str(doc)
 
 
-def test_check_refuses_an_oversized_law_scan(tmp_path, capsys):
-    assert run(["check", _wide(tmp_path)]) == 2
+@pytest.mark.parametrize("gammas,instances", [(300, 27000000), (4000, 64000000000)])
+def test_check_refuses_an_oversized_law_scan(tmp_path, capsys, monkeypatch, gammas, instances):
+    # every law's size is checked before the first verdict pass: at 4,000 gammas the
+    # left-invertive and ag-star-star passes, 4000**2 instances each, take seconds
+    passes = []
+
+    def recording(law, G):
+        passes.append(law.value)
+        return True
+    monkeypatch.setattr(gl.Law, "holds", recording)
+    assert run(["check", _wide(tmp_path, gammas)]) == 2
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: medial scan over 27000000 instances refused beyond 16777216\n"
+    assert (out, passes) == ("", [])
+    assert err == f"error: medial scan over {instances} instances refused beyond 16777216\n"
 
 
 def test_search_refuses_an_oversized_canonical_order_at_once(capsys):
