@@ -233,11 +233,10 @@ def _text_search(r):
 
 def _cmd_hunt(args) -> tuple[dict, int]:
     lid = LemmaId(args.lemma)
-    filters = {Filter(f) for f in args.filter or []}
-    if args.hypotheses:
-        filters |= set(lid.hypotheses)
-    # every filter and verdict is invariant under relabelling, so the first
-    # labelled counterexample is the least of its class and survives the pruning
+    # a structure outside the hypotheses is not applicable, and every filter and
+    # verdict is invariant under relabelling, so the first labelled counterexample
+    # meets the hypotheses, is the least of its class and survives the pruning
+    filters = {*lid.hypotheses, *(Filter(f) for f in args.filter or [])}
     spec = SearchSpec(order=args.order, gammas=args.gammas, filters=filters,
                       allow_large=args.allow_large, lex_pruned=True)
     structures = enumerate_structures(spec)  # the search's own limits come first
@@ -332,7 +331,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--lemma", required=True, choices=[l.value for l in LemmaId])
     sp.add_argument("--filter", action="append", choices=[f.value for f in Filter])
     sp.add_argument("--hypotheses", action="store_true",
-                    help="also apply the lemma's own hypothesis filters")
+                    help="no effect, kept for existing command lines: a hunt always "
+                         "searches only structures that meet the lemma's hypotheses")
     sp.add_argument("--allow-large", action="store_true")
     common(sp)
     sp.set_defaults(func=_cmd_hunt)

@@ -99,11 +99,11 @@ class GammaGroupoid:
         return cls(tt, default_labels(len(tt[0]) if tt else 0), default_gamma_names(len(tt)))
 
     @classmethod
-    def _trusted(cls, tables) -> "GammaGroupoid":
-        """``from_tables`` of valid tuple tables, skipping ``__post_init__``'s checks."""
+    def _trusted(cls, tables, labels=None, gamma_names=None) -> "GammaGroupoid":
+        """Valid tuple tables and names, unchecked; names default as in ``from_tables``."""
         G = object.__new__(cls)
-        G.__dict__.update(tables=tables, labels=default_labels(len(tables[0])),
-                          gamma_names=default_gamma_names(len(tables)))
+        G.__dict__.update(tables=tables, labels=labels or default_labels(len(tables[0])),
+                          gamma_names=gamma_names or default_gamma_names(len(tables)))
         G._set_shape()
         return G
 

@@ -104,10 +104,8 @@ def parse(text: str) -> GammaGroupoid:
     for lineno, tokens in lines:
         if tokens:
             raise ParseError(lineno, "expected end of document")
-    try:
-        return GammaGroupoid(tuple(tables), labels, tuple(gamma_names))
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from exc
+    # each check of GammaGroupoid.__post_init__ is made above, on the tokens
+    return GammaGroupoid._trusted(tuple(tables), labels, tuple(gamma_names))
 
 
 def serialize(G: GammaGroupoid) -> str:

@@ -280,7 +280,7 @@ class LemmaId(Enum):
         (IdealKind.RIGHT, lambda G, S: subset_product(G, S, G.carrier), {"side": "right"}),
         (IdealKind.LEFT, lambda G, S: subset_product(G, G.carrier, S), {"side": "left"})))
     L_GG_BI = "l-gg-bi", _AGSS, _all_ideals(IdealKind.BI, _per_element(
-        (_aG, "gG"), (lambda G, a: subset_product(G, G.carrier, 1 << a), "Gg")))
+        (_aG, "gG"), (principal_left, "Gg")))
     C_AG_BI_REGULAR = ("c-ag-bi-regular", _AGSS_REG,
                        _all_ideals(IdealKind.BI, _per_element((_aG, None))))
     L_BGB_REGULAR = ("l-bgb-regular", _REG, _equal_products(

@@ -560,21 +560,26 @@ def test_hunt_json_matches_the_benchmark_pin(lemma, capsys):
 HUNT_SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]  # the benchmark's sweep
 
 
-def _hunt_and_labelled_hunt(monkeypatch, capsys, argv):
-    """The hunt's (exit code, stdout) and those of the same hunt over the labelled
-    stream, the spec without lex_pruned, reported by the same code."""
+def _spied_hunt(monkeypatch, capsys, argv, oracle=None):
+    """The hunt's (exit code, stdout) and the specs it built; with ``oracle``, each
+    spec's stream is that of ``oracle(spec)``, reported by the same code."""
     real = cli.enumerate_structures
     specs = []
 
     def spying(spec):
         specs.append(spec)
-        return real(spec)
+        return real(spec if oracle is None else oracle(spec))
     monkeypatch.setattr(cli, "enumerate_structures", spying)
-    got = run(argv), capsys.readouterr().out
+    return (run(argv), capsys.readouterr().out), specs
+
+
+def _hunt_and_labelled_hunt(monkeypatch, capsys, argv):
+    """The hunt's (exit code, stdout) and those of the same hunt over the labelled
+    stream, the spec without lex_pruned."""
+    got, specs = _spied_hunt(monkeypatch, capsys, argv)
     assert [spec.lex_pruned for spec in specs] == [True]
-    monkeypatch.setattr(cli, "enumerate_structures",
-                        lambda spec: real(replace(spec, lex_pruned=False)))
-    return got, (run(argv), capsys.readouterr().out)
+    return got, _spied_hunt(monkeypatch, capsys, argv,
+                            lambda spec: replace(spec, lex_pruned=False))[0]
 
 
 @pytest.mark.parametrize("lemma", [lid.value for lid in gl.LemmaId])
@@ -600,6 +605,46 @@ def test_hunt_equals_the_labelled_hunt(argv, code, monkeypatch, capsys):
                                             ["hunt", *argv.split(), "--json"])
     assert got == labelled
     assert code is None or got[0] == code
+
+
+# the hunt against its other oracle: the same hunt over a stream without the
+# entry's hypotheses, where every structure outside them is not applicable
+
+@pytest.mark.parametrize("lid", list(gl.LemmaId), ids=lambda lid: lid.value)
+def test_a_hunt_searches_its_entrys_hypotheses_with_or_without_the_flag(
+        lid, monkeypatch, capsys):
+    argv = ["hunt", "--order", "2", "--gammas", "1", "--lemma", lid.value]
+    for filters in ([], ["non-associative"]):
+        want = frozenset({*lid.hypotheses, *map(gl.Filter, filters)})
+        for flag in ([], ["--hypotheses"]):
+            extra = [a for f in filters for a in ("--filter", f)] + flag
+            _, specs = _spied_hunt(monkeypatch, capsys, argv + extra)
+            assert [spec.filters for spec in specs] == [want], extra
+
+
+@pytest.mark.parametrize("lemma", [lid.value for lid in gl.LemmaId])
+def test_hunt_equals_the_hunt_over_the_unrestricted_stream(lemma, monkeypatch, capsys):
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+        for filters in ([], ["non-associative"]):
+            argv = ["hunt", "--order", str(n), "--gammas", str(m), "--lemma", lemma,
+                    *(a for f in filters for a in ("--filter", f)), "--json"]
+            got, _ = _spied_hunt(monkeypatch, capsys, argv)
+            unrestricted, _ = _spied_hunt(
+                monkeypatch, capsys, argv,
+                lambda spec: replace(spec, filters=frozenset(map(gl.Filter, filters))))
+            assert got == unrestricted, (n, m, filters)
+
+
+def test_a_hunt_whose_filter_contradicts_a_hypothesis_exits_2_before_searching(
+        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_structures",
+                        lambda spec: pytest.fail("a contradictory spec was searched"))
+    argv = ["hunt", "--order", "3", "--gammas", "1", "--lemma", "l1-left-identity-collapse",
+            "--filter", "no-left-identity"]
+    for extra in ([], ["--hypotheses"], ["--json"]):
+        assert run(argv + extra) == 2
+        assert capsys.readouterr() == (
+            "", "error: has-left-identity and no-left-identity are mutually exclusive\n")
 
 
 @pytest.mark.parametrize("fixture,lemma,shape", [

@@ -152,8 +152,72 @@ def test_fixture_path_and_file_io(tmp_path, gamma5):
     assert gl.parse_file(target) == gamma5
 
 
-@pytest.mark.parametrize("path", sorted(gl.fixture_path("gamma5").parent.glob("*.gag")),
-                         ids=lambda p: p.stem)
+# parse builds its structure without GammaGroupoid's own checks; the checking
+# constructor is the oracle, and must accept every document that parse accepts
+
+FIXTURES = sorted(gl.fixture_path("gamma5").parent.glob("*.gag"))
+
+
+def _checked(G):
+    """G again, built by the checking constructor, which must accept it and agree."""
+    again = gl.GammaGroupoid(G.tables, G.labels, G.gamma_names)
+    assert again == G
+    assert (G.order, G.gamma_count, G.carrier) == (again.order, again.gamma_count,
+                                                   again.carrier)
+    return again
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_a_parsed_fixture_passes_the_checking_constructor(path):
+    _checked(gl.parse_file(path))
+
+
+# a token is any run of non-blank characters but '#', zero-width ones included
+_TOKEN = st.text(st.one_of(st.characters(blacklist_categories=("Z", "C"),
+                                         blacklist_characters="#"),
+                           st.sampled_from("\ufeff\u200b")), min_size=1, max_size=3)
+
+
+@st.composite
+def documents(draw):
+    """A document that parse accepts, with or without a labels line, with comments,
+    blank lines and uneven spacing, and the tables, labels and names it declares."""
+    tables = draw(structures()).tables
+    n, m = len(tables[0]), len(tables)
+    labels = draw(st.one_of(st.none(), st.lists(_TOKEN, min_size=n, max_size=n, unique=True)))
+    names = draw(st.lists(_TOKEN, min_size=m, max_size=m, unique=True))
+    shown = labels or [str(v + 1) for v in range(n)]
+    lines = [f"order {n}", f"gammas {m}", *(["labels " + " ".join(labels)] if labels else [])]
+    for name, table in zip(names, tables):
+        lines += [f"gamma {name}", *(" ".join(shown[v] for v in row) for row in table)]
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["", " \t ", "# a comment", " # α # β"]),
+                             max_size=2))
+        out.append(draw(st.sampled_from(["", "  ", "\t"])) +
+                   draw(st.sampled_from([" ", "   ", "\t"])).join(line.split(" ")) +
+                   draw(st.sampled_from(["", " ", "# note", " \t# note #"])))
+    text = "\n".join(out) + draw(st.sampled_from(["", "\n", "\n# the end\n\n"]))
+    return text, (tables, tuple(shown), tuple(names))
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "doc.gag"
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_a_parsed_document_passes_the_checking_constructor(doc_path, document):
+    text, parts = document
+    G = _checked(parse(text))
+    assert (G.tables, G.labels, G.gamma_names) == parts
+    for bom in (b"", b"\xef\xbb\xbf"):
+        doc_path.write_bytes(bom + text.encode("utf-8"))
+        assert _checked(gl.parse_file(doc_path)) == G
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_a_file_with_a_byte_order_mark_parses_as_without(tmp_path, path):
     target = tmp_path / path.name
     target.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
