@@ -13,7 +13,6 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from math import prod
 from typing import Iterable, Literal, Optional
 
 MAX_ORDER = 64  # one bit per element in a subset mask
@@ -459,6 +458,8 @@ class Law(Enum):
         law._value_ = value
         law.terms = lhs, rhs
         law.variables = _variables(lhs, rhs)
+        law.gamma_variables = sum(is_gamma for _, is_gamma in law.variables)
+        law.element_variables = len(law.variables) - law.gamma_variables
         return law
 
     def holds(self, G: GammaGroupoid) -> bool:
@@ -499,7 +500,7 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
 
 def check_law_size(G: GammaGroupoid, law: Law) -> None:
     """Refuse a scan of ``law`` over G of more than ``MAX_LAW_INSTANCES`` instances."""
-    _refuse_beyond(prod(G.gamma_count if is_gamma else G.order for _, is_gamma in law.variables),
+    _refuse_beyond(G.order ** law.element_variables * G.gamma_count ** law.gamma_variables,
                    MAX_LAW_INSTANCES, "{law} scan over {} instances", law=law.value)
 
 

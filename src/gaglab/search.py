@@ -15,7 +15,9 @@ at its outermost lookup forces that cell to the known value (unit
 propagation, as in SEM), one with both outermost cells unassigned waits on
 both of them, and any other is moved to its first unassigned inner lookup.
 Forced cells are propagated at once and skipped by the backtracking; a trail
-of moved instances and forced cells is rolled back on the way up.  A cell is
+of moved instances and of forced cells' flat indexes is rolled back on the way
+up.  The backtracking and the propagate step write each cell they assign to one
+flat list too, which the lex-leader walks and the leaf read.  A cell is
 only forced to the one value every completion must give it, so the stream is
 the same as with pruning alone.  Emitted structures are re-checked in full at
 the leaf, so pruning is an optimization, never trusted.
@@ -143,35 +145,36 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     waiting = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
     cells = [(tables[g][r], c, waiting[g][r][c])
              for g in range(m) for r in range(n) for c in range(n)]
+    end = len(cells)
+    flat = [n] * (end + 1)  # the cells in flat order, as in tables, then a sentinel n
     moved = []   # the bucket each re-queued instance went to, in order
-    forced = []  # the (row, column) of each cell assigned by propagation, in order
+    forced = []  # the flat index of each cell assigned by propagation, in order
     prunable = [f for f in Filter if f in spec.filters and f.law]
     # The leaf-only filters, which can reject a leaf, are checked before the
     # prunable ones, which re-check the pruning; each group in declaration order.
     leaf_filters = [f for f in Filter if f in spec.filters and not f.law] + prunable
     laws = tuple(f.law for f in prunable)
     propagate = compile_propagate(tuple(law.terms for law in laws))(
-        tables, waiting, n, moved, forced)
+        tables, waiting, n, moved, forced, flat)
     lex = None
     if spec.up_to_iso or spec.lex_pruned:
         try:  # enumerate_structures has refused an oversized up_to_iso table
-            lex = _lex_leader(tables, n, m, spec.iso_include_gamma)
+            lex = _lex_leader(flat, n, m, spec.iso_include_gamma)
         except LimitExceededError:
             # pruning is an optimization: lex_pruned prunes by carrier permutations
             # where their table fits, and else streams every labelled table
             with suppress(LimitExceededError):
-                lex = _lex_leader(tables, n, m, False)
+                lex = _lex_leader(flat, n, m, False)
     decide = lex if spec.lex_pruned else None  # the walks decide a lex_pruned leaf
-    end = len(cells)
 
     def rec(pos, walks):
-        while pos < end and cells[pos][0][cells[pos][1]] != n:
+        while flat[pos] != n:
             pos += 1  # assigned by propagation
         if pos == end:
             if decide and decide(end, walks) is None:
                 return  # some relabelling of the complete table is smaller
-            G = GammaGroupoid._trusted(tuple([tuple([tuple(row[:n]) for row in t[:n]])
-                                              for t in tables]))
+            rows = zip(*[iter(flat[:end])] * n)  # n cells to a row, then n rows to a table
+            G = GammaGroupoid._trusted(tuple(zip(*[rows] * n)))
             if all(f.holds(G) for f in leaf_filters) and (
                     not spec.up_to_iso
                     or canonical_form(G, include_gamma=spec.iso_include_gamma).tables == G.tables):
@@ -182,7 +185,7 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
         row, c, bucket = cells[pos]
         n_moved, n_forced = len(moved), len(forced)
         for v in range(n):
-            row[c] = v
+            row[c] = flat[pos] = v
             if propagate(bucket):
                 yield from rec(pos + 1, walks)
             if len(moved) != n_moved:  # roll back what this value's propagation added
@@ -190,21 +193,24 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
                     waits.pop()
                 del moved[n_moved:]
             if len(forced) != n_forced:
-                for assigned, at in forced[n_forced:]:
-                    assigned[at] = n
+                for k in forced[n_forced:]:
+                    assigned, at, _ = cells[k]
+                    assigned[at] = flat[k] = n
                 del forced[n_forced:]
-        row[c] = n
+        row[c] = flat[pos] = n
 
     if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
         yield from rec(0, (0, (), ()))
 
 
-def _lex_leader(tables, n, m, include_gamma):
+def _lex_leader(flat, n, m, include_gamma):
     """The lex-leader step of an ``up_to_iso`` or ``lex_pruned`` search over
-    ``tables``: at a node whose first unassigned cell is k, ``step(k, walks)``
-    takes the parent's walks and returns the node's, which its children take,
-    or None when some relabelling of the partial table is already smaller, so
-    that no leaf below is the least of its orbit (lex-leader symmetry breaking).
+    ``flat``, its cells in flat order and then a sentinel n, which the search
+    keeps current and the step reads in place: at a node whose first
+    unassigned cell is k, ``step(k, walks)`` takes the parent's walks and
+    returns the node's, which its children take, or None when some relabelling
+    of the partial table is already smaller, so that no leaf below is the least
+    of its orbit (lex-leader symmetry breaking).
 
     Walks are ``(k, undecided, resume)``: a node's cell k, the relabellings
     still undecided there and where each walk resumes; the root takes
@@ -220,7 +226,6 @@ def _lex_leader(tables, n, m, include_gamma):
     relabelling is smaller.  ``lex_pruned`` decides its leaf so, and
     ``up_to_iso`` checks its leaf with ``canonical_form``.
     """
-    rows = [t[r] for t in tables for r in range(n)]  # flat cell k is rows[k // n][k % n]
     table = sorted(_relabellings(n, m, include_gamma)[1:], key=lambda entry: entry[1][0])
     firsts = [cells[0] for _, cells in table]
     joined = [bisect_left(firsts, k) for k in range(n * n * m + 1)]  # relabellings joined by cell k
@@ -230,8 +235,6 @@ def _lex_leader(tables, n, m, include_gamma):
         joining = range(joined[start], joined[k])
         if not ts and not joining:
             return k, ts, ats
-        flat = [v for row in rows for v in row[:n]]
-        flat.append(n)  # a walk past the last cell stops there, undecided
         # 16 bits hold both: at most MAX_RELABELLINGS relabellings and MAX_SEARCH_CELLS cells
         undecided, resume = array("H"), array("H")
         for t, i in chain(zip(ts, ats), zip(joining, repeat(0))):
@@ -251,11 +254,12 @@ def _lex_leader(tables, n, m, include_gamma):
 
 @lru_cache(maxsize=None)
 def compile_propagate(laws):
-    """Compile ``f(T, W, n, moved, forced)``, which returns the search's
+    """Compile ``f(T, W, n, moved, forced, F)``, which returns the search's
     ``propagate(batch)`` over instances of ``laws``, a tuple of term pairs;
     compiled once per tuple.
 
-    T holds ``n`` in every unassigned cell and in a spare row and column, and
+    T holds ``n`` in every unassigned cell and in a spare row and column, F
+    holds the same cells in flat order (cell (g, r, c) at g·n·n + r·n + c), and
     ``W[g][r][c]`` lists the instances waiting on unassigned cell (g, r, c).  An
     instance is ``(k, *values)``: the index of its law and values of that law's
     variables.  ``propagate`` runs each instance of ``batch``, with its lookups
@@ -265,10 +269,10 @@ def compile_propagate(laws):
     unassigned outermost cell to the other side's known value, or waits on both
     outermost cells when both are unassigned (Chaff's two watched literals).
     A wait appends the instance to the bucket and the bucket to ``moved``; a
-    force assigns the cell, appends ``(row, column)`` to ``forced`` and queues
-    the cell's bucket.
+    force assigns the cell in T and in F, appends its flat index to ``forced``
+    and queues the cell's bucket.
     """
-    lines = ["def f(T, W, n, moved, forced):",
+    lines = ["def f(T, W, n, moved, forced, F):",
              "    def propagate(batch):",
              "        todo = [batch]",
              "        for batch in todo:",
@@ -305,7 +309,8 @@ def compile_propagate(laws):
         lines.append(f"{pad}if {lhs} != {rhs}:")
         for branch, (i, at) in enumerate(roots):  # a side reading n: the other is known
             lines.append(f"{pad}    {'elif' if branch else 'if'} s{i} == n:")
-            lines.append(f"{pad}        r{i}[{at[2]}] = {sides[1 - i]}; forced.append((r{i}, {at[2]}))")
+            lines.append(f"{pad}        j = ({at[0]} * n + {at[1]}) * n + {at[2]}; "
+                         f"r{i}[{at[2]}] = F[j] = {sides[1 - i]}; forced.append(j)")
             lines.append(f"{pad}        todo.append(W[{at[0]}][{at[1]}][{at[2]}])")
         lines.append(f"{pad}    {'else: ' if roots else ''}return False")
         if len(roots) == 2:  # equal sides: both known, or both unassigned
@@ -328,16 +333,17 @@ def _mirror(lhs, rhs) -> Optional[dict]:
     return image if onto(lhs, rhs) and onto(rhs, lhs) else None
 
 
-def _instances(law: Law, n: int, m: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _instances(law: Law, n: int, m: int) -> tuple[tuple, ...]:
     """Values of the law's ``variables`` over n elements and m gammas, each
     smaller than its mirror image (where ``x`` takes the value of ``mirror[x]``)."""
     values = product(*(range(m) if is_gamma else range(n) for _, is_gamma in law.variables))
     mirror = _mirror(*law.terms)
     if mirror is None:
-        return list(values)
+        return tuple(values)
     names = [v for v, _ in law.variables]
     image = [names.index(mirror[v]) for v in names]
-    return [v for v in values if v < tuple(v[i] for i in image)]
+    return tuple(v for v in values if v < tuple(v[i] for i in image))
 
 
 def count(spec: SearchSpec) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import GammaGroupoid, Law, compile_scan, members, subset_of
+from gaglab.core import GammaGroupoid, Law, check_law_size, compile_scan, members, subset_of
 from gaglab.search import SearchSpec, enumerate_structures
 
 from conftest import (fresh, oracle_members, oracle_product, oracle_walk, structures,
@@ -163,6 +163,21 @@ def test_check_law_refuses_an_oversized_scan_before_it_starts(monkeypatch):
                            match=f"^{law.value} scan over 108 instances refused beyond 100$"):
             gl.check_law(G, law)
     assert gl.check_law(G, Law.COMMUTATIVE).holds
+
+
+@pytest.mark.parametrize("law", list(Law))
+def test_the_law_size_is_the_product_over_the_laws_variables(monkeypatch, law):
+    # (3,2): each element variable takes 3 values and each gamma variable 2
+    G = GammaGroupoid.from_tables([[[0] * 3] * 3] * 2)
+    instances = 1
+    for _, is_gamma in law.variables:
+        instances *= 2 if is_gamma else 3
+    monkeypatch.setattr("gaglab.core.MAX_LAW_INSTANCES", instances)
+    check_law_size(G, law)
+    monkeypatch.setattr("gaglab.core.MAX_LAW_INSTANCES", instances - 1)
+    with pytest.raises(gl.LimitExceededError, match=f"^{law.value} scan over {instances} "
+                       f"instances refused beyond {instances - 1}$"):
+        check_law_size(G, law)
 
 
 def test_the_vector_form_takes_every_law_and_refuses_other_terms(gamma5):

@@ -323,13 +323,15 @@ def _propagate_one(terms, T, values, n, m):
     waits: its verdict, the cells it waits on and the cells it forces."""
     W = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
     moved, forced = [], []
+    flat = [v for t in T for row in t[:n] for v in row[:n]] + [n]
     inst = (0, *values)
-    holds = compile_propagate((terms,))(T, W, n, moved, forced)([inst])
+    holds = compile_propagate((terms,))(T, W, n, moved, forced, flat)([inst])
     waits = [(g, r, c) for g, r, c in product(range(m), range(n), range(n))
              for _ in W[g][r][c]]
     assert len(moved) == len(waits) and all(bucket[-1] is inst for bucket in moved)
-    cells = [(g, r, c) for row, c in forced for g, t in enumerate(T) for r in range(n)
-             if t[r] is row]
+    # a forced cell is written to both tables and recorded by its flat index
+    assert flat == [v for t in T for row in t[:n] for v in row[:n]] + [n]
+    cells = [(k // (n * n), k // n % n, k % n) for k in forced]
     return holds, sorted(waits), cells
 
 
@@ -372,17 +374,18 @@ def test_propagate_waits_on_both_outermost_cells():
     # (0 g 0) d 1 = (1 g 0) d 0 with 0·0 = 1·0 = 2 known and 2·1, 2·0 unassigned
     n, law = 3, Law.LEFT_INVERTIVE
     T = [[[2, n, n, n], [2, n, n, n], [n, n, n, n], [n] * 4]]
+    flat = [2, n, n, 2, n, n, n, n, n, n]
     W = [[[[] for _ in range(n)] for _ in range(n)]]
     moved, forced = [], []
-    propagate = compile_propagate((law.terms,))(T, W, n, moved, forced)
+    propagate = compile_propagate((law.terms,))(T, W, n, moved, forced, flat)
     inst = (0, 0, 0, 0, 0, 1)
     assert propagate([inst])
     assert W[0][2][1] == W[0][2][0] == [inst] and forced == []
     # the right cell is assigned first: the second watch wakes the instance,
-    # which forces the left cell to the same value
-    T[0][2][0] = 1
+    # which forces the left cell, flat index 7, to the same value
+    T[0][2][0] = flat[6] = 1
     assert propagate(W[0][2][0])
-    assert T[0][2][1] == 1 and forced == [(T[0][2], 1)]
+    assert T[0][2][1] == flat[7] == 1 and forced == [7]
 
 
 _SWAPS = {Law.LEFT_INVERTIVE: {"a": "c"}, Law.AG_STAR_STAR: {"a": "b"},
@@ -402,7 +405,7 @@ def test_instances_take_one_per_mirror_pair(law):
     n, m = 3, 2
     names = [v for v, _ in law.variables]
     everything = list(product(*(range(m) if g else range(n) for _, g in law.variables)))
-    kept = _instances(law, n, m)
+    kept = list(_instances(law, n, m))
     mirror = _mirror(*law.terms)
     if _SWAPS[law] is None:
         assert mirror is None and kept == everything
@@ -627,6 +630,8 @@ def _burnside(n, m, laws, include_gamma):
     (3, 2, ("li",), False, 187),
     (2, 2, (), True, 76),
     (2, 2, (), False, 136),
+    (3, 3, ("li",), True, 494),
+    (3, 3, ("li",), False, 2327),
 ])
 def test_up_to_iso_count_equals_burnside(n, m, laws, include_gamma, classes):
     # no canonical_form and no lex-leader code: Burnside's lemma on the labelled stream
@@ -665,15 +670,15 @@ def test_lex_leader_prunes_partial_tables_and_leaves_complete_ones_to_canonical_
 
 def test_the_lex_leader_step_is_a_pure_function_of_the_table_and_the_walks():
     n = 3
-    tables = [[[n] * (n + 1) for _ in range(n + 1)]]  # (3,1), every cell unassigned
-    step = search._lex_leader(tables, n, 1, True)
+    flat = [n] * (n * n + 1)  # (3,1), every cell unassigned, then the sentinel
+    step = search._lex_leader(flat, n, 1, True)
     root = (0, (), ())
     # swapping 1 and 2 reads cell 0 first and relabels T[0][0] = 2 as 1: smaller
-    tables[0][0][0] = 2
+    flat[0] = 2
     assert step(1, root) is None
     # with T[0][0] = 0 the swap agrees up to the unassigned cell 1, where it
     # resumes; the other four relabellings read cell 4 or 8 first and have not joined
-    tables[0][0][0] = 0
+    flat[0] = 0
     walks = step(1, root)
     k, undecided, resume = walks
     table = sorted(search._relabellings(n, 1, True)[1:], key=lambda entry: entry[1][0])
@@ -682,7 +687,7 @@ def test_the_lex_leader_step_is_a_pure_function_of_the_table_and_the_walks():
     assert list(resume) == [1]
     # the step keeps no state of its own: the same call gives the same walks
     assert step(1, root) == walks
-    tables[0][0][0] = 2
+    flat[0] = 2
     assert step(1, root) is None
 
 
@@ -692,8 +697,7 @@ def test_the_lex_leader_step_decides_a_complete_table_as_canonical_form_does(G, 
     # from the root at k = N every relabelling joins and walks the whole table;
     # an automorphism reaches the sentinel and reads as equal
     n, m = G.order, G.gamma_count
-    tables = [[[*row, n] for row in t] + [[n] * (n + 1)] for t in G.tables]
-    step = search._lex_leader(tables, n, m, include_gamma)
+    step = search._lex_leader([*_cells(G), n], n, m, include_gamma)
     least = canonical_form(G, include_gamma).tables == G.tables
     assert (step(n * n * m, (0, (), ())) is not None) is least
 
@@ -716,7 +720,7 @@ def test_a_labelled_search_builds_no_lex_leader_step(monkeypatch):
 # ---------------------------------------------------------------------------
 # the lex-pruned stream: lex-leader pruning without the leaf's canonical_form check
 
-LEX_SHAPES = [(2, 2, ()), (3, 1, ()), (3, 2, ("li",)), (4, 1, ("li",))]
+LEX_SHAPES = [(2, 2, ()), (3, 1, ()), (3, 2, ("li",)), (4, 1, ("li",)), (3, 3, ("li",))]
 
 
 @cache
@@ -793,6 +797,85 @@ def test_a_lex_pruned_search_builds_its_table_only_once_it_streams(monkeypatch):
     stream = enumerate_structures(_spec(3, 1, ("li",), lex_pruned=True))
     with pytest.raises(AssertionError, match="relabelling table built"):
         next(stream)
+
+
+# ---------------------------------------------------------------------------
+# the flat table: one list of the cells, kept current for the lex-leader walks
+
+
+def _spy_on_the_search(monkeypatch, on_step):
+    """Wrap the propagate step and the lex-leader step of every search that
+    starts: count their calls, and run ``on_step(T, flat, n, k)`` before each
+    lex-leader step, T being the nested tables that the propagate step reads."""
+    calls = Counter()
+    nested = {}
+    real_compile, real_lex = search.compile_propagate, search._lex_leader
+
+    def compile_counting(laws):
+        f = real_compile(laws)
+
+        def bind(T, W, n, moved, forced, flat):
+            nested[id(flat)] = T
+            propagate = f(T, W, n, moved, forced, flat)
+
+            def counted(batch):
+                calls["propagate"] += 1
+                return propagate(batch)
+            return counted
+        return bind
+
+    def lex_counting(flat, n, m, include_gamma):
+        step = real_lex(flat, n, m, include_gamma)
+
+        def counted(k, walks):
+            calls["step"] += 1
+            on_step(nested[id(flat)], flat, n, k)
+            return step(k, walks)
+        return counted
+    monkeypatch.setattr(search, "compile_propagate", compile_counting)
+    monkeypatch.setattr(search, "_lex_leader", lex_counting)
+    return calls
+
+
+@pytest.mark.parametrize("include_gamma", [True, False])
+@pytest.mark.parametrize("mode", ["up_to_iso", "lex_pruned"])
+@pytest.mark.parametrize("n,m,laws", [(3, 2, ("li",)), (3, 2, ("li", "ss")), (2, 3, ("li",)),
+                                      (3, 3, ("li", "ss"))])
+def test_the_flat_table_equals_the_nested_tables_at_every_lex_leader_step(
+        monkeypatch, n, m, laws, mode, include_gamma):
+    # the walks read the flat list in place, so it must hold every cell of the
+    # nested tables, forced cells included, and the sentinel n after them
+    seen = Counter()
+
+    def check(T, flat, n, k):
+        cells = [v for t in T for row in t[:n] for v in row[:n]]
+        assert flat[:len(cells)] == cells and flat[len(cells):] == [n]
+        assert n not in cells[:k] and (k == len(cells) or cells[k] == n)
+        seen["forced ahead"] += any(v != n for v in cells[k + 1:])
+        seen["leaf"] += k == len(cells)
+    _spy_on_the_search(monkeypatch, check)
+    spec = _spec(n, m, laws, iso_include_gamma=include_gamma, **{mode: True})
+    assert count(spec) > 0
+    # both kinds of node were met: one holding a forced cell beyond the first
+    # unassigned one, and a complete table decided by the walks
+    assert seen["forced ahead"] > 0
+    assert (seen["leaf"] > 0) is (mode == "lex_pruned")
+
+
+@pytest.mark.parametrize("n,m,laws,mode,propagations,steps", [
+    (3, 2, ("li",), "lex_pruned", 1096, 569),
+    (3, 2, ("li", "ss"), "lex_pruned", 538, 293),
+    (4, 1, ("li",), "up_to_iso", 5757, 1730),
+    (4, 1, ("li",), "lex_pruned", 5757, 2218),
+    (3, 3, ("li",), "lex_pruned", 4675, 2482),
+])
+def test_the_lex_leader_pruning_visits_a_pinned_number_of_nodes(
+        monkeypatch, n, m, laws, mode, propagations, steps):
+    # a walk reading a stale or partial flat table prunes less, which leaves the
+    # stream unchanged but the node count higher: pinned before the flat table
+    calls = _spy_on_the_search(monkeypatch, lambda *args: None)
+    count(_spec(n, m, laws, **{mode: True}))
+    assert calls == {"propagate": propagations, "step": steps}
 
 
 def test_up_to_iso_carrier_only_is_coarser_or_equal():
