@@ -1,26 +1,25 @@
 """Backtracking enumeration of all table bundles of a given shape.
 
 Cells are assigned depth-first in gamma-major, row-major order, so structures
-come out in lexicographic order of their flattened cell sequence.  The search
-takes one instance per mirror pair of each pruned law (``_instances``): the
-mirror swaps the law's two terms, so an instance and its image state one
-equation, and a self-mirror instance, whose sides are the same lookup, is
-dropped.  Each instance waits on an unassigned cell that it reads (a watch
-list, as with the watched literals of Chaff), and assigning a cell re-probes
-only the instances waiting on it, in one propagate step compiled per tuple of
-laws with the probes inline (``compile_propagate``, an emitter of its own, as
-its lookups wait on a cell one by one): an instance with both sides known and
-unequal prunes the branch, one with a known side and the other blocked only
-at its outermost lookup forces that cell to the known value (unit
-propagation, as in SEM), one with both outermost cells unassigned waits on
-both of them, and any other is moved to its first unassigned inner lookup.
-Forced cells are propagated at once and skipped by the backtracking; a trail
-of moved instances and of forced cells' flat indexes is rolled back on the way
-up.  The backtracking and the propagate step write each cell they assign to one
-flat list too, which the lex-leader walks and the leaf read.  A cell is
-only forced to the one value every completion must give it, so the stream is
-the same as with pruning alone.  Emitted structures are re-checked in full at
-the leaf, so pruning is an optimization, never trusted.
+come out in lexicographic order of their flattened cell sequence.  That
+sequence is the search's one table, a flat list which every part of the search
+reads and writes in place.  The search takes one instance per mirror pair of
+each pruned law (``_instances``): the mirror swaps the law's two terms, so an
+instance and its image state one equation, and a self-mirror instance, whose
+sides are the same lookup, is dropped.  Each instance waits on an unassigned
+cell that it reads (a watch list, as with the watched literals of Chaff), and
+assigning a cell re-probes only the instances waiting on it, in one propagate
+step compiled per tuple of laws with the probes inline (``compile_propagate``,
+an emitter of its own, as its lookups wait on a cell one by one): an instance
+with both sides known and unequal prunes the branch, one with a known side and
+the other blocked only at its outermost lookup forces that cell to the known
+value (unit propagation, as in SEM), one with both outermost cells unassigned
+waits on both of them, and any other is moved to its first unassigned inner
+lookup.  Forced cells are propagated at once and skipped by the backtracking;
+a trail of moved instances and of forced cells' flat indexes is rolled back on
+the way up.  A cell is only forced to the one value every completion must give
+it, so the stream is the same as with pruning alone.  Emitted structures are
+re-checked in full at the leaf, so pruning is an optimization, never trusted.
 
 A canonical form is the least relabelling.  One table per shape lists, for each
 relabelling, the old cell each new cell reads; a walk stops at its first difference.
@@ -138,15 +137,9 @@ def enumerate_structures(spec: SearchSpec) -> Iterator[GammaGroupoid]:
 
 def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     n, m = spec.order, spec.gammas
-    # An unassigned cell holds n, and a spare row and column of n make every
-    # lookup through n yield n, so a law side reads n until it is determined.
-    tables = [[[n] * (n + 1) for _ in range(n + 1)] for _ in range(m)]
-    # waiting[g][r][c]: the law instances blocked on that unassigned cell
-    waiting = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
-    cells = [(tables[g][r], c, waiting[g][r][c])
-             for g in range(m) for r in range(n) for c in range(n)]
-    end = len(cells)
-    flat = [n] * (end + 1)  # the cells in flat order, as in tables, then a sentinel n
+    end = n * n * m  # cell (g, r, c) is flat[(g*n + r)*n + c], n while unassigned
+    flat = [n] * (end + 1)  # then a sentinel n, which stops the forced-cell skip and the walks
+    waiting = [[] for _ in range(end)]  # waiting[k]: the law instances blocked on unassigned cell k
     moved = []   # the bucket each re-queued instance went to, in order
     forced = []  # the flat index of each cell assigned by propagation, in order
     prunable = [f for f in Filter if f in spec.filters and f.law]
@@ -154,8 +147,8 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
     # prunable ones, which re-check the pruning; each group in declaration order.
     leaf_filters = [f for f in Filter if f in spec.filters and not f.law] + prunable
     laws = tuple(f.law for f in prunable)
-    propagate = compile_propagate(tuple(law.terms for law in laws))(
-        tables, waiting, n, moved, forced, flat)
+    propagate, encode = compile_propagate(tuple(law.terms for law in laws))(
+        flat, waiting, n, moved, forced)
     lex = None
     if spec.up_to_iso or spec.lex_pruned:
         try:  # enumerate_structures has refused an oversized up_to_iso table
@@ -182,10 +175,10 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
             return
         if lex and (walks := lex(pos, walks)) is None:
             return  # some relabelling is already smaller
-        row, c, bucket = cells[pos]
+        bucket = waiting[pos]
         n_moved, n_forced = len(moved), len(forced)
         for v in range(n):
-            row[c] = flat[pos] = v
+            flat[pos] = v
             if propagate(bucket):
                 yield from rec(pos + 1, walks)
             if len(moved) != n_moved:  # roll back what this value's propagation added
@@ -194,12 +187,12 @@ def _generate(spec: SearchSpec) -> Iterator[GammaGroupoid]:
                 del moved[n_moved:]
             if len(forced) != n_forced:
                 for k in forced[n_forced:]:
-                    assigned, at, _ = cells[k]
-                    assigned[at] = flat[k] = n
+                    flat[k] = n
                 del forced[n_forced:]
-        row[c] = flat[pos] = n
+        flat[pos] = n
 
-    if propagate([(k, *values) for k, law in enumerate(laws) for values in _instances(law, n, m)]):
+    if propagate([encode[k](*values) for k, law in enumerate(laws)
+                  for values in _instances(law, n, m)]):
         yield from rec(0, (0, (), ()))
 
 
@@ -254,71 +247,85 @@ def _lex_leader(flat, n, m, include_gamma):
 
 @lru_cache(maxsize=None)
 def compile_propagate(laws):
-    """Compile ``f(T, W, n, moved, forced, F)``, which returns the search's
-    ``propagate(batch)`` over instances of ``laws``, a tuple of term pairs;
-    compiled once per tuple.
+    """Compile ``f(F, W, n, moved, forced)``, which returns the search's
+    ``propagate(batch)`` over instances of ``laws``, a tuple of term pairs, and
+    ``encode``, which builds them; compiled once per tuple.
 
-    T holds ``n`` in every unassigned cell and in a spare row and column, F
-    holds the same cells in flat order (cell (g, r, c) at g·n·n + r·n + c), and
-    ``W[g][r][c]`` lists the instances waiting on unassigned cell (g, r, c).  An
-    instance is ``(k, *values)``: the index of its law and values of that law's
-    variables.  ``propagate`` runs each instance of ``batch``, with its lookups
-    written inline, and then those waiting on each cell it forces; False at the
-    first instance whose sides are known and unequal.  An instance waits on its
-    first unassigned inner lookup; with every inner lookup known it forces an
-    unassigned outermost cell to the other side's known value, or waits on both
-    outermost cells when both are unassigned (Chaff's two watched literals).
-    A wait appends the instance to the bucket and the bucket to ``moved``; a
-    force assigns the cell in T and in F, appends its flat index to ``forced``
-    and queues the cell's bucket.
+    F holds the search's cells in flat order, cell (g, r, c) at (g·n + r)·n + c,
+    with ``n`` in every unassigned cell, and ``W[j]`` lists the instances
+    waiting on unassigned cell j.  ``encode[k](*values)`` is the instance of
+    law k at those values of its variables: k, then for each lookup the part of
+    its cell's flat index that the variables fix, then the variables that are a
+    whole side; a lookup adds the inner values it reads, as in ``F[b1 + x6 * n]``.
+    ``propagate`` runs each instance of ``batch``, with its lookups written
+    inline, and then those waiting on each cell it forces; False at the first
+    instance whose sides are known and unequal.  Every index it reads is fixed
+    or read from a cell already checked to be assigned, so it stays below n·n·m.
+    An instance waits on its first unassigned inner lookup; with every inner
+    lookup known it forces an unassigned outermost cell to the other side's
+    known value, or waits on both outermost cells when both are unassigned
+    (Chaff's two watched literals).  A wait appends the instance to the bucket
+    and the bucket to ``moved``; a force assigns the cell, appends its flat
+    index to ``forced`` and queues the cell's bucket.
     """
-    lines = ["def f(T, W, n, moved, forced, F):",
+    lines = ["def f(F, W, n, moved, forced):",
              "    def propagate(batch):",
              "        todo = [batch]",
              "        for batch in todo:",
              "            for inst in batch:"]
+    encode = []
     for k, terms in enumerate(laws):
         pad = " " * 16
         if len(laws) > 1:
             lines.append(f"{pad}{'elif' if k else 'if'} inst[0] == {k}:")
             pad += "    "
-        lines.append(pad + "_, " + "".join(f"v_{v}, " for v, _ in _variables(*terms)) + "= inst")
+        head, bases = len(lines), []  # the fixed part of each lookup's index, in emission order
 
-        def wait(at):
-            return f"w = W[{at[0]}][{at[1]}][{at[2]}]; w.append(inst); moved.append(w)"
+        def wait(j):
+            return f"w = W[{j}]; w.append(inst); moved.append(w)"
 
-        def cell(term):
+        def index(term):
+            """Emit the inner lookups of a term; the flat index of its cell."""
             left, g, right = term
-            return "v_" + g, value(left), value(right)
+            fixed, read = [f"v_{g} * n * n"], ""
+            for arg, scale in ((left, " * n"), (right, "")):
+                if isinstance(arg, str):
+                    fixed.append(f"v_{arg}{scale}")
+                else:
+                    read += f" + {value(arg)}{scale}"
+            bases.append(" + ".join(fixed))
+            return f"b{len(bases) - 1}{read}"
 
         def value(term):
-            """Emit the lookups of a term, each waiting at once when unassigned."""
-            if isinstance(term, str):
-                return "v_" + term
-            at = cell(term)
+            """Emit the lookup of a term, waiting at once when unassigned."""
+            j = index(term)
             var = f"x{len(lines)}"
-            lines.append(f"{pad}{var} = T[{at[0]}][{at[1]}][{at[2]}]")
-            lines.append(f"{pad}if {var} == n: {wait(at)}; continue")
+            lines.append(f"{pad}{var} = F[{j}]")
+            lines.append(f"{pad}if {var} == n: {wait(j)}; continue")
             return var
 
         # the outermost lookups come last, so that a known side can force the other's
-        roots = [(i, cell(term)) for i, term in enumerate(terms) if not isinstance(term, str)]
-        lines += [f"{pad}r{i} = T[{at[0]}][{at[1]}]; s{i} = r{i}[{at[2]}]" for i, at in roots]
+        roots = [(i, index(term)) for i, term in enumerate(terms) if not isinstance(term, str)]
+        lines += [f"{pad}s{i} = F[{j}]" for i, j in roots]
         sides = ["v_" + term if isinstance(term, str) else f"s{i}" for i, term in enumerate(terms)]
+        bare = [side for side, term in zip(sides, terms) if isinstance(term, str)]
+        fields = [f"b{i}" for i in range(len(bases))] + bare
+        lines.insert(head, pad + "_, " + "".join(v + ", " for v in fields) + "= inst")
+        encode.append(f"lambda {', '.join('v_' + v for v, _ in _variables(*terms))}: "
+                      f"({k}, {', '.join(bases + bare)})")
         lhs, rhs = sides
         lines.append(f"{pad}if {lhs} != {rhs}:")
-        for branch, (i, at) in enumerate(roots):  # a side reading n: the other is known
+        for branch, (i, j) in enumerate(roots):  # a side reading n: the other is known
             lines.append(f"{pad}    {'elif' if branch else 'if'} s{i} == n:")
-            lines.append(f"{pad}        j = ({at[0]} * n + {at[1]}) * n + {at[2]}; "
-                         f"r{i}[{at[2]}] = F[j] = {sides[1 - i]}; forced.append(j)")
-            lines.append(f"{pad}        todo.append(W[{at[0]}][{at[1]}][{at[2]}])")
+            lines.append(f"{pad}        j = {j}; F[j] = {sides[1 - i]}; "
+                         "forced.append(j); todo.append(W[j])")
         lines.append(f"{pad}    {'else: ' if roots else ''}return False")
         if len(roots) == 2:  # equal sides: both known, or both unassigned
             lines.append(f"{pad}elif s0 == n:")
-            lines += [f"{pad}    {wait(at)}" for _, at in roots]
+            lines += [f"{pad}    {wait(j)}" for _, j in roots]
     if not laws:
         lines.append(" " * 16 + "pass")
-    lines += ["        return True", "    return propagate"]
+    lines += ["        return True", f"    return propagate, ({''.join(e + ', ' for e in encode)})"]
     return _define(lines)
 
 

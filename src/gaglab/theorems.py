@@ -253,9 +253,9 @@ class LemmaId(Enum):
     """The catalog, one row per entry: id, hypotheses, verifier.
 
     The hypotheses are search filters in gate order: ``verify`` reports the
-    first that fails as not-applicable and otherwise runs the verifier,
-    ``HUNT_FILTERS`` restricts a hunt stream to them.  The verifier takes a
-    structure and returns its first counterexample's witness, or None.
+    first that fails as not-applicable and otherwise runs the verifier, and
+    ``gaglab hunt`` searches only structures that meet them.  The verifier
+    takes a structure and returns its first counterexample's witness, or None.
     Adding a lemma is one row here.
     """
     L1_LEFT_IDENTITY_COLLAPSE = ("l1-left-identity-collapse",
@@ -306,7 +306,7 @@ class LemmaId(Enum):
         return lid
 
 
-# search filters restricting a hunt stream to each entry's hypotheses
+# each entry's hypotheses by filter name; nothing in the package reads it
 HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
     lid: tuple(f.value for f in lid.hypotheses) for lid in LemmaId}
 

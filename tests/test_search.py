@@ -318,21 +318,21 @@ def test_search_refuses_a_shape_deeper_than_the_cell_bound():
 _PROBE_TERMS = [law.terms for law in Law] + [("a", ("a", "g", "a")), (("a", "g", "b"), "b")]
 
 
-def _propagate_one(terms, T, values, n, m):
-    """The search's compiled propagate step, run on one instance while no other
-    waits: its verdict, the cells it waits on and the cells it forces."""
-    W = [[[[] for _ in range(n)] for _ in range(n)] for _ in range(m)]
+def _propagate_one(terms, F, values, n, m):
+    """The search's compiled propagate step, run over the flat table F on one
+    instance while no other waits: its verdict, the cells it waits on and the
+    cells it forces, each as (g, r, c)."""
+    W = [[] for _ in F]
     moved, forced = [], []
-    flat = [v for t in T for row in t[:n] for v in row[:n]] + [n]
-    inst = (0, *values)
-    holds = compile_propagate((terms,))(T, W, n, moved, forced, flat)([inst])
-    waits = [(g, r, c) for g, r, c in product(range(m), range(n), range(n))
-             for _ in W[g][r][c]]
+    propagate, encode = compile_propagate((terms,))(F, W, n, moved, forced)
+    inst = encode[0](*values)
+    holds = propagate([inst])
+    waits = [k for k, bucket in enumerate(W) for _ in bucket]
     assert len(moved) == len(waits) and all(bucket[-1] is inst for bucket in moved)
-    # a forced cell is written to both tables and recorded by its flat index
-    assert flat == [v for t in T for row in t[:n] for v in row[:n]] + [n]
-    cells = [(k // (n * n), k // n % n, k % n) for k in forced]
-    return holds, sorted(waits), cells
+
+    def cell(k):
+        return k // (n * n), k // n % n, k % n
+    return holds, sorted(map(cell, waits)), list(map(cell, forced))
 
 
 @settings(max_examples=300, deadline=None)
@@ -340,19 +340,21 @@ def _propagate_one(terms, T, values, n, m):
 def test_probe_meets_its_contract(data):
     terms = data.draw(st.sampled_from(_PROBE_TERMS))
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
-    T = [[[data.draw(st.integers(0, n)) for _ in range(n)] + [n] for _ in range(n)]
-         + [[n] * (n + 1)] for _ in range(m)]
-    before = [[row[:] for row in t] for t in T]
+    # no sentinel: a lookup past the cells would raise
+    F = [data.draw(st.integers(0, n)) for _ in range(n * n * m)]
+    before = F[:]
+    # the oracle reads the same cells as nested tables
+    T = [[F[(g * n + r) * n:(g * n + r + 1) * n] for r in range(n)] for g in range(m)]
     variables = _variables(*terms)
     values = tuple(data.draw(st.integers(0, (m if is_gamma else n) - 1))
                    for _, is_gamma in variables)
     env = dict(zip((v for v, _ in variables), values))
     sides = [oracle_walk(t, T, env, n) for t in terms]
     (lv, l_reach, l_root), (rv, r_reach, r_root) = sides
-    holds, waits, cells = _propagate_one(terms, T, values, n, m)
+    holds, waits, cells = _propagate_one(terms, F, values, n, m)
     if None not in (lv, rv):
         assert (holds, waits, cells) == (lv == rv, [], [])
-        assert T == before
+        assert F == before
         return
     assert holds
     forceable = [(root, w) for (v, _, root), (w, _, _) in (sides, sides[::-1])
@@ -361,31 +363,34 @@ def test_probe_meets_its_contract(data):
         (cell, known), = forceable
         assert (waits, cells) == ([], [cell])
         g, r, c = cell
-        before[g][r][c] = known
+        before[(g * n + r) * n + c] = known
     elif l_root and r_root and lv is None and rv is None:
         # blocked only at both outermost lookups: it waits on both cells
         assert (waits, cells) == (sorted([l_root, r_root]), [])
     else:
         assert len(waits) == 1 and waits[0] in l_reach + r_reach and cells == []
-    assert T == before
+    assert F == before
 
 
 def test_propagate_waits_on_both_outermost_cells():
     # (0 g 0) d 1 = (1 g 0) d 0 with 0·0 = 1·0 = 2 known and 2·1, 2·0 unassigned
     n, law = 3, Law.LEFT_INVERTIVE
-    T = [[[2, n, n, n], [2, n, n, n], [n, n, n, n], [n] * 4]]
-    flat = [2, n, n, 2, n, n, n, n, n, n]
-    W = [[[[] for _ in range(n)] for _ in range(n)]]
+    F = [2, n, n, 2, n, n, n, n, n]
+    W = [[] for _ in F]
     moved, forced = [], []
-    propagate = compile_propagate((law.terms,))(T, W, n, moved, forced, flat)
-    inst = (0, 0, 0, 0, 0, 1)
+    propagate, encode = compile_propagate((law.terms,))(F, W, n, moved, forced)
+    inst = encode[0](0, 0, 0, 0, 1)
+    # per lookup, the part of its flat index that a, g, b, d, c fix: 0·0 at 0,
+    # the left side at 1 plus three times 0·0, 1·0 at 3, the right side at 0 plus
+    # three times 1·0
+    assert inst == (0, 0, 1, 3, 0)
     assert propagate([inst])
-    assert W[0][2][1] == W[0][2][0] == [inst] and forced == []
+    assert W[7] == W[6] == [inst] and forced == []
     # the right cell is assigned first: the second watch wakes the instance,
     # which forces the left cell, flat index 7, to the same value
-    T[0][2][0] = flat[6] = 1
-    assert propagate(W[0][2][0])
-    assert T[0][2][1] == flat[7] == 1 and forced == [7]
+    F[6] = 1
+    assert propagate(W[6])
+    assert F[7] == 1 and forced == [7]
 
 
 _SWAPS = {Law.LEFT_INVERTIVE: {"a": "c"}, Law.AG_STAR_STAR: {"a": "b"},
@@ -632,6 +637,8 @@ def _burnside(n, m, laws, include_gamma):
     (2, 2, (), False, 136),
     (3, 3, ("li",), True, 494),
     (3, 3, ("li",), False, 2327),
+    # two pruned laws at three gammas: the propagate step's dispatch on the law index
+    (3, 3, ("li", "ss"), True, 107),
 ])
 def test_up_to_iso_count_equals_burnside(n, m, laws, include_gamma, classes):
     # no canonical_form and no lex-leader code: Burnside's lemma on the labelled stream
@@ -800,28 +807,28 @@ def test_a_lex_pruned_search_builds_its_table_only_once_it_streams(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the flat table: one list of the cells, kept current for the lex-leader walks
+# the flat table: the search's one table, which the walks read in place
 
 
 def _spy_on_the_search(monkeypatch, on_step):
     """Wrap the propagate step and the lex-leader step of every search that
-    starts: count their calls, and run ``on_step(T, flat, n, k)`` before each
-    lex-leader step, T being the nested tables that the propagate step reads."""
+    starts: count their calls, and run ``on_step(laws, flat, n, k)`` before each
+    lex-leader step, laws being the term pairs that the propagate step prunes by."""
     calls = Counter()
-    nested = {}
+    pruned = {}
     real_compile, real_lex = search.compile_propagate, search._lex_leader
 
     def compile_counting(laws):
         f = real_compile(laws)
 
-        def bind(T, W, n, moved, forced, flat):
-            nested[id(flat)] = T
-            propagate = f(T, W, n, moved, forced, flat)
+        def bind(F, W, n, moved, forced):
+            pruned[id(F)] = laws
+            propagate, encode = f(F, W, n, moved, forced)
 
             def counted(batch):
                 calls["propagate"] += 1
                 return propagate(batch)
-            return counted
+            return counted, encode
         return bind
 
     def lex_counting(flat, n, m, include_gamma):
@@ -829,7 +836,7 @@ def _spy_on_the_search(monkeypatch, on_step):
 
         def counted(k, walks):
             calls["step"] += 1
-            on_step(nested[id(flat)], flat, n, k)
+            on_step(pruned[id(flat)], flat, n, k)
             return step(k, walks)
         return counted
     monkeypatch.setattr(search, "compile_propagate", compile_counting)
@@ -837,22 +844,44 @@ def _spy_on_the_search(monkeypatch, on_step):
     return calls
 
 
+@cache
+def _assignments(lhs, rhs, n, m):
+    """Every assignment of the terms' variables over n elements and m gammas."""
+    variables = _variables(lhs, rhs)
+    return [dict(zip((v for v, _ in variables), values))
+            for values in product(*(range(m) if g else range(n) for _, g in variables))]
+
+
 @pytest.mark.parametrize("include_gamma", [True, False])
 @pytest.mark.parametrize("mode", ["up_to_iso", "lex_pruned"])
 @pytest.mark.parametrize("n,m,laws", [(3, 2, ("li",)), (3, 2, ("li", "ss")), (2, 3, ("li",)),
                                       (3, 3, ("li", "ss"))])
-def test_the_flat_table_equals_the_nested_tables_at_every_lex_leader_step(
+def test_the_flat_table_is_a_propagation_fixpoint_at_every_lex_leader_step(
         monkeypatch, n, m, laws, mode, include_gamma):
-    # the walks read the flat list in place, so it must hold every cell of the
-    # nested tables, forced cells included, and the sentinel n after them
+    # the walks read the flat table in place: every cell before k is assigned,
+    # cell k is not below the leaf, and the sentinel n follows the cells
     seen = Counter()
+    cells = n * n * m
 
-    def check(T, flat, n, k):
-        cells = [v for t in T for row in t[:n] for v in row[:n]]
-        assert flat[:len(cells)] == cells and flat[len(cells):] == [n]
-        assert n not in cells[:k] and (k == len(cells) or cells[k] == n)
-        seen["forced ahead"] += any(v != n for v in cells[k + 1:])
-        seen["leaf"] += k == len(cells)
+    def check(terms, flat, n, k):
+        assert len(flat) == cells + 1 and flat[cells] == n
+        assert n not in flat[:k] and (k == cells or flat[k] == n)
+        seen["forced ahead"] += any(v != n for v in flat[k + 1:cells])
+        seen["leaf"] += k == cells
+        # propagation has run to its fixpoint: by an oracle on nested tables, no
+        # instance of a pruned law has two known sides that differ, or one known
+        # side and the other blocked only at its outermost cell, which it forces
+        T = [[flat[(g * n + r) * n:(g * n + r + 1) * n] for r in range(n)] for g in range(m)]
+        for lhs, rhs in terms:
+            for env in _assignments(lhs, rhs, n, m):
+                (lv, _, l_root), (rv, _, r_root) = (oracle_walk(lhs, T, env, n),
+                                                    oracle_walk(rhs, T, env, n))
+                if lv is None:
+                    assert rv is None or l_root is None
+                elif rv is None:
+                    assert r_root is None
+                else:
+                    assert lv == rv
     _spy_on_the_search(monkeypatch, check)
     spec = _spec(n, m, laws, iso_include_gamma=include_gamma, **{mode: True})
     assert count(spec) > 0
