@@ -284,8 +284,9 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # made by bytes.translate through a row or column of the structure, so each
 # instance of the other variables is one comparison of two vectors.  A row or
 # column translated through a row picked by a looked-up value (medial, paramedial)
-# is read from a table of all such translations, made once per pair of gammas; a
-# row picked by a loop variable is translated in the loop, as a table costs as much.
+# is read from a table of all such translations, made once per pair of gammas for
+# medial's and paramedial's rows; a row picked by a loop variable is translated in
+# the loop, as a table costs as much.
 
 # Law.holds takes the vector form from this order on.  The structure's byte rows
 # and columns, built once per structure, cost more than the vector form saves on
@@ -342,9 +343,9 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     None; with the gammas outermost the first hit is not the first in scan
     order, so it names no witness and f returns False at it, else True.
 
-    ``vector`` gives the gammas-outermost form without the loop over the last
-    element variable, the lanes: a value that reads the lanes is the bytes of
-    its values over all of them, and ``violated`` compares those vectors.  f
+    ``vector`` gives the gammas-outermost form, its gammas in reverse order,
+    without the loop over the last element variable, the lanes: a value that
+    reads the lanes is the bytes of its values over all of them, and ``violated`` compares those vectors.  f
     builds only the byte tables (``_byte_table``) that its lookups read.  It
     needs the lanes exactly once in each term, so that every lookup reads them
     on one side at most, and refuses other terms with ``ValueError``.
@@ -354,6 +355,8 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     # a stable sort keeps the order of first appearance within each kind
     loops = sorted(variables, key=lambda v: v[1] != gammas_outer)
     lanes = loops.pop()[0] if vector else None
+    if vector:  # the gammas nearest the lanes, which tabulated translations read, outermost
+        loops = [v for v in reversed(loops) if v[1]] + [v for v in loops if not v[1]]
     if vector and any(_reading(term).count((lanes, False)) != 1 for term in terms):
         raise ValueError(f"the vector form needs the last element variable {lanes!r} "
                          f"exactly once in each term, not in {terms!r}")
@@ -514,6 +517,34 @@ def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:
         left, g, right = term
         return G.tables[env[g]][value(left)][value(right)]
     return tuple(map(value, law.terms))
+
+
+def derives(hypotheses: Iterable[Law], law: Law) -> bool:
+    """Whether ``law`` holds in every structure that meets the ``hypotheses``: a
+    breadth-first search from its left term to its right one by one hypothesis a
+    step, either way round at any subterm.  Each step is an inference, so True is
+    sound; each keeps a linear law's leaves, so the search ends, and False is
+    sound too by Birkhoff's completeness theorem (1935)."""
+    rules = [sides for h in hypotheses for sides in (h.terms, h.terms[::-1])]
+
+    def match(p, t, env):  # bind p's variables in env so that p reads t
+        return env.setdefault(p, t) == t if isinstance(p, str) else (
+            not isinstance(t, str) and env.setdefault(p[1], t[1]) == t[1]
+            and match(p[0], t[0], env) and match(p[2], t[2], env))
+
+    def put(p, env):
+        return env[p] if isinstance(p, str) else (put(p[0], env), env[p[1]], put(p[2], env))
+
+    def steps(t):  # every term one step from t
+        yield from (put(rhs, env) for lhs, rhs in rules for env in [{}] if match(lhs, t, env))
+        if not isinstance(t, str):
+            yield from ((s, t[1], t[2]) for s in steps(t[0]))
+            yield from ((t[0], t[1], s) for s in steps(t[2]))
+    frontier, goal = [law.terms[0]], law.terms[1]
+    seen = set(frontier)
+    while frontier and goal not in seen:
+        frontier = [s for t in frontier for s in steps(t) if s not in seen and not seen.add(s)]
+    return goal in seen
 
 
 def identities(G: GammaGroupoid, side: Literal["left", "right"]) -> set[int]:

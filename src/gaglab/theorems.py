@@ -10,7 +10,8 @@ hypotheses or in the verifier.  ``verify_all`` runs every entry, so a refused
 entry leaves the others decided: above the enumeration bound, the entries
 that enumerate ideals are refused and the rest are decided.
 ``hunt`` scans a stream of structures for the first counterexample to a given
-entry, passing over the structures whose check is refused.
+entry, passing over the structures whose check is refused, or answers at once
+for an entry that ``core.derives`` proves; ``verify`` still checks every entry.
 
 Witnesses are dicts whose values follow a small vocabulary: the keys in
 ``MASK_KEYS`` hold subset bitmasks, "element" holds an element index,
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional
 
@@ -30,6 +32,7 @@ from .core import (
     Law,
     LimitExceededError,
     check_law,
+    derives,
     identities,
     is_regular,
     members,
@@ -256,6 +259,8 @@ class LemmaId(Enum):
     first that fails as not-applicable and otherwise runs the verifier, and
     ``gaglab hunt`` searches only structures that meet them.  The verifier
     takes a structure and returns its first counterexample's witness, or None.
+    A row whose conclusion is one law names that ``Law`` as its verifier, which
+    checks it, and keeps it as ``law`` (else None), as ``Filter.law`` does.
     Adding a lemma is one row here.
     """
     L1_LEFT_IDENTITY_COLLAPSE = ("l1-left-identity-collapse",
@@ -264,8 +269,8 @@ class LemmaId(Enum):
                         _verify_right_identity)
     T1_UNION_CONSTRUCTION = ("t1-union-construction", _AGSS,
                              _all_ideals(IdealKind.TWO_SIDED, _t1_unions))
-    L_MEDIAL = "l-medial", _LI, _law_lemma(Law.MEDIAL)
-    L_PARAMEDIAL = "l-paramedial", _AGSS, _law_lemma(Law.PARAMEDIAL)
+    L_MEDIAL = "l-medial", _LI, Law.MEDIAL
+    L_PARAMEDIAL = "l-paramedial", _AGSS, Law.PARAMEDIAL
     L_ONE_SIDED_QUASI = "l-one-sided-quasi", _LI, _all_ideals(IdealKind.QUASI, _one_sided)
     L_RLB_ONE_SIDED_BI = "l-rlb-one-sided-bi", _LI, _all_ideals(IdealKind.BI, _one_sided)
     C_IDEAL_BI = ("c-ideal-bi", _LI,
@@ -302,8 +307,14 @@ class LemmaId(Enum):
         lid = object.__new__(cls)
         lid._value_ = value
         lid.hypotheses = hypotheses
-        lid.verifier = verifier
+        lid.law = verifier if isinstance(verifier, Law) else None
+        lid.verifier = _law_lemma(verifier) if lid.law else verifier
         return lid
+
+    @cached_property
+    def proved(self) -> bool:  # the entry and its hypotheses are laws, and derives proves it
+        laws = [f.law for f in self.hypotheses]
+        return self.law is not None and all(laws) and derives(laws, self.law)
 
 
 # each entry's hypotheses by filter name; nothing in the package reads it
@@ -336,7 +347,10 @@ def hunt(source: Iterable[GammaGroupoid], lid: LemmaId, refused: Optional[list] 
     ``refused`` when a list is given.  Above the enumeration bound every
     structure is refused for an entry that enumerates ideals, so a caller who
     wants such a hunt refused before it searches checks the spec's order
-    against ``ideals.MAX_ENUM_ORDER`` first, as ``gaglab hunt`` does."""
+    against ``ideals.MAX_ENUM_ORDER`` first, as ``gaglab hunt`` does.  A proved
+    entry holds at every shape, so its hunt returns None and draws nothing."""
+    if lid.proved:
+        return None
     for G in source:
         v = verify(G, lid)
         if v.status is LemmaStatus.COUNTEREXAMPLE:

@@ -607,6 +607,47 @@ def test_hunt_equals_the_labelled_hunt(argv, code, monkeypatch, capsys):
     assert code is None or got[0] == code
 
 
+# a proved entry's hunt against the searched hunt: the same stream, every
+# structure through verify, as theorems.hunt reads it when nothing is proved
+
+def _searched_hunt(source, lid, refused=None):
+    for G in source:
+        v = gl.verify(G, lid)
+        if v.status is gl.LemmaStatus.COUNTEREXAMPLE:
+            return G, v
+        if v.status is gl.LemmaStatus.REFUSED and refused is not None:
+            refused.append(G)
+    return None
+
+
+@pytest.mark.parametrize("lemma", ["l-medial", "l-paramedial"])
+def test_a_proved_hunt_equals_the_searched_hunt(lemma, monkeypatch, capsys):
+    assert gl.LemmaId(lemma).proved
+    for n, m in (*HUNT_SIZES, (4, 1), (3, 3)):
+        for filters in ([], ["--filter", "non-associative"]):
+            argv = ["hunt", "--order", str(n), "--gammas", str(m), "--lemma", lemma,
+                    *filters, "--json"]
+            got = run(argv), capsys.readouterr().out
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "hunt", _searched_hunt)
+                searched = run(argv), capsys.readouterr().out
+            assert got == searched, (n, m, filters)
+
+
+def test_a_proved_hunt_answers_where_every_check_would_be_refused(capsys):
+    # 6**4 * 25**3 medial instances, above core.MAX_LAW_INSTANCES: the searched hunt
+    # would count every structure of its stream as refused and never end
+    argv = ["hunt", "--order", "6", "--gammas", "25", "--lemma", "l-medial", "--allow-large"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "no counterexample\n"
+    # the search's own limits and the hunt-scope limit still come first
+    assert run(["hunt", "--order", "6", "--gammas", "26", "--lemma", "l-medial",
+                "--allow-large"]) == 2
+    assert run(["hunt", "--order", "21", "--gammas", "1", "--lemma", "l-medial",
+                "--allow-large"]) == 2
+    assert "refused beyond" in capsys.readouterr().err
+
+
 # the hunt against its other oracle: the same hunt over a stream without the
 # entry's hypotheses, where every structure outside them is not applicable
 

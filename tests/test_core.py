@@ -1,6 +1,9 @@
+import importlib.util
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,49 @@ def test_the_vector_form_takes_every_law_and_refuses_other_terms(gamma5):
     for terms in ((("a", "g", "a"), "a"), (("a", "g", "b"), "a")):
         with pytest.raises(ValueError, match="exactly once in each term"):
             compile_scan(terms, "{0} != {1}", vector=True)
+
+
+def _corpus_products():
+    """The benchmark corpus's order-9 products, read through its own loader."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [GammaGroupoid.from_tables(T) for eid, T in corpus.load()
+            if eid.startswith("product-")]
+
+
+def _random_bundles(seed=7):
+    """Bundles of orders 7-12 with 2-3 gammas, of three kinds: random tables, which
+    fail most laws at once; x g y = a·x + b·y + c_g mod n, which is medial, and
+    paramedial when a² = b²; and those affine tables with one cell changed, which
+    fail them late."""
+    rng = random.Random(seed)
+    for n in range(7, 13):
+        for m in (2, 3):
+            noise = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
+            a, b, c = rng.randrange(n), rng.randrange(n), [rng.randrange(n) for _ in range(m)]
+            affine = [[[(a * x + b * y + c[g]) % n for y in range(n)] for x in range(n)]
+                      for g in range(m)]
+            changed = [[row[:] for row in table] for table in affine]
+            g, x, y = rng.randrange(m), rng.randrange(n), rng.randrange(n)
+            changed[g][x][y] = (changed[g][x][y] + 1) % n
+            yield from map(GammaGroupoid.from_tables, (noise, affine, changed))
+
+
+def test_the_vector_and_scalar_verdicts_agree():
+    # the vector form loops over the gammas in its own order, so it meets a
+    # violation at another instance than the scalar pass, never another verdict
+    products = _corpus_products()
+    assert len(products) == 24 and {G.order for G in products} == {9}
+    verdicts = Counter()
+    for G in (*products, *_random_bundles()):
+        for law in Law:
+            holds = law.holds_scalar(G)
+            assert law.holds_vector(G) == holds, (law, G.tables)
+            verdicts[law, holds] += 1
+    # both verdicts of every law occur, medial's and paramedial's among them
+    assert len(verdicts) == 2 * len(Law)
 
 
 def _oracle_law_holds(G, law):

@@ -1,6 +1,6 @@
 import time
 from collections import Counter
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -245,7 +245,8 @@ def test_a_lex_pruned_hunt_refuses_the_same_classes_as_the_labelled_hunt(
         lid, refusals, monkeypatch):
     # refuse every commutative structure, a property that relabelling keeps, as a
     # limit refuses checks; l-interior-iff-right has a counterexample at (3,1),
-    # l-medial none
+    # l-medial none.  l-medial is proved, so its hunt would draw nothing: the
+    # refusing verifier is not a proved entry's, and both hunts search
     real = lid.verifier
 
     def refusing(G):
@@ -253,6 +254,7 @@ def test_a_lex_pruned_hunt_refuses_the_same_classes_as_the_labelled_hunt(
             raise core.LimitExceededError("commutative refused")
         return real(G)
     monkeypatch.setattr(lid, "verifier", refusing)
+    monkeypatch.setattr(lid, "proved", False)
     filters = frozenset(lid.hypotheses)
     labelled, pruned = [], []
     want = hunt(gl.enumerate_structures(gl.SearchSpec(3, 1, filters)), lid, labelled)
@@ -660,3 +662,80 @@ def test_hunt_passes_over_refused_structures(gamma5):
     refused = []
     found = hunt(iter([G, cx, G]), LemmaId.L_INTERIOR_IFF_RIGHT, refused)
     assert found is not None and found[0] is cx and refused == []
+
+
+# ---------------------------------------------------------------------------
+# the proved law entries: hunts that answer without searching
+
+PROVED = [LemmaId.L_MEDIAL, LemmaId.L_PARAMEDIAL]
+
+
+def test_the_law_entries_keep_their_law_and_are_the_proved_entries():
+    assert {lid: lid.law for lid in LemmaId if lid.law is not None} == {
+        LemmaId.L_MEDIAL: Law.MEDIAL, LemmaId.L_PARAMEDIAL: Law.PARAMEDIAL}
+    assert [lid for lid in LemmaId if lid.proved] == PROVED
+
+
+def _drawn(structures, drawn):
+    """The structures as a stream that appends each to ``drawn`` as it is drawn."""
+    for G in structures:
+        drawn.append(G)
+        yield G
+
+
+@pytest.mark.parametrize("lid", PROVED, ids=lambda lid: lid.value)
+def test_a_proved_hunt_draws_nothing_from_its_stream(lid):
+    def untouchable():
+        raise AssertionError("a proved hunt drew from its stream")
+        yield
+    refused = []
+    assert hunt(untouchable(), lid, refused) is None
+    assert refused == []
+    # a stream whose every structure a limit refuses: the proved entry has no
+    # counterexample at any shape, so nothing is refused either
+    wide = GammaGroupoid.from_tables([[[0]]] * 300)
+    assert verify(wide, lid).status is LemmaStatus.REFUSED
+    drawn = []
+    assert hunt(_drawn([wide], drawn), lid, refused) is None
+    assert drawn == refused == []
+
+
+@pytest.mark.parametrize("lid", [lid for lid in LemmaId if lid not in PROVED],
+                         ids=lambda lid: lid.value)
+def test_every_other_hunt_draws_from_its_stream(lid, gamma5):
+    drawn = []
+    found = hunt(_drawn([gamma5, gamma5], drawn), lid)
+    assert drawn == ([gamma5] if found else [gamma5, gamma5])
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: every status is invariant under relabelling
+
+def _relabelled(G, s, t):
+    """G with element a renamed s[a] and gamma g renamed t[g]."""
+    n, m = G.order, G.gamma_count
+    out = [[[0] * n for _ in range(n)] for _ in range(m)]
+    for g, table in enumerate(G.tables):
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                out[t[g]][s[a]][s[b]] = s[v]
+    return GammaGroupoid.from_tables(out)
+
+
+def test_every_status_is_invariant_under_relabelling():
+    # the premise of every class-stream hunt: each relabelling of the carrier and
+    # the gammas of a structure gets the structure's status from every entry
+    li = frozenset({gl.Filter.LEFT_INVERTIVE})
+    specs = (gl.SearchSpec(2, 2), gl.SearchSpec(3, 1, li, lex_pruned=True),
+             gl.SearchSpec(3, 2, li, lex_pruned=True))
+    seen = Counter()
+    for spec in specs:
+        for G in gl.enumerate_structures(spec):
+            want = [v.status for v in verify_all(G).values()]
+            seen.update(want)
+            for s in permutations(range(G.order)):
+                for t in permutations(range(G.gamma_count)):
+                    H = _relabelled(G, s, t)
+                    assert [v.status for v in verify_all(H).values()] == want, (G, s, t)
+    # the streams reach every status but a refusal
+    assert set(seen) == set(LemmaStatus) - {LemmaStatus.REFUSED}
