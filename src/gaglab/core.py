@@ -284,16 +284,16 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # made by bytes.translate through a row or column of the structure, so each
 # instance of the other variables is one comparison of two vectors.  A row or
 # column translated through a row picked by a looked-up value (medial, paramedial)
-# is read from a table of all such translations, made once per pair of gammas for
-# medial's and paramedial's rows; a row picked by a loop variable is translated in
-# the loop, as a table costs as much.
+# is read from the structure's table of all such translations, built once per
+# structure; a row picked by a loop variable is translated in the loop, as a table
+# of those would cost as many translates and keep them all.
 
-# Law.holds takes the vector form from this order on.  The structure's byte rows
-# and columns, built once per structure, cost more than the vector form saves on
-# small carriers; this is the least order at which no law's whole pass, with that
-# build in it, is slower (left-invertive ties at 6; AG** and associative win from
-# 7).  Commutative never repays the build alone, but each command checks it after
-# another law, so it finds the tables built and is faster at every order.
+# Law.holds takes the vector form from this order on.  The structure's byte rows and
+# columns, built once per structure, cost more than the vector form saves on small
+# carriers; this is the least order at which no law's whole pass, with that build in it,
+# is slower (left-invertive ties at 6; AG** and associative win from 7, medial and
+# paramedial from 6).  Commutative never repays the build alone, but each command checks
+# it after another law, so it finds the tables built and is faster at every order.
 VECTOR_ORDER = 7
 
 
@@ -310,10 +310,13 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
 
 
 def _byte_table(G: GammaGroupoid, name: str):
-    """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a
-    of table g as bytes, ``C[g][b]`` column b, and ``RT``, ``CT`` the same padded to
-    256-byte ``bytes.translate`` tables."""
+    """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a of
+    table g as bytes, ``C[g][b]`` column b, ``RT``, ``CT`` those as 256-byte translate
+    tables, ``RRT[g][b][v][a]`` row a of g translated through row v of b, ``CCT`` columns."""
     def build():
+        if len(name) == 3:
+            rows, through = _byte_table(G, name[0]), _byte_table(G, name[1:])
+            return [[[[v.translate(r) for v in vs] for r in by] for by in through] for vs in rows]
         if name in ("RT", "CT"):
             pad = bytes(256 - G.order)
             return [[v + pad for v in vectors] for vectors in _byte_table(G, name[0])]
@@ -343,20 +346,18 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     None; with the gammas outermost the first hit is not the first in scan
     order, so it names no witness and f returns False at it, else True.
 
-    ``vector`` gives the gammas-outermost form, its gammas in reverse order,
-    without the loop over the last element variable, the lanes: a value that
-    reads the lanes is the bytes of its values over all of them, and ``violated`` compares those vectors.  f
-    builds only the byte tables (``_byte_table``) that its lookups read.  It
-    needs the lanes exactly once in each term, so that every lookup reads them
-    on one side at most, and refuses other terms with ``ValueError``.
+    ``vector`` gives the gammas-outermost form without the loop over the last element
+    variable, the lanes: a value that reads the lanes is the bytes of its values over
+    all of them, and ``violated`` compares those vectors.  f builds only the byte tables
+    (``_byte_table``) that its lookups read.  It needs the lanes exactly once in each
+    term, so that every lookup reads them on one side at most, and refuses other terms
+    with ``ValueError``.
     """
     variables = _variables(*terms)
     gammas_outer = gammas_outer or vector
     # a stable sort keeps the order of first appearance within each kind
     loops = sorted(variables, key=lambda v: v[1] != gammas_outer)
     lanes = loops.pop()[0] if vector else None
-    if vector:  # the gammas nearest the lanes, which tabulated translations read, outermost
-        loops = [v for v in reversed(loops) if v[1]] + [v for v in loops if not v[1]]
     if vector and any(_reading(term).count((lanes, False)) != 1 for term in terms):
         raise ValueError(f"the vector form needs the last element variable {lanes!r} "
                          f"exactly once in each term, not in {terms!r}")
@@ -384,14 +385,13 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         on_left = (lanes, False) in _reading(left)
         vec, index = (left, right) if on_left else (right, left)
         if isinstance(vec, tuple) and lanes in vec[::2] and not isinstance(index, str):
-            # a row or column translated through a row picked by a looked-up value:
-            # every such translation, tabulated per pair of gammas, [value][row index]
+            # a row or column translated through a row picked by a looked-up value, read
+            # from the structure's table of them all: RRT[row's gamma][g][value][row]
             row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
-            by = ("C" if on_left else "R") + "T"
-            tables.update((rows, by))
-            at, depth = bind(f"[[v.translate(r) for v in {rows}[v_{vec[1]}]] for r in {by}[v_{g}]]",
-                             max(depth_of[vec[1]], depth_of[g]))
-            for part in index, row:
+            table = rows + ("C" if on_left else "R") + "T"
+            tables.add(table)
+            at, depth = bind(f"{table}[v_{vec[1]}]", depth_of[vec[1]])
+            for part in g, index, row:
                 part, part_depth, _ = value(part)
                 at, depth = bind(f"{at}[{part}]", max(depth, part_depth))
             return at, depth, True

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -39,6 +42,16 @@ ENUMERATING = [lid for lid in gl.LemmaId if lid.value in {
 # those of them whose hypotheses a left-invertive, AG**, non-regular structure meets
 ENUMERATING_UNLESS_REGULAR = [lid for lid in ENUMERATING
                               if gl.Filter.REGULAR not in lid.hypotheses]
+
+
+def corpus_products():
+    """The benchmark corpus's order-9 products, read through its own loader."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [gl.GammaGroupoid.from_tables(T) for eid, T in corpus.load()
+            if eid.startswith("product-")]
 
 
 def fresh(G):

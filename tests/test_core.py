@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import random
 import subprocess
@@ -11,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
+from gaglab import core
 from gaglab.core import GammaGroupoid, Law, check_law_size, compile_scan, members, subset_of
 from gaglab.search import SearchSpec, enumerate_structures
 
-from conftest import (fresh, oracle_members, oracle_product, oracle_walk, structures,
-                      structure_with_subsets)
+from conftest import (corpus_products, fresh, oracle_members, oracle_product, oracle_walk,
+                      structures, structure_with_subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +200,6 @@ def test_the_vector_form_takes_every_law_and_refuses_other_terms(gamma5):
             compile_scan(terms, "{0} != {1}", vector=True)
 
 
-def _corpus_products():
-    """The benchmark corpus's order-9 products, read through its own loader."""
-    spec = importlib.util.spec_from_file_location(
-        "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return [GammaGroupoid.from_tables(T) for eid, T in corpus.load()
-            if eid.startswith("product-")]
-
-
 def _random_bundles(seed=7):
     """Bundles of orders 7-12 with 2-3 gammas, of three kinds: random tables, which
     fail most laws at once; x g y = a·x + b·y + c_g mod n, which is medial, and
@@ -229,9 +219,9 @@ def _random_bundles(seed=7):
 
 
 def test_the_vector_and_scalar_verdicts_agree():
-    # the vector form loops over the gammas in its own order, so it meets a
-    # violation at another instance than the scalar pass, never another verdict
-    products = _corpus_products()
+    # the vector form decides every value of the last element variable in one
+    # comparison: another code path from the scalar pass's, never another verdict
+    products = corpus_products()
     assert len(products) == 24 and {G.order for G in products} == {9}
     verdicts = Counter()
     for G in (*products, *_random_bundles()):
@@ -241,6 +231,49 @@ def test_the_vector_and_scalar_verdicts_agree():
             verdicts[law, holds] += 1
     # both verdicts of every law occur, medial's and paramedial's among them
     assert len(verdicts) == 2 * len(Law)
+
+
+def test_the_vector_pass_reads_translation_tables_kept_on_the_structure(monkeypatch):
+    # medial and paramedial read their value-picked translations from RRT and
+    # CCT, each built once per structure, and loop over their variables in order
+    # of first appearance, gammas first; a row picked by a loop variable is
+    # translated in the loop, so the other laws keep neither table
+    emitted, define = [], core._define
+    monkeypatch.setattr(core, "_define", lambda lines: emitted.append(lines) or define(lines))
+    vector = {law: compile_scan(law.terms, "{0} != {1}", vector=True) for law in Law}
+    assert len(emitted) == len(Law)
+    for law, lines in zip(Law, emitted):
+        assert not [line for line in lines if " for " in line.strip()], law
+        loops = [line.split()[1] for line in lines if line.strip().startswith("for ")]
+        gammas = [v for v, is_gamma in law.variables if is_gamma]
+        elements = [v for v, is_gamma in law.variables if not is_gamma]
+        assert loops == ["v_" + v for v in gammas + elements[:-1]], law
+
+    def kept(G):
+        return {k: v for k, v in G.__dict__.get("_facts", {}).items() if k in ("RRT", "CCT")}
+
+    # x g y = 2x + 7y + g mod 9, medial and paramedial (2² = 7² mod 9)
+    G = GammaGroupoid.from_tables([[[(2 * x + 7 * y + g) % 9 for y in range(9)]
+                                    for x in range(9)] for g in range(2)])
+    assert vector[Law.MEDIAL](G)
+    medial = kept(G)
+    assert list(medial) == ["RRT"]
+    assert vector[Law.PARAMEDIAL](G)
+    both = kept(G)
+    assert sorted(both) == ["CCT", "RRT"] and both["RRT"] is medial["RRT"]
+    facts = dict(G._facts)
+    assert vector[Law.MEDIAL](G) and vector[Law.PARAMEDIAL](G)
+    assert G._facts.keys() == facts.keys()
+    assert all(G._facts[k] is v for k, v in facts.items())
+    # RRT[g][b][v][a] is row a of table g translated through row v of table b
+    T = G.tables
+    assert all(both["RRT"][g][b][v][a] == bytes(T[b][v][T[g][a][y]] for y in range(9))
+               and both["CCT"][g][b][v][a] == bytes(T[b][T[g][y][a]][v] for y in range(9))
+               for g in range(2) for b in range(2) for v in range(9) for a in range(9))
+    for law in Law.LEFT_INVERTIVE, Law.AG_STAR_STAR, Law.ASSOCIATIVE:
+        H = fresh(G)
+        vector[law](H)
+        assert not kept(H), law
 
 
 def _oracle_law_holds(G, law):

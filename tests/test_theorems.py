@@ -20,8 +20,8 @@ from gaglab.theorems import (
     verify_all,
 )
 
-from conftest import (ENUMERATING, ENUMERATING_UNLESS_REGULAR, fresh, oracle_members,
-                      oracle_product, structures)
+from conftest import (ENUMERATING, ENUMERATING_UNLESS_REGULAR, corpus_products, fresh,
+                      oracle_members, oracle_product, structures)
 
 
 REGULAR_ONLY = {
@@ -738,4 +738,22 @@ def test_every_status_is_invariant_under_relabelling():
                     H = _relabelled(G, s, t)
                     assert [v.status for v in verify_all(H).values()] == want, (G, s, t)
     # the streams reach every status but a refusal
+    assert set(seen) == set(LemmaStatus) - {LemmaStatus.REFUSED}
+
+
+def test_every_status_is_invariant_under_duplicated_gammas():
+    # each gamma taken twice leaves every product AΓB, and every law's truth,
+    # as it was; the corpus products become four-gamma order-9 bundles, so the
+    # vector pass's kept translation tables run at four gammas
+    li = frozenset({gl.Filter.LEFT_INVERTIVE})
+    specs = (gl.SearchSpec(2, 2), gl.SearchSpec(3, 1, li, lex_pruned=True),
+             gl.SearchSpec(3, 2, li, lex_pruned=True))
+    bundles = [G for spec in specs for G in gl.enumerate_structures(spec)] + corpus_products()
+    seen = Counter()
+    for G in bundles:
+        want = [v.status for v in verify_all(G).values()]
+        seen.update(want)
+        twice = GammaGroupoid.from_tables(G.tables * 2)
+        assert [v.status for v in verify_all(twice).values()] == want, G
+    assert len(bundles) == 412
     assert set(seen) == set(LemmaStatus) - {LemmaStatus.REFUSED}
