@@ -288,13 +288,18 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # structure; a row picked by a loop variable is translated in the loop, as a table
 # of those would cost as many translates and keep them all.
 
-# Law.holds takes the vector form from this order on.  The structure's byte rows and
-# columns, built once per structure, cost more than the vector form saves on small
-# carriers; this is the least order at which no law's whole pass, with that build in it,
-# is slower (left-invertive ties at 6; AG** and associative win from 7, medial and
-# paramedial from 6).  Commutative never repays the build alone, but each command checks
-# it after another law, so it finds the tables built and is faster at every order.
-VECTOR_ORDER = 7
+# Law.holds takes the vector form from this many instances of the scalar pass on
+# (n^e·m^g, as check_law_size counts them), since the structure's byte tables cost more
+# than the vector form saves on short scans.  Measured whole passes, tables built in
+# them, up to (8,4): left-invertive, AG** and associative (n³·m²) lose at 125 instances
+# and win from 216-256; medial (n⁴·m³) wins from 256; paramedial alone wins from (5,1),
+# but after medial, whose row tables it shares, the two win together from (4,1).  No
+# search leaf and no check of a hunt up to (3,2), at most 108 instances, takes it.
+# Commutative (n²·m) repays the build alone only from about (26,1) on, but it is checked
+# after left invertivity, which builds its rows and columns, and reading those it is
+# 3 to 30 times faster.  Order 1 stays scalar: one lane saves nothing, and medial and
+# paramedial at (1,256) took 22 s and 41 MB on the vector form against 13 s and 16 MB.
+VECTOR_INSTANCES = 7 ** 3
 
 
 def _reading(term, is_gamma=False) -> list[tuple[str, bool]]:
@@ -441,8 +446,9 @@ class Law(Enum):
     ``holds(G)`` decides whether the law holds and ``scan(G)`` finds the first
     violated instance; both come from the one loop-nest emitter,
     ``compile_scan``, and each compiles on first use.  ``scan`` loops over the
-    elements outermost.  ``holds`` loops over the gammas outermost: below
-    ``VECTOR_ORDER`` it is the scalar pass ``holds_scalar``, from it on the
+    elements outermost.  ``holds`` refuses the structure as ``check_law_size``
+    does and loops over the gammas outermost: below ``VECTOR_INSTANCES``
+    instances, or at order 1, it is the scalar pass ``holds_scalar``, else the
     vector form ``holds_vector``, which decides every value of the last element
     variable at once.  Adding a law is one line here; the vector form takes a
     law whose last element variable occurs once in each term.
@@ -465,8 +471,11 @@ class Law(Enum):
         law.element_variables = len(law.variables) - law.gamma_variables
         return law
 
+    __hash__ = object.__hash__  # each member is one object, compared by identity
+
     def holds(self, G: GammaGroupoid) -> bool:
-        return (self.holds_vector if G.order >= VECTOR_ORDER else self.holds_scalar)(G)
+        vector = check_law_size(G, self) >= VECTOR_INSTANCES and G.order > 1
+        return (self.holds_vector if vector else self.holds_scalar)(G)
 
     @cached_property
     def holds_scalar(self):
@@ -495,16 +504,17 @@ def check_law(G: GammaGroupoid, law: Law) -> LawVerdict:
     a fact of G, so each call on one structure and law returns one object.
     """
     def verdict():
-        check_law_size(G, law)
         witness = None if law.holds(G) else law.scan(G)
         return LawVerdict(witness is None, witness)
     return _fact(G, law, verdict)
 
 
-def check_law_size(G: GammaGroupoid, law: Law) -> None:
-    """Refuse a scan of ``law`` over G of more than ``MAX_LAW_INSTANCES`` instances."""
-    _refuse_beyond(G.order ** law.element_variables * G.gamma_count ** law.gamma_variables,
-                   MAX_LAW_INSTANCES, "{law} scan over {} instances", law=law.value)
+def check_law_size(G: GammaGroupoid, law: Law) -> int:
+    """The number of instances of ``law`` over G; a scan of more than
+    ``MAX_LAW_INSTANCES`` is refused."""
+    count = G.order ** law.element_variables * G.gamma_count ** law.gamma_variables
+    _refuse_beyond(count, MAX_LAW_INSTANCES, "{law} scan over {} instances", law=law.value)
+    return count
 
 
 def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:

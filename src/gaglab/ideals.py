@@ -86,6 +86,8 @@ class IdealKind(Enum):
     QUASI = "quasi", _SUB + _QUASI
     INTERIOR = "interior", _SUB + _INTERIOR
 
+    __hash__ = object.__hash__  # each member is one object, compared by identity
+
     def __new__(cls, value, clauses):
         kind = object.__new__(cls)
         kind._value_ = value

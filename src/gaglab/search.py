@@ -91,6 +91,8 @@ class Filter(Enum):
     HAS_RIGHT_IDENTITY = "has-right-identity", lambda G: bool(identities(G, "right"))
     NON_ASSOCIATIVE = "non-associative", lambda G: not check_law(G, Law.ASSOCIATIVE).holds
 
+    __hash__ = object.__hash__  # each member is one object, compared by identity
+
     def __new__(cls, value, check):
         f = object.__new__(cls)
         f._value_ = value

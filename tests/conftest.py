@@ -54,6 +54,17 @@ def corpus_products():
             if eid.startswith("product-")]
 
 
+def oracle_all_ideals(kind, candidates):
+    """The per-candidate verifier that ``theorems._all_ideals`` replaced: every
+    candidate through ``is_ideal``, the first that fails reported."""
+    def run(G):
+        for S, tested, extra in candidates(G):
+            v = gl.is_ideal(G, tested, kind)
+            if not v.holds:
+                return {"subset": S, "clause": v.failed_clause, "at": v.witness, **extra}
+    return run
+
+
 def fresh(G):
     """A copy of G that shares none of the facts kept on G."""
     return gl.GammaGroupoid(G.tables, G.labels, G.gamma_names)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import gaglab as gl
 from gaglab import core, ideals, theorems
-from gaglab.core import GammaGroupoid, Law
+from gaglab.core import GammaGroupoid, Law, LimitExceededError
+from gaglab.ideals import IdealKind
 from gaglab.theorems import (
     HUNT_FILTERS,
     LemmaId,
@@ -21,7 +22,7 @@ from gaglab.theorems import (
 )
 
 from conftest import (ENUMERATING, ENUMERATING_UNLESS_REGULAR, corpus_products, fresh,
-                      oracle_members, oracle_product, structures)
+                      oracle_all_ideals, oracle_members, oracle_product, structures)
 
 
 REGULAR_ONLY = {
@@ -469,6 +470,100 @@ def test_verify_all_derives_each_fact_once(monkeypatch, gamma5, singleton):
         assert max(enumerations.values()) == 1
 
 
+def test_each_hypothesis_set_is_checked_once_per_structure(monkeypatch):
+    # x·y = y is not left invertive: every entry is not applicable, and the gate of
+    # each of the six distinct hypothesis sets runs once, its verdict kept
+    gates, passes = [], []
+    check = gl.Filter.LEFT_INVERTIVE.holds
+    monkeypatch.setattr(gl.Filter.LEFT_INVERTIVE, "holds",
+                        lambda G: gates.append(G) or check(G))
+    compiled = Law.LEFT_INVERTIVE.holds
+    monkeypatch.setattr(Law.LEFT_INVERTIVE, "holds", lambda G: passes.append(G) or compiled(G))
+    G = GammaGroupoid.from_tables([[[0, 1, 2]] * 3])
+    not_applicable = LemmaVerdict(LemmaStatus.NOT_APPLICABLE, "left-invertive")
+    assert list(verify_all(G).values()) == [not_applicable] * 24
+    assert len(passes) == 1
+    assert len(gates) == len({lid.hypotheses for lid in LemmaId}) == 6
+    assert list(verify_all(G).values()) == [not_applicable] * 24
+    assert len(passes) == 1 and len(gates) == 6
+
+
+# ---------------------------------------------------------------------------
+# the entries whose candidates must each be one kind of ideal, against the
+# per-candidate oracle that runs every candidate through is_ideal
+
+ALL_IDEALS = {
+    LemmaId.T1_UNION_CONSTRUCTION: (IdealKind.TWO_SIDED, theorems._t1_unions),
+    LemmaId.L_ONE_SIDED_QUASI: (IdealKind.QUASI, theorems._one_sided),
+    LemmaId.L_RLB_ONE_SIDED_BI: (IdealKind.BI, theorems._one_sided),
+    LemmaId.C_IDEAL_BI: (IdealKind.BI, theorems._ideals_of(IdealKind.TWO_SIDED)),
+    LemmaId.L_IDEM_QUASI_BI: (IdealKind.BI, theorems._idempotent_quasi),
+    LemmaId.L_IDEAL_INTERIOR: (IdealKind.INTERIOR, theorems._ideals_of(IdealKind.TWO_SIDED)),
+    LemmaId.L_GG_BI: (IdealKind.BI, theorems._per_element(
+        (theorems._aG, "gG"), (ideals.principal_left, "Gg"))),
+    LemmaId.C_AG_BI_REGULAR: (IdealKind.BI, theorems._per_element((theorems._aG, None))),
+    LemmaId.L_PRINCIPAL_LEFT_AGSS: (IdealKind.LEFT, theorems._per_element(
+        (ideals.principal_left, None))),
+}
+
+
+def _direct_product(A, B):
+    """The direct product of two single-gamma bundles."""
+    (T,), (U,), n = A.tables, B.tables, B.order
+    N = A.order * n
+    return GammaGroupoid.from_tables([[[T[x // n][y // n] * n + U[x % n][y % n]
+                                        for y in range(N)] for x in range(N)]])
+
+
+def test_the_oracle_covers_every_entry_built_by_all_ideals():
+    assert set(ALL_IDEALS) == {lid for lid in LemmaId
+                               if lid.verifier.__qualname__.startswith("_all_ideals.")}
+
+
+@pytest.mark.parametrize("lid", list(ALL_IDEALS), ids=lambda lid: lid.value)
+def test_each_all_ideals_entry_gives_the_per_candidate_verdict(lid):
+    # the shipped fixtures, the entry's hypothesis streams, the corpus's order-9
+    # products, outside the hypotheses, where each fallible entry fails, the first
+    # bundles of orders 2 and 3, and above theorems._LOOKUP_ORDER two order-12
+    # products of fixtures; the oracle runs on a copy that keeps no facts
+    oracle = oracle_all_ideals(*ALL_IDEALS[lid])
+    fixtures = sorted(Path(gl.fixture_path("gamma5")).parent.glob("*.gag"))
+    four = gl.load_fixture("principal_left_not_left4")
+    inputs = [*map(gl.parse_file, fixtures),
+              *_stream(((2, 2), (3, 1), (3, 2)), HUNT_FILTERS[lid]), *corpus_products(),
+              *islice(_stream(((2, 1), (3, 1)), ()), 200),
+              *(_direct_product(gl.load_fixture(name), four)
+                for name in ("interior_not_right3", "left_not_right_regular3"))]
+    kind = ALL_IDEALS[lid][0]
+    outcomes = Counter()
+    for G in inputs:
+        expected = oracle(fresh(G))
+        # above the lookup order each candidate is checked on its own unless the
+        # structure keeps the kind's ideals; at or below it they are looked up
+        assert lid.verifier(fresh(G)) == expected, G.tables
+        ideals.enumerate_ideals(G, kind)
+        assert lid.verifier(G) == expected, G.tables
+        outcomes[expected is None] += 1
+    assert outcomes[True] and (outcomes[False] or lid in ALWAYS_HOLD)
+
+
+def test_the_per_element_entries_are_decided_above_the_enumeration_bound(product24):
+    # order 24: the entries whose candidates are made per element are decided
+    # one candidate at a time, as the oracle decides them; the others are refused
+    for lid, (kind, candidates) in ALL_IDEALS.items():
+        oracle = oracle_all_ideals(kind, candidates)
+        if lid in ENUMERATING:
+            for check in oracle, lid.verifier:
+                with pytest.raises(LimitExceededError, match=ENUM_REFUSAL.format(24)):
+                    check(fresh(product24))
+        else:
+            assert lid.verifier(fresh(product24)) == oracle(fresh(product24)), lid
+    statuses = [verify(fresh(product24), lid).status for lid in (
+        LemmaId.L_GG_BI, LemmaId.C_AG_BI_REGULAR, LemmaId.L_PRINCIPAL_LEFT_AGSS)]
+    assert statuses == [LemmaStatus.HOLDS, LemmaStatus.NOT_APPLICABLE,
+                        LemmaStatus.COUNTEREXAMPLE]
+
+
 # ---------------------------------------------------------------------------
 # every verifier's counterexample path, driven with the hypotheses skipped
 
@@ -643,13 +738,22 @@ def test_the_whole_catalog_finds_the_order_24_counterexample(product24):
     assert found == (G, cx) and found[0] is G
 
 
-def test_a_hypothesis_refused_by_a_limit_is_a_refused_verdict():
+def test_a_hypothesis_refused_by_a_limit_is_a_refused_verdict(monkeypatch):
     # one element under 4,097 gammas: the left-invertive gate that every entry
-    # checks first has 4097**2 instances, above core.MAX_LAW_INSTANCES
+    # checks first has 4097**2 instances, above core.MAX_LAW_INSTANCES; a refused
+    # gate is not kept, so each entry's gate is refused anew, before any law's pass
+    passes, gates = [], []
+    for law in Law:
+        for form in ("holds_scalar", "holds_vector", "scan"):
+            monkeypatch.setattr(law, form, lambda G, law=law: passes.append(law))
+    check = gl.Filter.LEFT_INVERTIVE.holds
+    monkeypatch.setattr(gl.Filter.LEFT_INVERTIVE, "holds",
+                        lambda G: gates.append(G) or check(G))
     G = GammaGroupoid.from_tables([[[0]]] * 4097)
     refused = LemmaVerdict(LemmaStatus.REFUSED, refusal="left-invertive scan over "
                            "16785409 instances refused beyond 16777216")
     assert list(verify_all(G).values()) == [refused] * 24
+    assert passes == [] and len(gates) == 24
 
 
 def test_hunt_passes_over_refused_structures(gamma5):

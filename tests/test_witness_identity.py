@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import VECTOR_ORDER, Law, LawVerdict, members
+from gaglab.core import VECTOR_INSTANCES, Law, LawVerdict, check_law_size, members
 from gaglab.ideals import IdealKind
 
 from conftest import fresh, structure_with_subsets, structures
@@ -134,11 +134,12 @@ SCANNERS = [
 @settings(max_examples=150, deadline=None)
 @given(structures())
 def test_check_law_witness_matches_reference(G):
-    # orders 1-4, below VECTOR_ORDER, so the vector form is called directly;
-    # order 1 gives one-byte vectors
+    # orders 1-4 with 1-3 gammas: holds takes either pass by its instance count,
+    # so both forms are also called directly; order 1 gives one-byte vectors
     for law in Law:
         expected = reference_check_law(G, law)
         assert law.holds(G) == expected.holds, law
+        assert law.holds_scalar(G) == expected.holds, law
         assert law.holds_vector(G) == expected.holds, law
         assert gl.check_law(G, law) == expected, law
 
@@ -177,15 +178,30 @@ def _tables_across_the_crossover(n, m, rng):
                for g in range(m)]
 
 
+def _around_the_crossover(law):
+    """For 1 to 3 gammas, the greatest order whose scan has fewer than
+    VECTOR_INSTANCES instances of the law and the least order with as many."""
+    for m in (1, 2, 3):
+        n = 1
+        while (n + 1) ** law.element_variables * m ** law.gamma_variables < VECTOR_INSTANCES:
+            n += 1
+        yield n, m
+        yield n + 1, m
+
+
 def test_check_law_matches_reference_across_the_crossover():
     rng = random.Random(11)
-    for n in (VECTOR_ORDER - 1, VECTOR_ORDER, VECTOR_ORDER + 1):
-        for tables in _tables_across_the_crossover(n, 2, rng):
-            G = gl.GammaGroupoid.from_tables(tables)
-            for law in Law:
+    for law in Law:
+        shapes = list(_around_the_crossover(law))
+        passes = [check_law_size(gl.GammaGroupoid.from_tables([[[0] * n] * n] * m), law)
+                  >= VECTOR_INSTANCES for n, m in shapes]
+        assert passes == [False, True] * 3, law
+        for n, m in shapes:
+            for tables in _tables_across_the_crossover(n, m, rng):
+                G = gl.GammaGroupoid.from_tables(tables)
                 expected = reference_check_law(G, law)
-                assert law.holds(fresh(G)) == expected.holds, (n, law)
-                assert gl.check_law(G, law) == expected, (n, law)
+                assert law.holds(fresh(G)) == expected.holds, (n, m, law)
+                assert gl.check_law(G, law) == expected, (n, m, law)
 
 
 @cache
@@ -197,7 +213,8 @@ def _left_invertive_factors(m):
 
 @st.composite
 def _vector_order_structures(draw):
-    """Bundles of order 7 to 9 with 1 to 3 gammas on which each law may hold or
+    """Bundles of order 7 to 9 with 1 to 3 gammas, where ``Law.holds`` takes the
+    vector pass for every law but commutative, on which each law may hold or
     fail: affine tables x g y = p·x + q·y + c mod 7, whose shared (p, q) make
     them medial, and paramedial exactly when p² = q² (mod 7), unless the last
     gamma draws its own; direct products of two left-invertive order-3 bundles;
@@ -229,7 +246,7 @@ def _vector_order_structures(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_vector_order_structures())
-def test_the_vector_pass_agrees_with_the_witness_scan_from_vector_order_on(drawn):
+def test_the_vector_pass_agrees_with_the_witness_scan_at_orders_7_to_9(drawn):
     # medial and paramedial translate through a row picked by a looked-up
     # value, which the vector pass tabulates; the witness scan does not
     G, coefficients = drawn
@@ -241,15 +258,52 @@ def test_the_vector_pass_agrees_with_the_witness_scan_from_vector_order_on(drawn
         assert Law.PARAMEDIAL.holds_vector(G) == ((p * p - q * q) % 7 == 0)
 
 
+# below order 7, the shapes whose medial and paramedial scans reach VECTOR_INSTANCES
+SMALL_VECTOR_SHAPES = ((2, 3), (3, 2), (4, 2), (5, 1), (6, 1))
+
+
+def test_the_vector_pass_agrees_with_the_witness_scan_below_order_7():
+    # affine tables x g y = p·x + q·y + c_g mod n are medial, and paramedial
+    # when p² = q² (mod n); with the last gamma's own (p, q), or random, a law
+    # may fail: each shape meets both outcomes of both laws
+    rng = random.Random(5)
+    for n, m in SMALL_VECTOR_SHAPES:
+        outcomes = set()
+        for _ in range(30):
+            pq = [(rng.randrange(n), rng.randrange(n))] * m
+            if rng.random() < 0.3:
+                pq[-1] = rng.randrange(n), rng.randrange(n)
+            c = [rng.randrange(n) for _ in range(m)]
+            tables = [[[(p * x + q * y + cg) % n for y in range(n)] for x in range(n)]
+                      for (p, q), cg in zip(pq, c)]
+            if rng.random() < 0.2:
+                tables[rng.randrange(m)][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            G = gl.GammaGroupoid.from_tables(tables)
+            for law in Law:
+                verdict = law.holds_vector(G)
+                assert verdict == (law.scan(G) is None), (n, m, law)
+                outcomes.add((law, verdict))
+            for law in (Law.MEDIAL, Law.PARAMEDIAL):
+                assert check_law_size(G, law) >= VECTOR_INSTANCES
+        for law in (Law.MEDIAL, Law.PARAMEDIAL):
+            assert {(law, True), (law, False)} <= outcomes, (n, m, law)
+
+
 def test_holds_takes_the_vector_pass_from_the_crossover_on():
+    # the pass is picked by the instance count: on either side of the bound, and
     # the vector pass builds only the byte tables it reads: commutative reads a
     # row and a column of each table, never a 256-byte translation table
-    for law, tables in ((Law.MEDIAL, {"R", "RT"}), (Law.COMMUTATIVE, {"R", "C"})):
-        for n, vector in ((VECTOR_ORDER - 1, False), (VECTOR_ORDER, True)):
-            G = gl.GammaGroupoid.from_tables([[[0] * n] * n])
+    for law, tables in ((Law.MEDIAL, {"R", "RT"}), (Law.COMMUTATIVE, {"R", "C"}),
+                        (Law.LEFT_INVERTIVE, {"R", "C", "CT"})):
+        for (n, m), vector in zip(_around_the_crossover(law), [False, True] * 3):
+            G = gl.GammaGroupoid.from_tables([[[0] * n] * n] * m)
             assert law.holds(G)
             built = {"R", "C", "RT", "CT"} & G.__dict__.get("_facts", {}).keys()
-            assert built == (tables if vector else set()), (law, n)
+            assert built == (tables if vector else set()), (law, n, m)
+    # with one element the vector pass has one lane and saves nothing
+    G = gl.GammaGroupoid.from_tables([[[0]]] * 7)
+    assert check_law_size(G, Law.MEDIAL) == VECTOR_INSTANCES
+    assert Law.MEDIAL.holds(G) and "_facts" not in G.__dict__
 
 
 def test_check_law_matches_reference_when_only_a_late_gamma_fails():
@@ -257,15 +311,18 @@ def test_check_law_matches_reference_when_only_a_late_gamma_fails():
     # of medial or paramedial can fail only when b and one of a, g are R, so
     # the verdict pass, whose loops over (a, b, g) are outermost, sweeps eight
     # gamma triples over every element before it can meet a violation, while
-    # the scan, whose element loops are outermost, meets one early; order 4
-    # takes the scalar pass and VECTOR_ORDER the vector form
+    # the scan, whose element loops are outermost, meets one early; with three
+    # gammas every order above 1 takes the vector pass for medial and paramedial,
+    # so both passes are called directly, at order 4 and at order 7
     rng = random.Random(7)
-    for n in (4, VECTOR_ORDER):
+    for n in (4, 7):
         Z = [[0] * n for _ in range(n)]
         R = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         G = gl.GammaGroupoid.from_tables([Z, Z, R])
         for law in Law:
             expected = reference_check_law(G, law)
+            assert law.holds_scalar(G) == expected.holds, (n, law)
+            assert law.holds_vector(G) == expected.holds, (n, law)
             assert law.holds(G) == expected.holds, (n, law)
             assert gl.check_law(G, law) == expected, (n, law)
         for law in (Law.MEDIAL, Law.PARAMEDIAL):
