@@ -161,6 +161,17 @@ def _fact(G: GammaGroupoid, key, compute=None):
         return value
 
 
+class _LazyMap(dict):
+    """A dict that makes a missing key's value with ``make(key)`` and keeps it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # subsets as bitmasks
 
@@ -280,20 +291,20 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # ideal clause's, loops over the elements outermost, keeps the documented scan
 # order and, for a law, runs only when the verdict pass fails.  The verdict
 # pass's vector form drops the loop over the last element variable: each
-# lookup that reads it is a bytes vector of its values over that variable,
-# made by bytes.translate through a row or column of the structure, so each
-# instance of the other variables is one comparison of two vectors.  A row or
-# column translated through a row picked by a looked-up value (medial, paramedial)
-# is read from the structure's table of all such translations, built once per
-# structure; a row picked by a loop variable is translated in the loop, as a table
-# of those would cost as many translates and keep them all.
+# lookup that reads it is a bytes vector of its values over that variable, a
+# row or column of the structure, or one translated through a row or column,
+# so each instance of the other variables is one comparison of two vectors.
+# Every translation is read from one of the structure's value-indexed tables,
+# RRT and CCT (RCT, CRT for terms that mix the two), kept on it and shared by
+# every pass that reads them; each slice, one per pair of gammas, is made when a
+# pass first reads it, so a pass that fails early makes few.
 
 # Law.holds takes the vector form from this many instances of the scalar pass on
 # (n^e·m^g, as check_law_size counts them), since the structure's byte tables cost more
 # than the vector form saves on short scans.  Measured whole passes, tables built in
 # them, up to (8,4): left-invertive, AG** and associative (n³·m²) lose at 125 instances
 # and win from 216-256; medial (n⁴·m³) wins from 256; paramedial alone wins from (5,1),
-# but after medial, whose row tables it shares, the two win together from (4,1).  No
+# but after medial, whose RRT slices it shares, the two win together from (4,1).  No
 # search leaf and no check of a hunt up to (3,2), at most 108 instances, takes it.
 # Commutative (n²·m) repays the build alone only from about (26,1) on, but it is checked
 # after left invertivity, which builds its rows and columns, and reading those it is
@@ -316,15 +327,16 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
 
 def _byte_table(G: GammaGroupoid, name: str):
     """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a of
-    table g as bytes, ``C[g][b]`` column b, ``RT``, ``CT`` those as 256-byte translate
-    tables, ``RRT[g][b][v][a]`` row a of g translated through row v of b, ``CCT`` columns."""
+    table g as bytes, ``C[g][b]`` column b, and ``RRT[g][b][v][a]`` row a of g translated
+    through row v of b (``CCT`` columns, ``RCT`` and ``CRT`` mixed), whose slice
+    ``RRT[g][b]`` is made when first read."""
     def build():
         if len(name) == 3:
-            rows, through = _byte_table(G, name[0]), _byte_table(G, name[1:])
-            return [[[[v.translate(r) for v in vs] for r in by] for by in through] for vs in rows]
-        if name in ("RT", "CT"):
-            pad = bytes(256 - G.order)
-            return [[v + pad for v in vectors] for vectors in _byte_table(G, name[0])]
+            rows, by = _byte_table(G, name[0]), _byte_table(G, name[1])
+            pad = bytes(256 - G.order)  # a translate table has 256 bytes
+            through = _LazyMap(lambda b: [r + pad for r in by[b]])
+            return [_LazyMap(lambda b, vectors=vectors: [
+                [v.translate(t) for v in vectors] for t in through[b]]) for vectors in rows]
         return [[bytes(v) for v in (table if name == "R" else zip(*table))]
                 for table in G.tables]
     return _fact(G, name, build)
@@ -353,9 +365,10 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
 
     ``vector`` gives the gammas-outermost form without the loop over the last element
     variable, the lanes: a value that reads the lanes is the bytes of its values over
-    all of them, and ``violated`` compares those vectors.  f builds only the byte tables
-    (``_byte_table``) that its lookups read.  It needs the lanes exactly once in each
-    term, so that every lookup reads them on one side at most, and refuses other terms
+    all of them, and ``violated`` compares those vectors.  f reads them from the byte
+    tables (``_byte_table``): a lookup of the lanes is a row or column, and a lookup of
+    one is a translation, read from RRT, CCT, RCT or CRT.  It needs the lanes exactly
+    once in each term, at most an argument of an argument deep, and refuses other terms
     with ``ValueError``.
     """
     variables = _variables(*terms)
@@ -380,44 +393,29 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         return names[expr]
 
     def value(term):
-        """The local name holding a term's value, the depth that binds it, and
-        whether it is a vector over the lanes."""
+        """The local name holding a term's value and the depth that binds it."""
         if term == lanes:
-            return "L", 0, True
+            return "L", 0
         if isinstance(term, str):
-            return "v_" + term, depth_of[term], False
+            return "v_" + term, depth_of[term]
         left, g, right = term
-        on_left = (lanes, False) in _reading(left)
-        vec, index = (left, right) if on_left else (right, left)
-        if isinstance(vec, tuple) and lanes in vec[::2] and not isinstance(index, str):
-            # a row or column translated through a row picked by a looked-up value, read
-            # from the structure's table of them all: RRT[row's gamma][g][value][row]
-            row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
-            table = rows + ("C" if on_left else "R") + "T"
+        table, path = "T", (g, left, right)
+        if (lanes, False) in _reading(term):
+            # the lanes read on the left run down a column, on the right along a row
+            on_left = (lanes, False) in _reading(left)
+            vec, index = (left, right) if on_left else (right, left)
+            table, path = "C" if on_left else "R", (g, index)
+            if vec != lanes:  # a row or column translated: RRT[its gamma][g][index][row]
+                if not (isinstance(vec, tuple) and lanes in vec[::2]):
+                    raise ValueError(f"the vector form needs the last element variable {lanes!r} "
+                                     f"at most an argument of an argument deep, not in {terms!r}")
+                row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
+                table, path = rows + table + "T", (vec[1], g, index, row)
             tables.add(table)
-            at, depth = bind(f"{table}[v_{vec[1]}]", depth_of[vec[1]])
-            for part in g, index, row:
-                part, part_depth, _ = value(part)
-                at, depth = bind(f"{at}[{part}]", max(depth, part_depth))
-            return at, depth, True
-        (a, a_depth, a_lanes), (b, b_depth, b_lanes) = value(left), value(right)
-        if not (a_lanes or b_lanes):
-            at, depth = bind(f"T[v_{g}]", depth_of[g])
-            for index, index_depth in ((a, a_depth), (b, b_depth)):
-                at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
-            return at, depth, False
-        # the lanes read on the left run down a column, on the right along a row;
-        # a lookup of the lanes themselves is that column or row, and any other
-        # vector is translated through it
-        (vec, vec_depth), (index, index_depth) = (
-            ((a, a_depth), (b, b_depth)) if a_lanes else ((b, b_depth), (a, a_depth)))
-        table = ("C" if a_lanes else "R") + ("" if vec == "L" else "T")
-        tables.add(table)
-        at, depth = bind(f"{table}[v_{g}]", depth_of[g])
-        at, depth = bind(f"{at}[{index}]", max(depth, index_depth))
-        if vec != "L":
-            at, depth = bind(f"{vec}.translate({at})", max(depth, vec_depth))
-        return at, depth, True
+        at, depth = table, 0
+        for part, part_depth in [value(part) for part in path]:
+            at, depth = bind(f"{at}[{part}]", max(depth, part_depth))
+        return at, depth
 
     values = [value(term)[0] for term in terms]
     lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
@@ -450,8 +448,10 @@ class Law(Enum):
     does and loops over the gammas outermost: below ``VECTOR_INSTANCES``
     instances, or at order 1, it is the scalar pass ``holds_scalar``, else the
     vector form ``holds_vector``, which decides every value of the last element
-    variable at once.  Adding a law is one line here; the vector form takes a
-    law whose last element variable occurs once in each term.
+    variable at once, reading every translated row from the structure's RRT or
+    CCT.  Adding a law is one line here; the vector form takes a law whose last
+    element variable occurs once in each term, at most an argument of an
+    argument deep.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -529,6 +529,13 @@ def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:
     return tuple(map(value, law.terms))
 
 
+def _match(p, t, env: dict) -> bool:
+    """Bind the pattern term p's variables in env so that p reads the term t."""
+    return env.setdefault(p, t) == t if isinstance(p, str) else (
+        not isinstance(t, str) and env.setdefault(p[1], t[1]) == t[1]
+        and _match(p[0], t[0], env) and _match(p[2], t[2], env))
+
+
 def derives(hypotheses: Iterable[Law], law: Law) -> bool:
     """Whether ``law`` holds in every structure that meets the ``hypotheses``: a
     breadth-first search from its left term to its right one by one hypothesis a
@@ -537,16 +544,11 @@ def derives(hypotheses: Iterable[Law], law: Law) -> bool:
     sound too by Birkhoff's completeness theorem (1935)."""
     rules = [sides for h in hypotheses for sides in (h.terms, h.terms[::-1])]
 
-    def match(p, t, env):  # bind p's variables in env so that p reads t
-        return env.setdefault(p, t) == t if isinstance(p, str) else (
-            not isinstance(t, str) and env.setdefault(p[1], t[1]) == t[1]
-            and match(p[0], t[0], env) and match(p[2], t[2], env))
-
     def put(p, env):
         return env[p] if isinstance(p, str) else (put(p[0], env), env[p[1]], put(p[2], env))
 
     def steps(t):  # every term one step from t
-        yield from (put(rhs, env) for lhs, rhs in rules for env in [{}] if match(lhs, t, env))
+        yield from (put(rhs, env) for lhs, rhs in rules for env in [{}] if _match(lhs, t, env))
         if not isinstance(t, str):
             yield from ((s, t[1], t[2]) for s in steps(t[0]))
             yield from ((t[0], t[1], s) for s in steps(t[2]))

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .core import (
     GammaGroupoid,
+    _LazyMap,
     _check_width,
     _fact,
     _powerset_kernel,
@@ -126,22 +127,12 @@ class IdealVerdict:
 _HOLDS = IdealVerdict(True)  # shared, so a subset that passes allocates nothing
 
 
-class _Products(dict):
-    """GS, SG or SS without the powerset kernel: ``product(S)`` of each S read."""
-
-    def __init__(self, product):
-        self.product = product
-
-    def __missing__(self, S):
-        return self.product(S)
-
-
 def _products(G: GammaGroupoid) -> tuple:
     """``(GS, SG, SS, P)`` for ``IdealKind.inside``: G's powerset kernel if G holds
     it, else lookups through ``subset_product``, so one subset builds no kernel."""
     P, F = partial(subset_product, G), G.carrier
     kernel = _fact(G, "powerset") or (
-        _Products(partial(P, F)), _Products(lambda S: P(S, F)), _Products(lambda S: P(S, S)))
+        _LazyMap(partial(P, F)), _LazyMap(lambda S: P(S, F)), _LazyMap(lambda S: P(S, S)))
     return (*kernel, P)
 
 

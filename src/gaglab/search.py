@@ -59,8 +59,8 @@ from itertools import chain, islice, permutations, product, repeat
 from math import factorial
 from typing import Iterator, Optional
 
-from .core import (GammaGroupoid, Law, LimitExceededError, _define, _refuse_beyond, _variables,
-                   check_law, identities, is_regular)
+from .core import (GammaGroupoid, Law, LimitExceededError, _define, _match, _refuse_beyond,
+                   _variables, check_law, identities, is_regular)
 
 MAX_SEARCH_ORDER = 4
 MAX_SEARCH_GAMMAS = 3
@@ -332,14 +332,10 @@ def compile_propagate(laws):
 
 
 def _mirror(lhs, rhs) -> Optional[dict]:
-    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None."""
-    image = {}
-
-    def onto(s, t):
-        if isinstance(s, str) or isinstance(t, str):
-            return isinstance(s, str) and isinstance(t, str) and image.setdefault(s, t) == t
-        return onto(s[0], t[0]) and image.setdefault(s[1], t[1]) == t[1] and onto(s[2], t[2])
-    return image if onto(lhs, rhs) and onto(rhs, lhs) else None
+    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None: a
+    variable matched to a compound term one way meets it as a pattern the other."""
+    env = {}
+    return env if _match(lhs, rhs, env) and _match(rhs, lhs, env) else None
 
 
 @lru_cache(maxsize=None)

@@ -434,6 +434,37 @@ def test_instances_take_one_per_mirror_pair(law):
             env = dict(zip(names, values))
             assert oracle_walk(lhs, T, env, n)[0] == oracle_walk(rhs, T, env, n)[0]
 
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice("abcd")
+    return _random_term(rng, depth - 1), rng.choice("gh"), _random_term(rng, depth - 1)
+
+
+def test_mirror_maps_variables_onto_variables_only():
+    # _mirror matches each side against the other; the oracle maps a variable
+    # only onto a variable, so a variable facing a compound term names no mirror
+    def oracle(lhs, rhs):
+        image = {}
+
+        def onto(s, t):
+            if isinstance(s, str) or isinstance(t, str):
+                return isinstance(s, str) and isinstance(t, str) and image.setdefault(s, t) == t
+            return onto(s[0], t[0]) and image.setdefault(s[1], t[1]) == t[1] and onto(s[2], t[2])
+        return image if onto(lhs, rhs) and onto(rhs, lhs) else None
+    rng = random.Random(2)
+    outcomes = Counter()
+    for _ in range(4000):
+        lhs, rhs = _random_term(rng, 3), _random_term(rng, 3)
+        if rng.random() < 0.5:  # rhs a relabelling of lhs, which may be an involution
+            rhs = _substitute(lhs, {**dict(zip("abcd", rng.sample("abcd", 4))),
+                                    **dict(zip("gh", rng.sample("gh", 2)))})
+        mirror = _mirror(lhs, rhs)
+        assert mirror == oracle(lhs, rhs), (lhs, rhs)
+        outcomes[mirror is None, isinstance(lhs, str)] += 1
+    assert len(outcomes) == 4
+
+
 def test_propagate_compiles_once_per_tuple_of_laws(monkeypatch):
     # two searches with the same laws emit the propagate step's source once
     compiled, define = [], core._define
