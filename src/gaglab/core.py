@@ -163,6 +163,7 @@ def _fact(G: GammaGroupoid, key, compute=None):
 
 class _LazyMap(dict):
     """A dict that makes a missing key's value with ``make(key)`` and keeps it."""
+    __slots__ = ("make",)
 
     def __init__(self, make):
         self.make = make
@@ -291,13 +292,14 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # ideal clause's, loops over the elements outermost, keeps the documented scan
 # order and, for a law, runs only when the verdict pass fails.  The verdict
 # pass's vector form drops the loop over the last element variable: each
-# lookup that reads it is a bytes vector of its values over that variable, a
-# row or column of the structure, or one translated through a row or column,
-# so each instance of the other variables is one comparison of two vectors.
-# Every translation is read from one of the structure's value-indexed tables,
-# RRT and CCT (RCT, CRT for terms that mix the two), kept on it and shared by
-# every pass that reads them; each slice, one per pair of gammas, is made when a
-# pass first reads it, so a pass that fails early makes few.
+# lookup that reads it is a bytes vector of its values over that variable,
+# made by bytes.translate through a row or column of the structure, so each
+# instance of the other variables is one comparison of two vectors.  A row or
+# column translated through a row picked by a looked-up value (medial, paramedial)
+# is read from the structure's table of all such translations, whose slice for a
+# pair of gammas is made when a pass first reads it, so a pass that fails early
+# makes few; a row picked by a loop variable is translated in the loop, as a table
+# of those would cost as many translates and keep them all.
 
 # Law.holds takes the vector form from this many instances of the scalar pass on
 # (n^e·m^g, as check_law_size counts them), since the structure's byte tables cost more
@@ -327,16 +329,17 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
 
 def _byte_table(G: GammaGroupoid, name: str):
     """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a of
-    table g as bytes, ``C[g][b]`` column b, and ``RRT[g][b][v][a]`` row a of g translated
-    through row v of b (``CCT`` columns, ``RCT`` and ``CRT`` mixed), whose slice
-    ``RRT[g][b]`` is made when first read."""
+    table g as bytes, ``C[g][b]`` column b, ``RT``, ``CT`` those as 256-byte translate
+    tables, ``RRT[g][b][v][a]`` row a of g translated through row v of b, ``CCT`` columns,
+    whose slice ``RRT[g][b]`` is made when first read."""
     def build():
         if len(name) == 3:
-            rows, by = _byte_table(G, name[0]), _byte_table(G, name[1])
-            pad = bytes(256 - G.order)  # a translate table has 256 bytes
-            through = _LazyMap(lambda b: [r + pad for r in by[b]])
-            return [_LazyMap(lambda b, vectors=vectors: [
-                [v.translate(t) for v in vectors] for t in through[b]]) for vectors in rows]
+            rows, through = _byte_table(G, name[0]), _byte_table(G, name[1:])
+            return [_LazyMap(lambda b, vs=vs: [[v.translate(r) for v in vs] for r in through[b]])
+                    for vs in rows]
+        if name in ("RT", "CT"):
+            pad = bytes(256 - G.order)
+            return [[v + pad for v in vectors] for vectors in _byte_table(G, name[0])]
         return [[bytes(v) for v in (table if name == "R" else zip(*table))]
                 for table in G.tables]
     return _fact(G, name, build)
@@ -365,10 +368,9 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
 
     ``vector`` gives the gammas-outermost form without the loop over the last element
     variable, the lanes: a value that reads the lanes is the bytes of its values over
-    all of them, and ``violated`` compares those vectors.  f reads them from the byte
-    tables (``_byte_table``): a lookup of the lanes is a row or column, and a lookup of
-    one is a translation, read from RRT, CCT, RCT or CRT.  It needs the lanes exactly
-    once in each term, at most an argument of an argument deep, and refuses other terms
+    all of them, and ``violated`` compares those vectors.  f builds only the byte tables
+    (``_byte_table``) that its lookups read.  It needs the lanes exactly once in each
+    term, so that every lookup reads them on one side at most, and refuses other terms
     with ``ValueError``.
     """
     variables = _variables(*terms)
@@ -393,34 +395,39 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         return names[expr]
 
     def value(term):
-        """The local name holding a term's value and the depth that binds it."""
+        """The local name holding a term's value, the depth that binds it, and
+        whether it is a vector over the lanes."""
         if term == lanes:
-            return "L", 0
+            return "L", 0, True
         if isinstance(term, str):
-            return "v_" + term, depth_of[term]
+            return "v_" + term, depth_of[term], False
         left, g, right = term
-        table, path = "T", (g, left, right)
-        if (lanes, False) in _reading(term):
-            # the lanes read on the left run down a column, on the right along a row
-            on_left = (lanes, False) in _reading(left)
-            vec, index = (left, right) if on_left else (right, left)
-            table, path = "C" if on_left else "R", (g, index)
-            if vec != lanes:  # a row or column translated: RRT[its gamma][g][index][row]
-                if not (isinstance(vec, tuple) and lanes in vec[::2]):
-                    raise ValueError(f"the vector form needs the last element variable {lanes!r} "
-                                     f"at most an argument of an argument deep, not in {terms!r}")
-                row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
-                table, path = rows + table + "T", (vec[1], g, index, row)
-            tables.add(table)
+        on_left = (lanes, False) in _reading(left)
+        vec, index = (left, right) if on_left else (right, left)
+        table, path, through = "T", (g, left, right), None
+        if isinstance(vec, tuple) and lanes in vec[::2] and not isinstance(index, str):
+            # a row or column translated through a row picked by a looked-up value, read
+            # from the structure's table of them all: RRT[row's gamma][g][value][row]
+            row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
+            table, path = rows + ("C" if on_left else "R") + "T", (vec[1], g, index, row)
+        elif (lanes, False) in _reading(term):
+            # the lanes read on the left run down a column, on the right along a row;
+            # a lookup of the lanes themselves is that column or row, and any other
+            # vector is translated through it
+            through = None if vec == lanes else value(vec)
+            table, path = ("C" if on_left else "R") + ("T" if through else ""), (g, index)
+        tables.add(table)
         at, depth = table, 0
-        for part, part_depth in [value(part) for part in path]:
+        for part, part_depth, _ in [value(part) for part in path]:
             at, depth = bind(f"{at}[{part}]", max(depth, part_depth))
-        return at, depth
+        if through:
+            at, depth = bind(f"{through[0]}.translate({at})", max(depth, through[1]))
+        return at, depth, table != "T"
 
     values = [value(term)[0] for term in terms]
     lines = ["def f(G, S=0):", "    T = G.tables", "    E = range(G.order)",
              "    M = range(G.gamma_count)"]
-    lines += [f'    {t} = _byte_table(G, "{t}")' for t in sorted(tables)]
+    lines += [f'    {t} = _byte_table(G, "{t}")' for t in sorted(tables - {"T"})]
     if lanes in terms:
         lines.append("    L = bytes(E)")
     if any(name in over_s for name, is_gamma in variables if not is_gamma):
@@ -448,10 +455,8 @@ class Law(Enum):
     does and loops over the gammas outermost: below ``VECTOR_INSTANCES``
     instances, or at order 1, it is the scalar pass ``holds_scalar``, else the
     vector form ``holds_vector``, which decides every value of the last element
-    variable at once, reading every translated row from the structure's RRT or
-    CCT.  Adding a law is one line here; the vector form takes a law whose last
-    element variable occurs once in each term, at most an argument of an
-    argument deep.
+    variable at once.  Adding a law is one line here; the vector form takes a
+    law whose last element variable occurs once in each term.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
