@@ -151,12 +151,12 @@ def default_gamma_names(m: int) -> tuple[str, ...]:
 def _fact(G: GammaGroupoid, key, compute=None):
     """The fact ``key`` of G's immutable tables, from ``compute()`` on first use and
     then kept in a dict on G, made lazily so that building G costs nothing more;
-    without ``compute``, the fact if G holds it, else None."""
+    without ``compute``, the fact if G holds it, else None, found without raising."""
+    if compute is None:
+        return G.__dict__.get("_facts", {}).get(key)
     try:
         return G.__dict__["_facts"][key]
     except KeyError:
-        if compute is None:
-            return None
         value = G.__dict__.setdefault("_facts", {})[key] = compute()
         return value
 
@@ -255,13 +255,17 @@ def _powerset_kernel(G: GammaGroupoid):
 
 
 def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
-    """All products a g b with a in A, g ranging over every gamma, b in B,
-    read from G's product kernel."""
-    cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
+    """All products a g b with a in A, g ranging over every gamma, b in B: AΓG, GΓB
+    and AΓA are one read of G's powerset kernel when G keeps it, and every product
+    is otherwise read from G's product kernel, a member at a time."""
     full = G.carrier
     if (A | B) & ~full:  # either mask is negative or wider than the carrier
         _check_width(G, A, "left operand")
         _check_width(G, B, "right operand")
+    if (kernel := _fact(G, "powerset")) and (B == full or A == full or A == B):
+        GS, SG, SS = kernel
+        return SG[A] if B == full else GS[B] if A == full else SS[A]
+    cell, row, col = _fact(G, "product", lambda: _product_kernel(G))
     result = 0
     if B == full:
         for a in members(A):
@@ -299,7 +303,8 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # is read from the structure's table of all such translations, whose slice for a
 # pair of gammas is made when a pass first reads it, so a pass that fails early
 # makes few; a row picked by a loop variable is translated in the loop, as a table
-# of those would cost as many translates and keep them all.
+# of those would cost as many translates and keep them all.  Both verdict passes take
+# one instance per mirror pair of the law, the witness scans every instance.
 
 # Law.holds takes the vector form from this many instances of the scalar pass on
 # (n^e·m^g, as check_law_size counts them), since the structure's byte tables cost more
@@ -327,6 +332,20 @@ def _variables(*terms) -> tuple[tuple[str, bool], ...]:
     return tuple(dict.fromkeys(v for term in terms for v in _reading(term)))
 
 
+def _match(p, t, env: dict) -> bool:
+    """Bind the pattern term p's variables in env so that p reads the term t."""
+    return env.setdefault(p, t) == t if isinstance(p, str) else (
+        not isinstance(t, str) and env.setdefault(p[1], t[1]) == t[1]
+        and _match(p[0], t[0], env) and _match(p[2], t[2], env))
+
+
+def _mirror(lhs, rhs) -> Optional[dict]:
+    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None: a
+    variable matched to a compound term one way meets it as a pattern the other."""
+    env = {}
+    return env if _match(lhs, rhs, env) and _match(rhs, lhs, env) else None
+
+
 def _byte_table(G: GammaGroupoid, name: str):
     """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a of
     table g as bytes, ``C[g][b]`` column b, ``RT``, ``CT`` those as 256-byte translate
@@ -345,13 +364,19 @@ def _byte_table(G: GammaGroupoid, name: str):
     return _fact(G, name, build)
 
 
+# _TAILS[n][k] is range(k, n), the loop that a verdict pass restricts to one instance
+# per mirror pair; made once per order, as a list made per pass costs about 0.5 µs
+_TAILS = _LazyMap(lambda n: [range(k, n) for k in range(n + 1)])
+
+
 def _define(lines: list[str]):
-    scope = {"members": members, "_byte_table": _byte_table}
+    scope = {"members": members, "_byte_table": _byte_table, "_TAILS": _TAILS}
     exec("\n".join(lines), scope)
     return scope["f"]
 
 
-def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=False):
+def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=False,
+                 mirror=None):
     """Compile ``f(G, S=0)``, a scan for an instance of the terms' variables at
     which ``violated`` (a condition on the terms' values ``{0}``, ``{1}``, ...
     and the subset mask ``S``) holds.
@@ -372,6 +397,14 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     (``_byte_table``) that its lookups read.  It needs the lanes exactly once in each
     term, so that every lookup reads them on one side at most, and refuses other terms
     with ``ValueError``.
+
+    ``mirror``, an involution of the variables that swaps the two terms (``_mirror``),
+    restricts the gammas-outermost form to one instance per mirror pair: of the first
+    pair of element loops u, w that it swaps, w bound inside u and neither the lanes,
+    w runs from u's value on.  An instance with w below u is skipped, as its image,
+    which the pass checks, states the same equation with its sides swapped.  When the
+    mirror fixes every other variable, an instance with equal u and w is its own image,
+    its two sides one lookup, so w runs from u's value + 1.
     """
     variables = _variables(*terms)
     gammas_outer = gammas_outer or vector
@@ -381,6 +414,14 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
     if vector and any(_reading(term).count((lanes, False)) != 1 for term in terms):
         raise ValueError(f"the vector form needs the last element variable {lanes!r} "
                          f"exactly once in each term, not in {terms!r}")
+    tails = {}  # the restricted loop's variable: its range, from the loop that binds u
+    if mirror and gammas_outer:
+        elements = [v for v, is_gamma in loops if not is_gamma]
+        for i, u in enumerate(elements):
+            if (w := mirror[u]) in elements[i + 1:]:
+                strict = all(mirror[v] == v for v, _ in variables if v not in (u, w))
+                tails[w] = f"TL[v_{u}{' + 1' if strict else ''}]"
+                break
     depth_of = {v: depth for depth, (v, _) in enumerate(loops, 1)}
     bound = [[] for _ in range(len(loops) + 1)]  # the assignments made at each depth
     names = {}
@@ -432,10 +473,12 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         lines.append("    L = bytes(E)")
     if any(name in over_s for name, is_gamma in variables if not is_gamma):
         lines.append("    SE = members(S)")
+    if tails:
+        lines.append("    TL = _TAILS[G.order]")
     for depth, assignments in enumerate(bound):
         if depth:
             name, is_gamma = loops[depth - 1]
-            domain = "M" if is_gamma else "SE" if name in over_s else "E"
+            domain = tails.get(name) or ("M" if is_gamma else "SE" if name in over_s else "E")
             lines.append("    " * depth + f"for v_{name} in {domain}:")
         lines += ["    " * (depth + 1) + line for line in assignments]
     instance = "(" + "".join(f"v_{v}, " for v, _ in variables) + ")"
@@ -455,8 +498,11 @@ class Law(Enum):
     does and loops over the gammas outermost: below ``VECTOR_INSTANCES``
     instances, or at order 1, it is the scalar pass ``holds_scalar``, else the
     vector form ``holds_vector``, which decides every value of the last element
-    variable at once.  Adding a law is one line here; the vector form takes a
-    law whose last element variable occurs once in each term.
+    variable at once.  ``mirror`` is the variable involution that swaps the two
+    terms, or None (``_mirror``); both verdict passes take one instance per mirror
+    pair from it, and so does the search (``search._instances``).  Adding a law is
+    one line here; the vector form takes a law whose last element variable occurs
+    once in each term.
     """
     LEFT_INVERTIVE = "left-invertive", (("a", "g", "b"), "d", "c"), (("c", "g", "b"), "d", "a")
     AG_STAR_STAR = "ag-star-star", ("a", "g", ("b", "d", "c")), ("b", "g", ("a", "d", "c"))
@@ -472,6 +518,7 @@ class Law(Enum):
         law._value_ = value
         law.terms = lhs, rhs
         law.variables = _variables(lhs, rhs)
+        law.mirror = _mirror(lhs, rhs)
         law.gamma_variables = sum(is_gamma for _, is_gamma in law.variables)
         law.element_variables = len(law.variables) - law.gamma_variables
         return law
@@ -484,11 +531,11 @@ class Law(Enum):
 
     @cached_property
     def holds_scalar(self):
-        return compile_scan(self.terms, "{0} != {1}", gammas_outer=True)
+        return compile_scan(self.terms, "{0} != {1}", gammas_outer=True, mirror=self.mirror)
 
     @cached_property
     def holds_vector(self):
-        return compile_scan(self.terms, "{0} != {1}", vector=True)
+        return compile_scan(self.terms, "{0} != {1}", vector=True, mirror=self.mirror)
 
     @cached_property
     def scan(self):
@@ -532,13 +579,6 @@ def law_sides(G: GammaGroupoid, law: Law, witness: tuple) -> tuple[int, int]:
         left, g, right = term
         return G.tables[env[g]][value(left)][value(right)]
     return tuple(map(value, law.terms))
-
-
-def _match(p, t, env: dict) -> bool:
-    """Bind the pattern term p's variables in env so that p reads the term t."""
-    return env.setdefault(p, t) == t if isinstance(p, str) else (
-        not isinstance(t, str) and env.setdefault(p[1], t[1]) == t[1]
-        and _match(p[0], t[0], env) and _match(p[2], t[2], env))
 
 
 def derives(hypotheses: Iterable[Law], law: Law) -> bool:

@@ -59,7 +59,7 @@ from itertools import chain, islice, permutations, product, repeat
 from math import factorial
 from typing import Iterator, Optional
 
-from .core import (GammaGroupoid, Law, LimitExceededError, _define, _match, _refuse_beyond,
+from .core import (GammaGroupoid, Law, LimitExceededError, _define, _refuse_beyond,
                    _variables, check_law, identities, is_regular)
 
 MAX_SEARCH_ORDER = 4
@@ -331,19 +331,12 @@ def compile_propagate(laws):
     return _define(lines)
 
 
-def _mirror(lhs, rhs) -> Optional[dict]:
-    """The variable involution that maps lhs onto rhs and rhs onto lhs, or None: a
-    variable matched to a compound term one way meets it as a pattern the other."""
-    env = {}
-    return env if _match(lhs, rhs, env) and _match(rhs, lhs, env) else None
-
-
 @lru_cache(maxsize=None)
 def _instances(law: Law, n: int, m: int) -> tuple[tuple, ...]:
     """Values of the law's ``variables`` over n elements and m gammas, each
     smaller than its mirror image (where ``x`` takes the value of ``mirror[x]``)."""
     values = product(*(range(m) if is_gamma else range(n) for _, is_gamma in law.variables))
-    mirror = _mirror(*law.terms)
+    mirror = law.mirror
     if mirror is None:
         return tuple(values)
     names = [v for v, _ in law.variables]

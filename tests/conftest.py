@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,24 @@ def oracle_all_ideals(kind, candidates):
             if not v.holds:
                 return {"subset": S, "clause": v.failed_clause, "at": v.witness, **extra}
     return run
+
+
+def random_bundles(seed=7):
+    """Bundles of orders 7-12 with 2-3 gammas, of three kinds: random tables, which
+    fail most laws at once; x g y = a·x + b·y + c_g mod n, which is medial, and
+    paramedial when a² = b²; and those affine tables with one cell changed, which
+    fail them late."""
+    rng = random.Random(seed)
+    for n in range(7, 13):
+        for m in (2, 3):
+            noise = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
+            a, b, c = rng.randrange(n), rng.randrange(n), [rng.randrange(n) for _ in range(m)]
+            affine = [[[(a * x + b * y + c[g]) % n for y in range(n)] for x in range(n)]
+                      for g in range(m)]
+            changed = [[row[:] for row in table] for table in affine]
+            g, x, y = rng.randrange(m), rng.randrange(n), rng.randrange(n)
+            changed[g][x][y] = (changed[g][x][y] + 1) % n
+            yield from map(gl.GammaGroupoid.from_tables, (noise, affine, changed))
 
 
 def fresh(G):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,7 @@ from gaglab.core import GammaGroupoid, Law, check_law_size, compile_scan, member
 from gaglab.search import SearchSpec, enumerate_structures
 
 from conftest import (corpus_products, fresh, oracle_members, oracle_product, oracle_walk,
-                      structures, structure_with_subsets)
+                      random_bundles, structures, structure_with_subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -209,31 +210,13 @@ def test_the_vector_form_takes_every_law_and_refuses_other_terms(gamma5):
             compile_scan(terms, "{0} != {1}", vector=True)
 
 
-def _random_bundles(seed=7):
-    """Bundles of orders 7-12 with 2-3 gammas, of three kinds: random tables, which
-    fail most laws at once; x g y = a·x + b·y + c_g mod n, which is medial, and
-    paramedial when a² = b²; and those affine tables with one cell changed, which
-    fail them late."""
-    rng = random.Random(seed)
-    for n in range(7, 13):
-        for m in (2, 3):
-            noise = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
-            a, b, c = rng.randrange(n), rng.randrange(n), [rng.randrange(n) for _ in range(m)]
-            affine = [[[(a * x + b * y + c[g]) % n for y in range(n)] for x in range(n)]
-                      for g in range(m)]
-            changed = [[row[:] for row in table] for table in affine]
-            g, x, y = rng.randrange(m), rng.randrange(n), rng.randrange(n)
-            changed[g][x][y] = (changed[g][x][y] + 1) % n
-            yield from map(GammaGroupoid.from_tables, (noise, affine, changed))
-
-
 def test_the_vector_and_scalar_verdicts_agree():
     # the vector form decides every value of the last element variable in one
     # comparison: another code path from the scalar pass's, never another verdict
     products = corpus_products()
     assert len(products) == 24 and {G.order for G in products} == {9}
     verdicts = Counter()
-    for G in (*products, *_random_bundles()):
+    for G in (*products, *random_bundles()):
         for law in Law:
             holds = law.holds_scalar(G)
             assert law.holds_vector(G) == holds, (law, G.tables)
@@ -290,6 +273,51 @@ def test_the_vector_pass_reads_translation_tables_kept_on_the_structure(monkeypa
         H = fresh(G)
         vector[law](H)
         assert not kept(H), law
+
+
+# per law, the loop that its scalar and its vector verdict pass restrict to one
+# instance per mirror pair, and the range it runs over: from u's value + 1 when the
+# mirror fixes every other variable (an instance with equal u and w is its own
+# image), else from u's value; no loop where the mirror swaps the lanes or is None
+_RESTRICTED = {
+    Law.LEFT_INVERTIVE: ({"c": "TL[v_a + 1]"}, {}),
+    Law.AG_STAR_STAR: ({"b": "TL[v_a + 1]"}, {"b": "TL[v_a + 1]"}),
+    Law.MEDIAL: ({"l": "TL[v_y + 1]"}, {"l": "TL[v_y + 1]"}),
+    Law.PARAMEDIAL: ({"m": "TL[v_x]"}, {"l": "TL[v_y]"}),
+    Law.ASSOCIATIVE: ({}, {}),
+    Law.COMMUTATIVE: ({"b": "TL[v_a + 1]"}, {}),
+}
+
+
+def test_each_verdict_pass_restricts_one_loop_to_one_instance_per_mirror_pair(monkeypatch):
+    # the scalar and vector verdict passes, compiled afresh, restrict exactly the
+    # listed loop; the witness scan keeps full loops, so every witness stays the first
+    emitted, define = [], core._define
+    monkeypatch.setattr(core, "_define", lambda lines: emitted.append(lines) or define(lines))
+    for law in Law:
+        assert law.mirror == core._mirror(*law.terms)
+        loops = []
+        for name in ("holds_scalar", "holds_vector", "scan"):
+            monkeypatch.delitem(law.__dict__, name, raising=False)
+            emitted.clear()
+            getattr(law, name)
+            (lines,) = emitted
+            loops.append(dict(line.strip()[len("for v_"):-1].split(" in ")
+                              for line in lines if line.strip().startswith("for ")))
+        scalar, vector, scan = loops
+        lanes = law.variables[-1][0]
+        assert lanes not in vector and lanes in scalar and lanes in scan, law
+        assert _RESTRICTED[law] == tuple({v: r for v, r in by.items() if r not in ("E", "M")}
+                                         for by in (scalar, vector)), law
+        assert set(scan.values()) <= {"E", "M"}, law
+        for by, restricted in zip((scalar, vector), _RESTRICTED[law]):
+            for w, bound in restricted.items():  # u, whose value bounds w, loops outside w
+                u = re.fullmatch(r"TL\[v_(\w+)( \+ 1)?\]", bound).group(1)
+                assert law.mirror[u] == w and list(by).index(u) < list(by).index(w), law
+    # a pass is only restricted under its gammas outermost, where no hit is a witness
+    emitted.clear()
+    compile_scan(Law.MEDIAL.terms, "{0} != {1}", mirror=Law.MEDIAL.mirror)
+    assert not [line for line in emitted[0] if "TL" in line]
 
 
 def test_the_vector_pass_makes_each_slice_of_its_table_when_it_first_reads_it():
@@ -407,11 +435,22 @@ def test_subset_product_width_check(gamma5):
             gl.subset_product(gamma5, A, B)
 
 
+def _with_and_without_a_kept_kernel(G):
+    """Two fresh copies of G: one without a kept powerset kernel, whose products are
+    read a member at a time, and one that keeps it, from which AΓG, GΓB and AΓA are
+    read."""
+    kept = fresh(G)
+    core._fact(kept, "powerset", lambda: core._powerset_kernel(kept))
+    return fresh(G), kept
+
+
 def _assert_every_product_matches_the_oracle(G):
     subsets = [oracle_members(S) for S in range(G.carrier + 1)]
+    copies = _with_and_without_a_kept_kernel(G)
     for A, As in enumerate(subsets):
         for B, Bs in enumerate(subsets):
-            assert oracle_members(gl.subset_product(G, A, B)) == oracle_product(G, As, Bs), \
+            want = oracle_product(G, As, Bs)
+            assert all(oracle_members(gl.subset_product(H, A, B)) == want for H in copies), \
                 (G.tables, A, B)
 
 
@@ -426,9 +465,22 @@ def test_subset_product_matches_the_oracle_on_every_pair_of_a_fixture(name):
 
 @pytest.mark.parametrize("order,gammas", [(2, 2), (3, 1)])
 def test_subset_product_matches_the_oracle_on_every_pair_of_a_stream(order, gammas):
-    # a fresh copy of each structure builds its own product kernel
+    # fresh copies of each structure build their own kernels
     for G in enumerate_structures(SearchSpec(order, gammas)):
-        _assert_every_product_matches_the_oracle(fresh(G))
+        _assert_every_product_matches_the_oracle(G)
+
+
+def test_subset_product_with_the_carrier_or_itself_matches_the_oracle_at_order_9():
+    # the order-9 corpus products: AΓG, GΓA and AΓA for every mask A
+    for G in corpus_products():
+        copies = _with_and_without_a_kept_kernel(G)
+        F, Fs = G.carrier, oracle_members(G.carrier)
+        for A in range(F + 1):
+            As = oracle_members(A)
+            for X, Xs, Y, Ys in ((A, As, F, Fs), (F, Fs, A, As), (A, As, A, As)):
+                want = oracle_product(G, Xs, Ys)
+                assert all(oracle_members(gl.subset_product(H, X, Y)) == want
+                           for H in copies), (G.tables, X, Y)
 
 
 @settings(max_examples=80, deadline=None)

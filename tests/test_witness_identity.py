@@ -8,15 +8,16 @@ instances in another order, is compared with the reference verdict.
 """
 import random
 from functools import cache
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaglab as gl
-from gaglab.core import VECTOR_INSTANCES, Law, LawVerdict, check_law_size, members
+from gaglab.core import VECTOR_INSTANCES, Law, LawVerdict, check_law_size, compile_scan, members
 from gaglab.ideals import IdealKind
 
-from conftest import fresh, structure_with_subsets, structures
+from conftest import corpus_products, fresh, random_bundles, structure_with_subsets, structures
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +291,60 @@ def test_the_vector_pass_agrees_with_the_witness_scan_below_order_7():
         for law in Law:
             if check_law_size(G, law) >= VECTOR_INSTANCES:
                 assert {(law, True), (law, False)} <= outcomes, (n, m, law)
+
+
+def _small_vector_bundles(seed=13):
+    """At each of SMALL_VECTOR_SHAPES, tables x g y = x + y + c_g, which hold every
+    law, affine ones with drawn p, q, random ones, and affine ones with a cell changed."""
+    rng = random.Random(seed)
+    for n, m in SMALL_VECTOR_SHAPES:
+        for p, q in ((1, 1), (rng.randrange(n), rng.randrange(n))):
+            c = [rng.randrange(n) for _ in range(m)]
+            affine = [[[(p * x + q * y + cg) % n for y in range(n)] for x in range(n)] for cg in c]
+            noise = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(m)]
+            changed = [[row[:] for row in table] for table in affine]
+            changed[rng.randrange(m)][rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            yield from map(gl.GammaGroupoid.from_tables, (affine, noise, changed))
+
+
+def test_the_mirror_restricted_passes_agree_with_the_unrestricted_ones():
+    # each verdict pass takes one instance per mirror pair; the same loop nest over
+    # every instance, and the witness scan, give the same verdict, and every law
+    # meets both verdicts on each set of bundles: orders 7 to 12 with the order-9
+    # corpus products (all left invertive), small shapes that take the vector pass,
+    # and every bundle of order 1 and 2
+    full = {law: (compile_scan(law.terms, "{0} != {1}", gammas_outer=True),
+                  compile_scan(law.terms, "{0} != {1}", vector=True)) for law in Law}
+    tiny = [G for m in (1, 2, 3) for G in gl.enumerate_structures(gl.SearchSpec(1, m))]
+    tiny += [G for m in (1, 2) for G in gl.enumerate_structures(gl.SearchSpec(2, m))]
+    for bundles in (*random_bundles(), *corpus_products()), _small_vector_bundles(), tiny:
+        outcomes = set()
+        for G in bundles:
+            for law in Law:
+                holds = law.scan(G) is None
+                assert law.holds_scalar(G) == full[law][0](G) == holds, (law, G.tables)
+                assert law.holds_vector(G) == full[law][1](G) == holds, (law, G.tables)
+                outcomes.add((law, holds))
+        assert len(outcomes) == 2 * len(Law), outcomes
+
+
+def test_the_paramedial_passes_check_instances_whose_swapped_values_are_equal():
+    # paramedial's mirror swaps x with m, y with l and a with g, so an instance with
+    # x = m, or with y = l, is not its own image: each pass takes w from u's value
+    # on, not from the next value.  On these bundles every violation has x = m
+    # (the scalar pass's pair), or y = l (the vector pass's), so a pass that skipped
+    # them would report that paramedial holds
+    for table, u, w, passes in ((((2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2), (2, 0, 2, 2)),
+                                 0, 6, (Law.PARAMEDIAL.holds_scalar,)),
+                                (((0, 1, 2), (2, 2, 2), (2, 2, 2)),
+                                 2, 4, (Law.PARAMEDIAL.holds_vector,))):
+        G = gl.GammaGroupoid.from_tables([table])
+        n = G.order
+        violations = [v for v in product(range(n), [0], range(n), [0], range(n), [0], range(n))
+                      if len(set(gl.law_sides(G, Law.PARAMEDIAL, v))) == 2]
+        assert violations and all(v[u] == v[w] for v in violations)
+        assert not any(law_pass(G) for law_pass in passes)
+        assert gl.check_law(G, Law.PARAMEDIAL).witness == violations[0]
 
 
 def test_holds_takes_the_vector_pass_from_the_crossover_on():
