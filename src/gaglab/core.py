@@ -298,25 +298,27 @@ def subset_product(G: GammaGroupoid, A: int, B: int) -> int:
 # pass's vector form drops the loop over the last element variable: each
 # lookup that reads it is a bytes vector of its values over that variable,
 # made by bytes.translate through a row or column of the structure, so each
-# instance of the other variables is one comparison of two vectors.  A row or
-# column translated through a row picked by a looked-up value (medial, paramedial)
-# is read from the structure's table of all such translations, whose slice for a
-# pair of gammas is made when a pass first reads it, so a pass that fails early
-# makes few; a row picked by a loop variable is translated in the loop, as a table
-# of those would cost as many translates and keep them all.  Both verdict passes take
-# one instance per mirror pair of the law, the witness scans every instance.
+# instance of the other variables is one comparison of two vectors.  A vector read
+# through another lookup, as medial's R[g][l] through RT[b][(x a y)], is translated
+# in the loop that binds both, so the structure keeps only rows and columns, n·m
+# of each form.  Both verdict passes take one instance per mirror pair of the law,
+# the witness scans every instance.
 
 # Law.holds takes the vector form from this many instances of the scalar pass on
 # (n^e·m^g, as check_law_size counts them), since the structure's byte tables cost more
-# than the vector form saves on short scans.  Measured whole passes, tables built in
-# them, up to (8,4): left-invertive, AG** and associative (n³·m²) lose at 125 instances
-# and win from 216-256; medial (n⁴·m³) wins from 256; paramedial alone wins from (5,1),
-# but after medial, whose RRT slices it shares, the two win together from (4,1).  No
+# than the vector form saves on short scans.  Whole passes, tables built in them, in µs
+# per structure, scalar against vector, on the left-invertive AG** classes of (3,2) to
+# (6,1) and the order-9 corpus products: left-invertive, AG** and associative (n³·m²)
+# are faster scalar at 108-256 instances (but associative at (6,1), 8.7 against 7.6)
+# and still at (4,3) and (5,2), 576 and 500, where they take the vector pass
+# (left-invertive 30 against 40 and 24 against 31, AG** 20 against 26 and 16 against
+# 19), which wins at order 9 (71 against 39); medial and paramedial (n⁴·m³) take it from
+# 625 and win everywhere but medial at (3,2), 648 (26 against 29).  No benchmark
+# workload checks a law between 343 and about 1,000 instances, so the bound stays.  No
 # search leaf and no check of a hunt up to (3,2), at most 108 instances, takes it.
 # Commutative (n²·m) repays the build alone only from about (26,1) on, but it is checked
 # after left invertivity, which builds its rows and columns, and reading those it is
-# 3 to 30 times faster.  Order 1 stays scalar: one lane saves nothing, and medial and
-# paramedial at (1,256) took 22 s and 41 MB on the vector form against 13 s and 16 MB.
+# 3 to 30 times faster.
 VECTOR_INSTANCES = 7 ** 3
 
 
@@ -348,14 +350,9 @@ def _mirror(lhs, rhs) -> Optional[dict]:
 
 def _byte_table(G: GammaGroupoid, name: str):
     """One of the structure's byte tables, each a fact of its own: ``R[g][a]`` row a of
-    table g as bytes, ``C[g][b]`` column b, ``RT``, ``CT`` those as 256-byte translate
-    tables, ``RRT[g][b][v][a]`` row a of g translated through row v of b, ``CCT`` columns,
-    whose slice ``RRT[g][b]`` is made when first read."""
+    table g as bytes, ``C[g][b]`` column b, and ``RT``, ``CT`` those as 256-byte
+    translate tables; each holds n·m vectors."""
     def build():
-        if len(name) == 3:
-            rows, through = _byte_table(G, name[0]), _byte_table(G, name[1:])
-            return [_LazyMap(lambda b, vs=vs: [[v.translate(r) for v in vs] for r in through[b]])
-                    for vs in rows]
         if name in ("RT", "CT"):
             pad = bytes(256 - G.order)
             return [[v + pad for v in vectors] for vectors in _byte_table(G, name[0])]
@@ -393,10 +390,11 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
 
     ``vector`` gives the gammas-outermost form without the loop over the last element
     variable, the lanes: a value that reads the lanes is the bytes of its values over
-    all of them, and ``violated`` compares those vectors.  f builds only the byte tables
-    (``_byte_table``) that its lookups read.  It needs the lanes exactly once in each
-    term, so that every lookup reads them on one side at most, and refuses other terms
-    with ``ValueError``.
+    all of them, a row or column of a table or one translated in the loop through
+    another's (``RT``, ``CT``), and ``violated`` compares those vectors.  f builds only
+    the byte tables (``_byte_table``) that its lookups read.  It needs the lanes exactly
+    once in each term, so that every lookup reads them on one side at most, and refuses
+    other terms with ``ValueError``.
 
     ``mirror``, an involution of the variables that swaps the two terms (``_mirror``),
     restricts the gammas-outermost form to one instance per mirror pair: of the first
@@ -446,12 +444,7 @@ def compile_scan(terms, violated: str, over_s=(), gammas_outer=False, vector=Fal
         on_left = (lanes, False) in _reading(left)
         vec, index = (left, right) if on_left else (right, left)
         table, path, through = "T", (g, left, right), None
-        if isinstance(vec, tuple) and lanes in vec[::2] and not isinstance(index, str):
-            # a row or column translated through a row picked by a looked-up value, read
-            # from the structure's table of them all: RRT[row's gamma][g][value][row]
-            row, rows = (vec[2], "C") if vec[0] == lanes else (vec[0], "R")
-            table, path = rows + ("C" if on_left else "R") + "T", (vec[1], g, index, row)
-        elif (lanes, False) in _reading(term):
+        if (lanes, False) in _reading(term):
             # the lanes read on the left run down a column, on the right along a row;
             # a lookup of the lanes themselves is that column or row, and any other
             # vector is translated through it
@@ -495,8 +488,9 @@ class Law(Enum):
     violated instance; both come from the one loop-nest emitter,
     ``compile_scan``, and each compiles on first use.  ``scan`` loops over the
     elements outermost.  ``holds`` refuses the structure as ``check_law_size``
-    does and loops over the gammas outermost: below ``VECTOR_INSTANCES``
-    instances, or at order 1, it is the scalar pass ``holds_scalar``, else the
+    does; at order 1, where every product is the one element, the law then holds
+    without a pass.  Otherwise it loops over the gammas outermost: below
+    ``VECTOR_INSTANCES`` instances it is the scalar pass ``holds_scalar``, else the
     vector form ``holds_vector``, which decides every value of the last element
     variable at once.  ``mirror`` is the variable involution that swaps the two
     terms, or None (``_mirror``); both verdict passes take one instance per mirror
@@ -526,8 +520,8 @@ class Law(Enum):
     __hash__ = object.__hash__  # each member is one object, compared by identity
 
     def holds(self, G: GammaGroupoid) -> bool:
-        vector = check_law_size(G, self) >= VECTOR_INSTANCES and G.order > 1
-        return (self.holds_vector if vector else self.holds_scalar)(G)
+        vector = check_law_size(G, self) >= VECTOR_INSTANCES
+        return G.order == 1 or (self.holds_vector if vector else self.holds_scalar)(G)
 
     @cached_property
     def holds_scalar(self):

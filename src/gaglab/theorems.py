@@ -4,14 +4,16 @@ Each verifier returns the witness dict of its first counterexample, or None
 when the entry holds, and ``verify`` alone turns that into a LemmaVerdict:
 NOT_APPLICABLE when the structure fails the statement's hypotheses (the
 failed filter named without its ``has-`` prefix), HOLDS when the exhaustively
-checked conclusion is true, COUNTEREXAMPLE with the witness otherwise, and
+checked conclusion is true, or when ``core.derives`` proves it from the
+hypotheses (``LemmaId.proved``), COUNTEREXAMPLE with the witness otherwise, and
 REFUSED, carrying the limit's message, when a limit refuses the check, in the
-hypotheses or in the verifier.  ``verify_all`` runs every entry, so a refused
-entry leaves the others decided: above the enumeration bound, the entries
-that enumerate ideals are refused and the rest are decided.
+hypotheses or in the verifier; a proved conclusion is refused where its check
+would be, so the verdicts are those of the check.  ``verify_all`` runs every
+entry, so a refused entry leaves the others decided: above the enumeration
+bound, the entries that enumerate ideals are refused and the rest are decided.
 ``hunt`` scans a stream of structures for the first counterexample to a given
 entry, passing over the structures whose check is refused, or answers at once
-for an entry that ``core.derives`` proves; ``verify`` still checks every entry.
+for a proved entry.
 
 Witnesses are dicts whose values follow a small vocabulary: the keys in
 ``MASK_KEYS`` hold subset bitmasks, "element" holds an element index,
@@ -33,6 +35,7 @@ from .core import (
     LimitExceededError,
     _fact,
     check_law,
+    check_law_size,
     derives,
     identities,
     is_regular,
@@ -339,13 +342,14 @@ HUNT_FILTERS: dict[LemmaId, tuple[str, ...]] = {
 
 def verify(G: GammaGroupoid, lid: LemmaId) -> LemmaVerdict:
     """Check one catalog entry on a structure: the only builder of a verdict.  The
-    first hypothesis that fails, or None, is a fact of G per tuple of hypotheses."""
+    first hypothesis that fails, or None, is a fact of G per tuple of hypotheses; past
+    it a proved entry's conclusion is sized, as ``check_law`` sizes it, not checked."""
     try:
         failed = _fact(G, lid.hypotheses, lambda: next(
             (f for f in lid.hypotheses if not f.holds(G)), None))
         if failed is not None:
             return _NOT_APPLICABLE[failed]
-        witness = lid.verifier(G)
+        witness = None if lid.proved and check_law_size(G, lid.law) else lid.verifier(G)
     except LimitExceededError as exc:
         return LemmaVerdict(LemmaStatus.REFUSED, refusal=str(exc))
     return _HOLDS if witness is None else LemmaVerdict(LemmaStatus.COUNTEREXAMPLE,

@@ -22,7 +22,8 @@ from gaglab.theorems import (
 )
 
 from conftest import (ENUMERATING, ENUMERATING_UNLESS_REGULAR, corpus_products, fresh,
-                      oracle_all_ideals, oracle_members, oracle_product, structures)
+                      oracle_all_ideals, oracle_members, oracle_product, random_bundles,
+                      structures)
 
 
 REGULAR_ONLY = {
@@ -802,6 +803,43 @@ def test_a_proved_hunt_draws_nothing_from_its_stream(lid):
     drawn = []
     assert hunt(_drawn([wide], drawn), lid, refused) is None
     assert drawn == refused == []
+
+
+def _proof_sources():
+    """The order-9 corpus products, the random bundles, and the left-invertive
+    class streams of (3,2), (2,3) and (4,1)."""
+    yield from corpus_products()
+    yield from random_bundles()
+    for n, m in ((3, 2), (2, 3), (4, 1)):
+        yield from gl.enumerate_structures(gl.SearchSpec(
+            n, m, frozenset({gl.Filter.LEFT_INVERTIVE}), up_to_iso=True))
+
+
+def test_a_proved_entry_holds_where_its_checked_conclusion_holds():
+    # verify answers a proved entry from its proof; the conclusion's own check, the
+    # entry's verifier, is the proof's independent oracle on every source where the
+    # hypotheses hold, and where one fails verify names it as the gate always did
+    seen = Counter()
+    for G in _proof_sources():
+        for lid in PROVED:
+            failed = next((f for f in lid.hypotheses if not f.holds(fresh(G))), None)
+            v = verify(G, lid)
+            if failed is None:
+                assert lid.verifier(fresh(G)) is None, (lid, G.tables)
+                assert v == LemmaVerdict(LemmaStatus.HOLDS), (lid, G.tables)
+            else:
+                assert v == LemmaVerdict(LemmaStatus.NOT_APPLICABLE, failed.value), (lid, G)
+            seen[lid, v.status] += 1
+    assert set(seen) == {(lid, status) for lid in PROVED
+                         for status in (LemmaStatus.HOLDS, LemmaStatus.NOT_APPLICABLE)}
+
+
+def test_verify_all_keeps_no_verdict_of_a_proved_conclusion():
+    # neither conclusion is checked, so neither law's verdict is among the facts
+    for G in map(fresh, _proof_sources()):
+        verify_all(G)
+        assert Law.LEFT_INVERTIVE in G._facts
+        assert Law.MEDIAL not in G._facts and Law.PARAMEDIAL not in G._facts, G
 
 
 @pytest.mark.parametrize("lid", [lid for lid in LemmaId if lid not in PROVED],
